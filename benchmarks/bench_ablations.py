@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md §4.
+"""Ablation benches for three BNS design choices.
 
 1. Prior-quality ladder: uniform → popularity → occupation → oracle, by
    final TNR (the better the prior, the fewer false negatives sampled).

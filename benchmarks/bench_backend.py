@@ -1,6 +1,6 @@
-"""Compute-backend benchmark: float32 fast mode and shared-memory datasets.
+"""Precision benchmark: float32 fast mode and shared-memory datasets.
 
-Two headline numbers for the backend layer land in ``BENCH_backend.json``:
+Two headline numbers land in ``BENCH_backend.json``:
 
 * **float32 fast mode** — end-to-end MF/BNS epoch throughput under the
   ``dtype="float32"`` policy vs the ``float64`` reference on a
@@ -12,10 +12,6 @@ Two headline numbers for the backend layer land in ``BENCH_backend.json``:
   the per-worker rebuild it replaces (regenerate the synthetic log and
   reconstruct the dataset, exactly the pool worker's cache-miss path).
   Gate: attach >= 5x faster.
-
-When torch is importable the same training loop is also timed on the
-``torch`` backend for the tracked trajectory; no floor is gated on it
-(CPU torch round-trips host mirrors and is not expected to win here).
 
 Environment knobs for CI smoke runs on shared, noisy runners:
 
@@ -32,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import torch_available
 from repro.data.registry import dataset_from_log
 from repro.data.shared import attach_dataset, export_dataset
 from repro.data.synthetic import CalibrationPreset, LatentFactorGenerator
@@ -53,12 +48,8 @@ BATCH_SIZE = 512
 N_FACTORS = 512
 KS = (5, 10, 20)
 
-#: Compared (backend, dtype) training configurations.  torch legs are
-#: appended at runtime only when the import guard reports availability.
-MODES = [
-    ("numpy", "float64"),
-    ("numpy", "float32"),
-]
+#: Compared dtype policies; results are keyed ``numpy-<dtype>``.
+DTYPES = ("float64", "float32")
 
 
 def _bench_preset():
@@ -89,14 +80,13 @@ def _best_seconds(fn, repeats):
     return float(min(times))
 
 
-def _timed_fit_seconds(dataset, backend, dtype):
+def _timed_fit_seconds(dataset, dtype):
     """Wall time of one fresh EPOCHS-epoch MF/BNS fit."""
     spec = RunSpec(
         dataset="bench-backend",
         model="mf",
         sampler="bns",
         n_factors=N_FACTORS,
-        backend=backend,
         dtype=dtype,
     )
     model, optimizer, _ = build_model(spec, dataset)
@@ -110,37 +100,35 @@ def _timed_fit_seconds(dataset, backend, dtype):
     return time.perf_counter() - start
 
 
-def _train_throughputs(dataset, modes, repeats=7):
-    """Best-of-N training throughput per (backend, dtype), in triples/sec.
+def _train_throughputs(dataset, repeats=7):
+    """Best-of-N training throughput per dtype policy, in triples/sec.
 
-    The modes are timed *interleaved* (one repeat of each per round, after
-    a warm-up round) rather than back to back, so a transient load spike
-    on a shared box degrades every mode's round instead of silently biasing
-    the ratio between two modes measured minutes apart.
+    The policies are timed *interleaved* (one repeat of each per round,
+    after a warm-up round) rather than back to back, so a transient load
+    spike on a shared box degrades every policy's round instead of
+    silently biasing the ratio between two runs measured minutes apart.
     """
     n_pairs = dataset.train.n_interactions
     best = {}
-    for backend, dtype in modes:
-        _timed_fit_seconds(dataset, backend, dtype)  # warm BLAS/caches
+    for dtype in DTYPES:
+        _timed_fit_seconds(dataset, dtype)  # warm BLAS/caches
     for _ in range(repeats):
-        for backend, dtype in modes:
-            elapsed = _timed_fit_seconds(dataset, backend, dtype)
-            key = (backend, dtype)
-            best[key] = min(best.get(key, elapsed), elapsed)
+        for dtype in DTYPES:
+            elapsed = _timed_fit_seconds(dataset, dtype)
+            best[dtype] = min(best.get(dtype, elapsed), elapsed)
     return {
-        f"{backend}-{dtype}": n_pairs * EPOCHS / seconds
-        for (backend, dtype), seconds in best.items()
+        f"numpy-{dtype}": n_pairs * EPOCHS / seconds
+        for dtype, seconds in best.items()
     }
 
 
-def _eval_users_per_second(dataset, backend, dtype):
-    """Batched Table-II protocol throughput under a backend/dtype policy."""
+def _eval_users_per_second(dataset, dtype):
+    """Batched Table-II protocol throughput under a dtype policy."""
     spec = RunSpec(
         dataset="bench-backend",
         model="mf",
         sampler="bns",
         n_factors=N_FACTORS,
-        backend=backend,
         dtype=dtype,
     )
     model, _, _ = build_model(spec, dataset)
@@ -180,7 +168,7 @@ def _shared_memory_speedup(dataset):
 
 
 def test_backend_fast_mode_and_shared_memory():
-    """Record the backend-layer wins and gate both floors.
+    """Record the float32 and shared-memory wins and gate both floors.
 
     float32 fast mode must reach ``REPRO_BACKEND_BENCH_MIN_F32_SPEEDUP``
     (default 1.3x) the float64 epoch throughput, and shared-memory attach
@@ -189,20 +177,13 @@ def test_backend_fast_mode_and_shared_memory():
     """
     dataset = _bench_dataset()
 
-    modes = list(MODES)
-    if torch_available("cpu"):
-        modes.append(("torch", "float64"))
-        modes.append(("torch", "float32"))
-
     train_tput = {
         key: round(value, 1)
-        for key, value in _train_throughputs(dataset, modes).items()
+        for key, value in _train_throughputs(dataset).items()
     }
     eval_tput = {
-        f"{backend}-{dtype}": round(
-            _eval_users_per_second(dataset, backend, dtype), 1
-        )
-        for backend, dtype in modes
+        f"numpy-{dtype}": round(_eval_users_per_second(dataset, dtype), 1)
+        for dtype in DTYPES
     }
 
     f32_speedup = train_tput["numpy-float32"] / train_tput["numpy-float64"]
@@ -218,7 +199,6 @@ def test_backend_fast_mode_and_shared_memory():
         "n_factors": N_FACTORS,
         "epochs": EPOCHS,
         "batch_size": BATCH_SIZE,
-        "torch_available": torch_available("cpu"),
         "train_triples_per_s": train_tput,
         "eval_users_per_s": eval_tput,
         "f32_speedup": round(f32_speedup, 2),

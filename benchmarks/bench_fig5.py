@@ -6,9 +6,9 @@ not the optimum.
 
 Substrate note: the paper's λ sweep peaks at λ = 5; on the synthetic
 substrate the sweep is flat-to-slightly-decreasing because hard negatives
-carry less value here (the same deviation seen for DNS in Table II; see
-EXPERIMENTS.md).  The assertion is therefore limited to "extreme hardness
-emphasis does not win", which both the paper and this reproduction show.
+carry less value here (the same deviation seen for DNS in Table II).  The
+assertion is therefore limited to "extreme hardness emphasis does not
+win", which both the paper and this reproduction show.
 """
 
 from repro.experiments.fig5 import run_fig5

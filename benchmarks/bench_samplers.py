@@ -58,7 +58,9 @@ def test_sampler_throughput(benchmark, setup, name):
     sampler = make_sampler(name)
     sampler.bind(dataset, model, seed=0)
     sampler.on_epoch_start(0)
-    passed_scores = scores if sampler.needs_scores else None
+    passed_scores = (
+        None if sampler.score_request is ScoreRequest.NONE else scores
+    )
     out = benchmark(sampler.sample_for_user, user, pos_items, passed_scores)
     assert out.shape == pos_items.shape
 

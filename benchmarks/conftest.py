@@ -1,9 +1,9 @@
 """Shared infrastructure for the benchmark suite.
 
 Each ``bench_*``/``test_*`` module regenerates one of the paper's tables or
-figures at the ``bench`` scale (scaled-down calibrated synthetic datasets;
-see DESIGN.md §1) and writes the formatted artifact to
-``benchmarks/output/<name>.txt`` so EXPERIMENTS.md can quote it.
+figures at the ``bench`` scale (scaled-down calibrated synthetic datasets,
+:mod:`repro.data.synthetic`) and writes the formatted artifact to
+``benchmarks/output/<name>.txt``.
 
 Set ``REPRO_BENCH_SCALE=paper`` to run the full-scale configuration (much
 slower; matches the paper's universe sizes and epoch counts).

@@ -78,16 +78,15 @@ def quick_train(
     reg: float = 0.01,
     seed: Optional[int] = 0,
     ks=(5, 10, 20),
-    backend=None,
     dtype: str = "float64",
 ) -> QuickResult:
     """One-call train-and-evaluate, the library's hello-world entry point.
 
     Loads (or synthesizes) the named dataset, trains the chosen model with
     the chosen negative sampler, and returns the final ranking metrics.
-    ``backend``/``dtype`` select the compute backend and precision policy
-    (``dtype="float32"`` is the fast mode; metrics become statistically,
-    not bitwise, equivalent — see README "Compute backends & precision").
+    ``dtype`` selects the precision policy (``"float32"`` is the fast
+    mode; metrics become statistically, not bitwise, equivalent — see
+    README "Precision & shared-memory datasets").
     """
     dataset = load_dataset(dataset_name, seed=seed)
     if model == "mf":
@@ -96,7 +95,6 @@ def quick_train(
             dataset.n_items,
             n_factors=n_factors,
             seed=seed,
-            backend=backend,
             dtype=dtype,
         )
         optimizer = SGD(lr)
@@ -105,7 +103,6 @@ def quick_train(
             dataset.train,
             n_factors=n_factors,
             seed=seed,
-            backend=backend,
             dtype=dtype,
         )
         optimizer = Adam(lr)

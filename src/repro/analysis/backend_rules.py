@@ -1,16 +1,15 @@
-"""Backend-seam rules: R007 (no direct numpy dense algebra in kernels).
+"""Kernel-purity rule: R007 (no direct numpy dense algebra in kernels).
 
-The compute-backend layer (:mod:`repro.backend`) exists so the hot dense
-kernels — model scoring, the evaluator's score blocks, serving's ranking
-blocks — run on whichever backend the spec selects.  That routing only
-holds if the kernel modules actually *go through the seam*: one stray
-``np.einsum`` in a scoring path silently pins that path to numpy and the
-torch/float32 modes diverge from what the benchmarks measured.  R007
-bans the numpy dense-algebra entry points in the backend-routed modules;
-the backend package itself is exempt (its numpy implementation *is* the
-seam), and intentional host-side math — e.g. training-gradient
-arithmetic that is backend-independent by design — carries an auditable
-``# repro: noqa[R007] -- why``.
+:data:`repro.backend.kernels` names every dense contraction the hot
+paths run — model scoring and training dots, LightGCN propagation, the
+evaluator's and serving's top-K — so a profiler can attribute kernel
+time by wrapping those few methods, as the repository benchmark does
+(its ``backend.*`` spans).  That attribution only holds if the kernel
+modules actually call them: one stray ``np.einsum`` in a scoring path
+is time no ``backend.*`` span sees.  R007 bans the numpy dense-algebra
+entry points in ``models/``, ``eval/`` and ``serve/``; the backend
+package itself is exempt (it *is* the kernel set), and a justified
+exception carries an auditable ``# repro: noqa[R007] -- why``.
 """
 
 from __future__ import annotations
@@ -24,17 +23,17 @@ from repro.analysis.framework import LintContext, ModuleFile, Rule, register
 
 __all__ = ["BackendSeamRule"]
 
-#: Modules whose dense kernels must route through ``repro.backend``.
+#: Modules whose dense contractions must call ``repro.backend.kernels``.
 _KERNEL_PATH_MARKERS = ("/repro/models/", "/repro/eval/", "/repro/serve/")
 
-#: The backend package supplies the numpy implementations — exempt.
+#: The backend package holds the kernels themselves — exempt.
 _SEAM_PATH_MARKER = "/repro/backend/"
 
-#: numpy's dense-algebra entry points: every one has an ``ArrayBackend``
+#: numpy's dense-algebra entry points: every one has a kernel
 #: counterpart (``pair_dot``/``gather_dot``/``gemm_nt``/``matvec``/
 #: ``spmm``).  Elementwise numpy (``+``, ``np.maximum``, reductions)
-#: stays allowed — the seam covers the *contraction* kernels where the
-#: backend choice changes cost and numerics.
+#: stays allowed — the rule covers the *contraction* kernels, where the
+#: time goes.
 _DENSE_ALGEBRA = frozenset(
     {
         "numpy.einsum",
@@ -57,21 +56,20 @@ def in_kernel_path(relpath: str) -> bool:
 
 @register
 class BackendSeamRule(Rule):
-    """R007: kernel modules call ``repro.backend``, not numpy contractions.
+    """R007: kernel modules call ``repro.backend.kernels``, not numpy
+    contractions.
 
-    Scope is ``repro/models/``, ``repro/eval/`` and ``repro/serve/`` —
-    the modules the backend layer routes.  A direct ``np.einsum`` /
-    ``np.matmul`` / ``np.dot`` there bypasses the selected backend: the
-    float64 numpy default would still be bitwise-correct, but torch and
-    float32 runs would silently execute a different kernel than the one
-    the parity suite and ``BENCH_backend.json`` certify.
+    Scope is ``repro/models/``, ``repro/eval/`` and ``repro/serve/``.  A
+    direct ``np.einsum`` / ``np.matmul`` / ``np.dot`` there computes the
+    same numbers but runs outside the named kernels, so per-kernel
+    timings (and any future change to a kernel) silently miss it.
     """
 
     id = "R007"
-    title = "backend-seam-purity"
+    title = "dense-kernel-purity"
     invariant = (
-        "dense contractions in models/eval/serve go through the "
-        "ArrayBackend seam, never directly through numpy"
+        "dense contractions in models/eval/serve call "
+        "repro.backend.kernels, never numpy directly"
     )
 
     def check_file(
@@ -88,8 +86,8 @@ class BackendSeamRule(Rule):
                 yield self.diagnostic(
                     module.path,
                     node,
-                    f"call to {dotted} bypasses the compute-backend seam",
-                    hint="route through the model's ArrayBackend (pair_dot/"
-                    "gather_dot/gemm_nt/matvec/spmm), or justify host-side "
-                    "math with `# repro: noqa[R007] -- why`",
+                    f"call to {dotted} bypasses repro.backend.kernels",
+                    hint="call repro.backend.kernels (pair_dot/gather_dot/"
+                    "gemm_nt/matvec/spmm), or justify the exception with "
+                    "`# repro: noqa[R007] -- why`",
                 )

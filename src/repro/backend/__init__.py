@@ -1,82 +1,60 @@
-"""Backend-agnostic compute layer (see :mod:`repro.backend.base`).
+"""The dense numpy kernels and the float64/float32 dtype policy.
 
 Public surface::
 
-    backend = get_backend("numpy")          # or "torch" / "torch-cuda"
+    from repro.backend import kernels, resolve_dtype
     dtype = resolve_dtype("float32")        # policy: float64 exact / float32 fast
-    model = MatrixFactorization(..., backend=backend, dtype=dtype)
+    model = MatrixFactorization(..., dtype=dtype)
+    block = kernels.gemm_nt(user_rows, item_table)
 
-``get_backend`` is the single construction point: names map to backend
-classes, torch variants stay import-guarded extras, and instances are
-shared per process (backends are stateless beyond tiny operand caches).
+:data:`kernels` is the one :class:`NumpyBackend` instance that the
+models, the evaluator and :class:`~repro.serve.service.RankingService`
+call.  Models create their parameter tables at the policy dtype and
+every kernel preserves it; float32 runs are statistically — not
+bitwise — equivalent to float64 (see README "Precision & shared-memory
+datasets").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
-from repro.backend.base import (
-    ArrayBackend,
-    BackendCapabilityError,
-    BackendUnavailableError,
-    DTYPE_NAMES,
-    dtype_name,
-    resolve_dtype,
-)
+import numpy as np
+
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.torch_backend import TorchBackend, torch_available
 
 __all__ = [
-    "ArrayBackend",
-    "BackendCapabilityError",
-    "BackendUnavailableError",
-    "BACKEND_NAMES",
     "DTYPE_NAMES",
     "NumpyBackend",
-    "TorchBackend",
-    "available_backends",
     "dtype_name",
-    "get_backend",
+    "kernels",
     "resolve_dtype",
-    "torch_available",
 ]
 
-#: Accepted backend names, canonical order (default first).
-BACKEND_NAMES: Tuple[str, ...] = ("numpy", "torch", "torch-cuda")
+#: Accepted dtype-policy names, canonical order (default first).
+DTYPE_NAMES: Tuple[str, ...] = ("float64", "float32")
 
-_INSTANCES: Dict[str, ArrayBackend] = {}
+DTypeLike = Union[str, np.dtype, type]
+
+#: The kernel instance every caller shares.
+kernels = NumpyBackend()
 
 
-def get_backend(backend: Union[str, ArrayBackend, None] = None) -> ArrayBackend:
-    """Resolve a backend name (or pass an instance through).
+def resolve_dtype(dtype: DTypeLike) -> np.dtype:
+    """Canonicalize a dtype-policy value to ``np.float64``/``np.float32``.
 
-    ``None`` selects the default numpy backend.  Unknown names raise
-    ``ValueError``; known-but-unavailable ones (torch not installed, no
-    CUDA device) raise :class:`BackendUnavailableError` at construction,
-    so a bad ``--backend`` flag fails before any training starts.
+    Accepts the policy names (:data:`DTYPE_NAMES`) or equivalent NumPy
+    dtypes; anything else is rejected — the policy is deliberately a
+    two-point switch (exact vs. fast), not a general dtype plumbing.
     """
-    if isinstance(backend, ArrayBackend):
-        return backend
-    name = "numpy" if backend is None else str(backend)
-    if name not in BACKEND_NAMES:
+    resolved = np.dtype("float64" if dtype is None else dtype)
+    if resolved not in (np.dtype(np.float64), np.dtype(np.float32)):
         raise ValueError(
-            f"unknown backend {backend!r}; use one of {BACKEND_NAMES}"
+            f"unsupported dtype policy {dtype!r}; use one of {DTYPE_NAMES}"
         )
-    cached = _INSTANCES.get(name)
-    if cached is None:
-        if name == "numpy":
-            cached = NumpyBackend()
-        else:
-            cached = TorchBackend("cpu" if name == "torch" else "cuda")
-        _INSTANCES[name] = cached
-    return cached
+    return resolved
 
 
-def available_backends() -> Tuple[str, ...]:
-    """The subset of :data:`BACKEND_NAMES` constructible in this process."""
-    names = ["numpy"]
-    if torch_available("cpu"):
-        names.append("torch")
-    if torch_available("cuda"):
-        names.append("torch-cuda")
-    return tuple(names)
+def dtype_name(dtype: DTypeLike) -> str:
+    """The policy name ("float64"/"float32") of a resolved dtype."""
+    return resolve_dtype(dtype).name

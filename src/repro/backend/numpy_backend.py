@@ -1,59 +1,54 @@
-"""The default backend: NumPy, verbatim.
+"""The dense numpy kernels every model, the evaluator and serving call.
 
-Every method body is the exact expression the pre-seam model code used,
-so routing through this backend is a pure refactor — float64 outputs are
-bitwise-identical to the frozen pre-seam goldens
-(``tests/backend/test_parity.py``), and float32 runs the same expressions
-at the narrower dtype.
+Each method body is the exact expression the scoring code has always
+used (``a @ b.T``, ``np.einsum("bf,bf->b", ...)``, ...), so routing a
+product through :data:`repro.backend.kernels` changes no bits — float64
+outputs stay pinned to ``tests/backend/golden_numpy_f64.json`` — and a
+float32 policy runs the same expressions at the narrower dtype.
+Keeping every dense contraction behind these named methods (R007) is
+what lets a profiler attribute kernel time with one wrapper per method.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Tuple
 
-from repro.backend.base import ArrayBackend
+import numpy as np
 
 __all__ = ["NumpyBackend"]
 
 
-class NumpyBackend(ArrayBackend):
-    """Host NumPy kernels (the identity backend)."""
-
-    name = "numpy"
-    shares_host_memory = True
-
-    # -- transfer ------------------------------------------------------- #
-
-    def from_numpy(self, array: np.ndarray) -> np.ndarray:
-        return np.asarray(array)
-
-    def to_numpy(self, array) -> np.ndarray:
-        return np.asarray(array)
-
-    # -- linear algebra -------------------------------------------------- #
+class NumpyBackend:
+    """Named numpy kernels for scoring, propagation and ranking."""
 
     def matvec(self, matrix, vector):
+        """``matrix @ vector`` — one user's score row (gemv)."""
         return matrix @ vector
 
     def gemm_nt(self, a, b):
+        """``a @ b.T`` — the ``(B, n_items)`` score-block gemm."""
         return a @ b.T
 
     def pair_dot(self, a, b):
-        return np.einsum("bf,bf->b", a, b)  # repro: noqa[R007] -- this IS the backend seam
+        """Row-parallel dots ``einsum("bf,bf->b", a, b)``."""
+        return np.einsum("bf,bf->b", a, b)
 
     def gather_dot(self, a, b):
-        return np.einsum("bf,bmf->bm", a, b)  # repro: noqa[R007] -- this IS the backend seam
-
-    def take(self, array, indices):
-        return array[indices]
-
-    def copy(self, array):
-        return np.array(array, copy=True)
-
-    # -- sparse ---------------------------------------------------------- #
-
-    def sparse_from_scipy(self, matrix):
-        return matrix
+        """Per-row gathered dots ``einsum("bf,bmf->bm", a, b)``."""
+        return np.einsum("bf,bmf->bm", a, b)
 
     def spmm(self, sparse, dense):
+        """``sparse @ dense`` — the LightGCN ``Â`` propagation step."""
         return sparse @ dense
+
+    def topk(self, masked, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Canonical row-wise top-``k`` ``(ids, lengths)``.
+
+        Exactly :func:`repro.eval.topk.top_k_items_batch` (descending
+        score, ascending id breaking ties, including across the cut-off),
+        so served and evaluated rankings share one tie rule.
+        """
+        # Imported here: repro.eval imports this package at module load.
+        from repro.eval.topk import top_k_items_batch
+
+        return top_k_items_batch(masked, k)

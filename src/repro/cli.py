@@ -24,7 +24,7 @@ Commands
 ``lint``
     Run the repo-invariant static analyzer (rules R001–R007: global RNG,
     wallclock in keyed paths, run-key coverage, sampler contracts,
-    unordered iteration, blind excepts, backend-seam purity).  Exit code
+    unordered iteration, blind excepts, dense-kernel purity).  Exit code
     1 on any unsuppressed error.
 """
 
@@ -132,14 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="smallest mini-batch routed through the batched sampling "
         "pipeline (smaller batches take the scalar path); default is the "
         "trainer's bench-tuned crossover",
-    )
-    train.add_argument(
-        "--backend",
-        choices=("numpy", "torch", "torch-cuda"),
-        default="numpy",
-        help="compute backend for the dense kernels; torch variants are "
-        "optional extras (torch-cuda serves scoring/eval only — training "
-        "needs host-shared parameters)",
     )
     train.add_argument(
         "--dtype",
@@ -355,7 +347,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         cdf=args.cdf,
         batched_sampling_min_batch=args.min_batch,
-        backend=args.backend,
         dtype=args.dtype,
     )
     result = run_spec(spec)

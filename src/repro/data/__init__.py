@@ -7,8 +7,8 @@ side information (user occupations, used by the BNS-4 prior).
 
 Datasets are obtained through :func:`repro.data.registry.load_dataset`,
 which transparently prefers real MovieLens / Yahoo!-R3 files when present on
-disk and otherwise produces a calibrated synthetic equivalent (see
-DESIGN.md §1 for the substitution rationale).
+disk and otherwise produces a calibrated synthetic equivalent
+(:mod:`repro.data.synthetic`).
 """
 
 from repro.data.dataset import DatasetStatistics, ImplicitDataset

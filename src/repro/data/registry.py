@@ -5,7 +5,7 @@
 1. if the real MovieLens/Yahoo files are found (under ``data_dir`` or the
    ``REPRO_DATA_DIR`` environment variable), they are parsed;
 2. otherwise the calibrated synthetic generator produces an equivalent log
-   (see DESIGN.md §1).
+   (:mod:`repro.data.synthetic`).
 
 Either way the log is converted to implicit feedback and split 80/20, the
 paper's protocol.  Scaled-down variants (``"<name>-small"``, ``"tiny"``)

@@ -41,6 +41,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.backend import kernels
 from repro.data.dataset import ImplicitDataset
 from repro.eval.ranking import (
     auc,
@@ -54,7 +55,7 @@ from repro.eval.ranking import (
     recall_at_k,
     reciprocal_rank,
 )
-from repro.eval.topk import top_k_items_batch, top_k_premasked
+from repro.eval.topk import top_k_premasked
 
 __all__ = ["DEFAULT_EVAL_CHUNK", "Evaluator", "score_block"]
 
@@ -116,17 +117,12 @@ def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
     masking and tie semantics live in exactly one place.
     """
     train, test = dataset.train, dataset.test
-    # Ranking goes through the model's backend seam when it has one;
-    # every backend delegates to the same canonical host kernel, so this
-    # changes *where* the top-K runs, never which lists come back.
-    backend = getattr(model, "backend", None)
-    rank = backend.topk if backend is not None else top_k_items_batch
     for start in range(0, users.size, chunk_users):
         chunk = users[start : start + chunk_users]
         block = score_block(model, chunk)
         rows, cols = train.positives_in_rows(chunk)
         block[rows, cols] = -np.inf
-        ranked, _ = rank(block, k)
+        ranked, _ = kernels.topk(block, k)
         hits = test.hits_in_rows(chunk, ranked)
         yield chunk, block, rows, cols, ranked, hits
 

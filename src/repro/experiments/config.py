@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
+from repro.backend import DTYPE_NAMES
 from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["RunSpec", "Scale", "scale_preset"]
@@ -89,11 +90,6 @@ class RunSpec:
     #: scalar-fallback threshold of the sampling pipeline); ``None`` keeps
     #: the trainer default.
     batched_sampling_min_batch: Optional[int] = None
-    #: Compute backend for the run's dense kernels (``"numpy"``,
-    #: ``"torch"``, ``"torch-cuda"`` — see :mod:`repro.backend`).  Part of
-    #: the run key: backends other than numpy are statistically, not
-    #: bitwise, equivalent.
-    backend: str = "numpy"
     #: Parameter/score dtype policy: ``"float64"`` (exact, the default)
     #: or ``"float32"`` (fast — statistically equivalent numerics).
     dtype: str = "float64"
@@ -110,15 +106,6 @@ class RunSpec:
             )
         if self.model not in ("mf", "lightgcn"):
             raise ValueError(f"model must be 'mf' or 'lightgcn', got {self.model!r}")
-        # Validate names only — availability (torch installed, CUDA
-        # usable) is checked at model construction, so specs for other
-        # machines' backends remain constructible and addressable here.
-        from repro.backend import BACKEND_NAMES, DTYPE_NAMES
-
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, got {self.backend!r}"
-            )
         if self.dtype not in DTYPE_NAMES:
             raise ValueError(
                 f"dtype must be one of {DTYPE_NAMES}, got {self.dtype!r}"

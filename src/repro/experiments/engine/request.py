@@ -31,8 +31,9 @@ __all__ = [
 #: Bump whenever the request canonicalization or the payload schema
 #: changes; old cache entries become unreachable (new keys + new store
 #: subdirectory) rather than silently mis-read.  v2: ``RunSpec`` grew
-#: ``backend``/``dtype`` (the compute-backend seam).
-CACHE_FORMAT_VERSION = 2
+#: ``backend``/``dtype``.  v3: ``RunSpec.backend`` was removed (numpy is
+#: the only compute path).
+CACHE_FORMAT_VERSION = 3
 
 #: Run-key coverage manifests — the introspection hook for ``repro lint``
 #: rule R003 and for :func:`_check_key_coverage` below.  Every dataclass
@@ -55,7 +56,6 @@ KEYED_SPEC_FIELDS: Tuple[str, ...] = (
     "ks",
     "cdf",
     "batched_sampling_min_batch",
-    "backend",
     "dtype",
 )
 KEYED_REQUEST_FIELDS: Tuple[str, ...] = (

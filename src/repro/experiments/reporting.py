@@ -84,9 +84,9 @@ def shape_report(
 ) -> List[str]:
     """Check pairwise expectations like ``("bns", "rns")`` meaning bns ≥ rns.
 
-    Returns human-readable PASS/FAIL lines — the "shape" validation used in
-    EXPERIMENTS.md (absolute values are substrate-dependent; orderings are
-    the reproducible claim).
+    Returns human-readable PASS/FAIL lines — the "shape" validation
+    (absolute values are substrate-dependent; orderings are the
+    reproducible claim).
     """
     lines = []
     for better, worse in expectations:

@@ -58,20 +58,13 @@ def build_model(spec: RunSpec, dataset: ImplicitDataset):
 
     MF trains with plain SGD at a constant LR (paper §IV-B1a); LightGCN
     with Adam plus a step-decayed LR (decay 0.1 every 20 epochs, §IV-B1b).
-    The spec's compute backend and dtype policy are resolved here — an
-    unavailable backend (torch not installed, no CUDA) fails fast with an
-    actionable error before any training starts.
     """
-    from repro.backend import get_backend
-
-    backend = get_backend(spec.backend)
     if spec.model == "mf":
         model = MatrixFactorization(
             dataset.n_users,
             dataset.n_items,
             n_factors=spec.n_factors,
             seed=spec.seed,
-            backend=backend,
             dtype=spec.dtype,
         )
         optimizer = SGD(spec.lr)
@@ -82,7 +75,6 @@ def build_model(spec: RunSpec, dataset: ImplicitDataset):
             n_factors=spec.n_factors,
             n_layers=1,
             seed=spec.seed,
-            backend=backend,
             dtype=spec.dtype,
         )
         optimizer = Adam(spec.lr)

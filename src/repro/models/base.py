@@ -10,11 +10,10 @@ wrapper around a learned model from elsewhere) can be dropped in.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, resolve_dtype
 from repro.train.optimizer import Optimizer
 
 __all__ = ["ScoreModel"]
@@ -30,12 +29,8 @@ DEFAULT_SCORE_CHUNK = 1024
 class ScoreModel(ABC):
     """Abstract pairwise-trainable scoring model.
 
-    Concrete models route their dense kernels through an
-    :class:`~repro.backend.ArrayBackend` at a policy dtype (``float64``
-    exact / ``float32`` fast) — see :meth:`_init_backend`.  Third-party
-    subclasses that never call it behave exactly as before: the
-    :attr:`backend` default is the numpy backend and :attr:`dtype` is
-    ``float64``.
+    Concrete models run their dense products through
+    :data:`repro.backend.kernels` at a policy :attr:`dtype`.
     """
 
     #: Matrix shape; set by concrete constructors.
@@ -43,46 +38,10 @@ class ScoreModel(ABC):
     n_items: int
     #: Embedding dimensionality.
     n_factors: int
-
-    # ------------------------------------------------------------------ #
-    # Backend / dtype policy
-    # ------------------------------------------------------------------ #
-
-    def _init_backend(
-        self,
-        backend: Union[str, ArrayBackend, None],
-        dtype,
-    ) -> None:
-        """Resolve and pin this model's compute backend and policy dtype.
-
-        Called by concrete constructors before any parameter table is
-        allocated; tables are created at :attr:`dtype` and transferred
-        through ``backend.from_numpy`` (the RNG bridge — init draws stay
-        on the host generator, so every backend starts from the same
-        numbers).
-        """
-        self._backend = get_backend(backend)
-        self._dtype = resolve_dtype(dtype)
-
-    @property
-    def backend(self) -> ArrayBackend:
-        """The model's compute backend (numpy unless configured)."""
-        return getattr(self, "_backend", None) or get_backend(None)
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The model's parameter/score dtype policy."""
-        return getattr(self, "_dtype", None) or np.dtype(np.float64)
-
-    def _check_trainable_backend(self) -> None:
-        """Reject ``train_step`` on backends without host-shared params."""
-        backend = self.backend
-        if not backend.shares_host_memory:
-            raise RuntimeError(
-                f"cannot train on backend {backend.name!r}: parameters are "
-                "device-resident; train with 'numpy' or 'torch' (CPU) and "
-                "use this backend for scoring/eval/serving"
-            )
+    #: Parameter/score dtype policy (``float64`` exact / ``float32`` fast,
+    #: see :func:`repro.backend.resolve_dtype`); concrete constructors set
+    #: it before allocating their parameter tables.
+    dtype: np.dtype = np.dtype(np.float64)
 
     # ------------------------------------------------------------------ #
     # Scoring

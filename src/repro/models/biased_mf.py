@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import kernels, resolve_dtype
 from repro.models.base import ScoreModel
 from repro.models.init import normal_init
 from repro.train.loss import informativeness
@@ -38,7 +39,6 @@ class BiasedMatrixFactorization(ScoreModel):
         init_scale: float = 0.1,
         bias_reg_scale: float = 1.0,
         seed: SeedLike = None,
-        backend=None,
         dtype="float64",
     ) -> None:
         self.n_users = int(check_positive(n_users, "n_users"))
@@ -47,7 +47,7 @@ class BiasedMatrixFactorization(ScoreModel):
         #: Multiplier on the L2 strength applied to biases (biases are
         #: often regularized more lightly than embeddings).
         self.bias_reg_scale = check_non_negative(bias_reg_scale, "bias_reg_scale")
-        self._init_backend(backend, dtype)
+        self.dtype = resolve_dtype(dtype)
         rng = as_rng(seed)
         self._user_factors = normal_init(
             self.n_users, self.n_factors, init_scale, rng
@@ -56,55 +56,40 @@ class BiasedMatrixFactorization(ScoreModel):
             self.n_items, self.n_factors, init_scale, rng
         ).astype(self.dtype, copy=False)
         self._item_bias = np.zeros(self.n_items, dtype=self.dtype)
-        self.sync_backend()
-
-    def sync_backend(self) -> None:
-        """(Re)create backend handles from the host parameter tables
-        (see :meth:`repro.models.mf.MatrixFactorization.sync_backend`)."""
-        bk = self.backend
-        self._user_handle = bk.from_numpy(self._user_factors)
-        self._item_handle = bk.from_numpy(self._item_factors)
-        self._bias_handle = bk.from_numpy(self._item_bias)
 
     # ------------------------------------------------------------------ #
 
     def scores(self, user: int) -> np.ndarray:
         if not 0 <= user < self.n_users:
             raise IndexError(f"user {user} out of range [0, {self.n_users})")
-        bk = self.backend
-        return bk.to_numpy(
-            bk.matvec(self._item_handle, bk.take(self._user_handle, user))
-            + self._bias_handle
+        return (
+            kernels.matvec(self._item_factors, self._user_factors[user])
+            + self._item_bias
         )
 
     def score_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         users = np.asarray(users, dtype=np.int64).ravel()
         items = np.asarray(items, dtype=np.int64).ravel()
-        bk = self.backend
-        dots = bk.pair_dot(
-            bk.take(self._user_handle, users), bk.take(self._item_handle, items)
-        )
-        return bk.to_numpy(dots + bk.take(self._bias_handle, items))
+        dots = kernels.pair_dot(self._user_factors[users], self._item_factors[items])
+        return dots + self._item_bias[items]
 
     def scores_batch(self, users: np.ndarray) -> np.ndarray:
         """Score block via one embedding matmul plus the bias row."""
         users = np.asarray(users, dtype=np.int64).ravel()
         if users.size and (users.min() < 0 or users.max() >= self.n_users):
             raise IndexError(f"user ids out of range [0, {self.n_users})")
-        bk = self.backend
-        return bk.to_numpy(
-            bk.gemm_nt(bk.take(self._user_handle, users), self._item_handle)
-            + self._bias_handle
+        return (
+            kernels.gemm_nt(self._user_factors[users], self._item_factors)
+            + self._item_bias
         )
 
     def score_items_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Sparse scoring: embedding gather + einsum plus the gathered bias."""
         users, items = self._check_user_item_rows(users, items)
-        bk = self.backend
-        dots = bk.gather_dot(
-            bk.take(self._user_handle, users), bk.take(self._item_handle, items)
+        dots = kernels.gather_dot(
+            self._user_factors[users], self._item_factors[items]
         )
-        return bk.to_numpy(dots + bk.take(self._bias_handle, items))
+        return dots + self._item_bias[items]
 
     # ------------------------------------------------------------------ #
 
@@ -120,7 +105,6 @@ class BiasedMatrixFactorization(ScoreModel):
             users, pos_items, neg_items
         )
         check_non_negative(reg, "reg")
-        self._check_trainable_backend()
         w_u = self._user_factors[users]
         h_i = self._item_factors[pos_items]
         h_j = self._item_factors[neg_items]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.backend import kernels, resolve_dtype
 from repro.data.interactions import InteractionMatrix
 from repro.models.base import ScoreModel
 from repro.models.graph import normalized_adjacency_cached
@@ -48,10 +49,9 @@ class LightGCN(ScoreModel):
         Number of propagation layers ``L`` (paper: 1).
     seed:
         Initialization randomness.
-    backend, dtype:
-        Compute backend and parameter dtype policy (see
-        :meth:`~repro.models.base.ScoreModel._init_backend`).  The
-        normalized adjacency is cast once to ``dtype`` so the whole
+    dtype:
+        Parameter dtype policy (see :func:`repro.backend.resolve_dtype`).
+        The normalized adjacency is cast once to ``dtype`` so the whole
         propagation runs at the policy precision.
     """
 
@@ -62,14 +62,13 @@ class LightGCN(ScoreModel):
         n_layers: int = 1,
         *,
         seed: SeedLike = None,
-        backend=None,
         dtype="float64",
     ) -> None:
         self.n_users = interactions.n_users
         self.n_items = interactions.n_items
         self.n_factors = int(check_positive(n_factors, "n_factors"))
         self.n_layers = int(check_positive(n_layers, "n_layers"))
-        self._init_backend(backend, dtype)
+        self.dtype = resolve_dtype(dtype)
         adjacency = normalized_adjacency_cached(interactions)
         if adjacency.dtype != self.dtype:
             adjacency = adjacency.astype(self.dtype)
@@ -79,46 +78,24 @@ class LightGCN(ScoreModel):
             self.n_users + self.n_items, self.n_factors, rng
         ).astype(self.dtype, copy=False)
         self._propagated = None
-        self.sync_backend()
-
-    def sync_backend(self) -> None:
-        """(Re)create backend handles from the host tables (see
-        :meth:`repro.models.mf.MatrixFactorization.sync_backend`)."""
-        bk = self.backend
-        self._base_handle = bk.from_numpy(self._base)
-        self._adjacency_handle = bk.sparse_from_scipy(self._adjacency)
-        self._propagated = None
 
     # ------------------------------------------------------------------ #
     # Propagation
     # ------------------------------------------------------------------ #
 
-    def propagate(self):
-        """Layer-averaged embeddings ``Ê = P E⁰`` (cached until a step).
-
-        Returns a backend-native array; on the numpy backend this is the
-        plain ndarray it always was.
-        """
+    def propagate(self) -> np.ndarray:
+        """Layer-averaged embeddings ``Ê = P E⁰`` (cached until a step)."""
         if self._propagated is None:
-            self._propagated = self._backend_propagation(self._base_handle)
+            self._propagated = self._apply_propagation(self._base)
         return self._propagated
 
-    def _backend_propagation(self, matrix):
-        """Apply ``P = (1/(L+1)) Σ_k Âᵏ`` through the backend's spmm."""
-        bk = self.backend
-        accumulated = bk.copy(matrix)
-        current = matrix
-        for _ in range(self.n_layers):
-            current = bk.spmm(self._adjacency_handle, current)
-            accumulated += current
-        return accumulated / (self.n_layers + 1)
-
     def _apply_propagation(self, matrix: np.ndarray) -> np.ndarray:
-        """Host-side ``P``: the exact-backward path of :meth:`train_step`."""
+        """Apply ``P = (1/(L+1)) Σ_k Âᵏ``: the forward propagation and,
+        since ``P`` is symmetric, the exact backward of :meth:`train_step`."""
         accumulated = matrix.copy()
         current = matrix
         for _ in range(self.n_layers):
-            current = self._adjacency @ current
+            current = kernels.spmm(self._adjacency, current)
             accumulated += current
         return accumulated / (self.n_layers + 1)
 
@@ -133,45 +110,29 @@ class LightGCN(ScoreModel):
     def scores(self, user: int) -> np.ndarray:
         if not 0 <= user < self.n_users:
             raise IndexError(f"user {user} out of range [0, {self.n_users})")
-        bk = self.backend
         propagated = self.propagate()
-        return bk.to_numpy(
-            bk.matvec(propagated[self.n_users :], bk.take(propagated, user))
-        )
+        return kernels.matvec(propagated[self.n_users :], propagated[user])
 
     def score_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         users = np.asarray(users, dtype=np.int64).ravel()
         items = np.asarray(items, dtype=np.int64).ravel()
-        bk = self.backend
         propagated = self.propagate()
-        return bk.to_numpy(
-            bk.pair_dot(
-                bk.take(propagated, users),
-                bk.take(propagated, self.n_users + items),
-            )
-        )
+        return kernels.pair_dot(propagated[users], propagated[self.n_users + items])
 
     def scores_batch(self, users: np.ndarray) -> np.ndarray:
         """Score block via one matmul over the propagated embeddings."""
         users = np.asarray(users, dtype=np.int64).ravel()
         if users.size and (users.min() < 0 or users.max() >= self.n_users):
             raise IndexError(f"user ids out of range [0, {self.n_users})")
-        bk = self.backend
         propagated = self.propagate()
-        return bk.to_numpy(
-            bk.gemm_nt(bk.take(propagated, users), propagated[self.n_users :])
-        )
+        return kernels.gemm_nt(propagated[users], propagated[self.n_users :])
 
     def score_items_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Sparse scoring over the propagated embeddings, ``O(B·m·d)``."""
         users, items = self._check_user_item_rows(users, items)
-        bk = self.backend
         propagated = self.propagate()
-        return bk.to_numpy(
-            bk.gather_dot(
-                bk.take(propagated, users),
-                bk.take(propagated, self.n_users + items),
-            )
+        return kernels.gather_dot(
+            propagated[users], propagated[self.n_users + items]
         )
 
     # ------------------------------------------------------------------ #
@@ -190,8 +151,7 @@ class LightGCN(ScoreModel):
             users, pos_items, neg_items
         )
         check_non_negative(reg, "reg")
-        self._check_trainable_backend()
-        propagated = self.backend.to_numpy(self.propagate())
+        propagated = self.propagate()
         user_rows = users
         pos_rows = self.n_users + pos_items
         neg_rows = self.n_users + neg_items
@@ -199,10 +159,7 @@ class LightGCN(ScoreModel):
         e_i = propagated[pos_rows]
         e_j = propagated[neg_rows]
 
-        info = informativeness(
-            np.einsum("bf,bf->b", e_u, e_i),  # repro: noqa[R007] -- host-mirror training math, backend-independent by design
-            np.einsum("bf,bf->b", e_u, e_j),  # repro: noqa[R007] -- host-mirror training math, backend-independent by design
-        )
+        info = informativeness(kernels.pair_dot(e_u, e_i), kernels.pair_dot(e_u, e_j))
         s = info[:, None]
 
         # Gradient of the minimized loss w.r.t. propagated embeddings.
@@ -230,12 +187,12 @@ class LightGCN(ScoreModel):
     @property
     def user_factors(self) -> np.ndarray:
         """Propagated user representations (what scoring actually uses)."""
-        return self.backend.to_numpy(self.propagate())[: self.n_users]
+        return self.propagate()[: self.n_users]
 
     @property
     def item_factors(self) -> np.ndarray:
         """Propagated item representations."""
-        return self.backend.to_numpy(self.propagate())[self.n_users :]
+        return self.propagate()[self.n_users :]
 
     @property
     def base_embeddings(self) -> np.ndarray:

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import kernels, resolve_dtype
 from repro.models.base import ScoreModel
 from repro.models.init import normal_init
 from repro.train.loss import informativeness
 from repro.train.optimizer import Optimizer, aggregate_rows
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_non_negative, check_positive
-
-# Dense scoring kernels below go through ``self.backend`` (the R007
-# seam); ``train_step`` works on the host parameter mirrors directly.
 
 __all__ = ["MatrixFactorization"]
 
@@ -42,12 +40,10 @@ class MatrixFactorization(ScoreModel):
         Standard deviation of the Gaussian initialization.
     seed:
         Initialization randomness.
-    backend, dtype:
-        Compute backend and parameter dtype policy (see
-        :meth:`~repro.models.base.ScoreModel._init_backend`).  Init draws
-        stay on the host generator at float64 and are cast to ``dtype``,
-        so a float32 model starts from the float64 init rounded down and
-        a torch model starts from exactly the numpy init.
+    dtype:
+        Parameter dtype policy (see :func:`repro.backend.resolve_dtype`).
+        Init draws stay at float64 and are cast to ``dtype``, so a
+        float32 model starts from the float64 init rounded down.
     """
 
     def __init__(
@@ -58,13 +54,12 @@ class MatrixFactorization(ScoreModel):
         *,
         init_scale: float = 0.1,
         seed: SeedLike = None,
-        backend=None,
         dtype="float64",
     ) -> None:
         self.n_users = int(check_positive(n_users, "n_users"))
         self.n_items = int(check_positive(n_items, "n_items"))
         self.n_factors = int(check_positive(n_factors, "n_factors"))
-        self._init_backend(backend, dtype)
+        self.dtype = resolve_dtype(dtype)
         rng = as_rng(seed)
         self._user_factors = normal_init(
             self.n_users, self.n_factors, init_scale, rng
@@ -72,19 +67,6 @@ class MatrixFactorization(ScoreModel):
         self._item_factors = normal_init(
             self.n_items, self.n_factors, init_scale, rng
         ).astype(self.dtype, copy=False)
-        self.sync_backend()
-
-    def sync_backend(self) -> None:
-        """(Re)create the backend parameter handles from the host tables.
-
-        On host-sharing backends (numpy, torch-CPU) the handles alias the
-        tables, so training needs no re-sync; call this after *replacing*
-        table contents wholesale (checkpoint restore) so device-resident
-        backends see the new values too.
-        """
-        bk = self.backend
-        self._user_handle = bk.from_numpy(self._user_factors)
-        self._item_handle = bk.from_numpy(self._item_factors)
 
     # ------------------------------------------------------------------ #
     # Scoring
@@ -93,39 +75,25 @@ class MatrixFactorization(ScoreModel):
     def scores(self, user: int) -> np.ndarray:
         if not 0 <= user < self.n_users:
             raise IndexError(f"user {user} out of range [0, {self.n_users})")
-        bk = self.backend
-        return bk.to_numpy(
-            bk.matvec(self._item_handle, bk.take(self._user_handle, user))
-        )
+        return kernels.matvec(self._item_factors, self._user_factors[user])
 
     def score_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         users = np.asarray(users, dtype=np.int64).ravel()
         items = np.asarray(items, dtype=np.int64).ravel()
-        bk = self.backend
-        return bk.to_numpy(
-            bk.pair_dot(
-                bk.take(self._user_handle, users), bk.take(self._item_handle, items)
-            )
-        )
+        return kernels.pair_dot(self._user_factors[users], self._item_factors[items])
 
     def scores_batch(self, users: np.ndarray) -> np.ndarray:
         """Score block via one embedding matmul, shape ``(B, n_items)``."""
         users = np.asarray(users, dtype=np.int64).ravel()
         if users.size and (users.min() < 0 or users.max() >= self.n_users):
             raise IndexError(f"user ids out of range [0, {self.n_users})")
-        bk = self.backend
-        return bk.to_numpy(
-            bk.gemm_nt(bk.take(self._user_handle, users), self._item_handle)
-        )
+        return kernels.gemm_nt(self._user_factors[users], self._item_factors)
 
     def score_items_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Sparse scoring by one embedding gather + einsum, ``O(B·m·d)``."""
         users, items = self._check_user_item_rows(users, items)
-        bk = self.backend
-        return bk.to_numpy(
-            bk.gather_dot(
-                bk.take(self._user_handle, users), bk.take(self._item_handle, items)
-            )
+        return kernels.gather_dot(
+            self._user_factors[users], self._item_factors[items]
         )
 
     # ------------------------------------------------------------------ #
@@ -144,15 +112,11 @@ class MatrixFactorization(ScoreModel):
             users, pos_items, neg_items
         )
         check_non_negative(reg, "reg")
-        self._check_trainable_backend()
         w_u = self._user_factors[users]
         h_i = self._item_factors[pos_items]
         h_j = self._item_factors[neg_items]
 
-        info = informativeness(
-            np.einsum("bf,bf->b", w_u, h_i),  # repro: noqa[R007] -- host-mirror training math, backend-independent by design
-            np.einsum("bf,bf->b", w_u, h_j),  # repro: noqa[R007] -- host-mirror training math, backend-independent by design
-        )
+        info = informativeness(kernels.pair_dot(w_u, h_i), kernels.pair_dot(w_u, h_j))
         s = info[:, None]
 
         grad_u = -s * (h_i - h_j) + reg * w_u

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.backend import dtype_name, get_backend, resolve_dtype
+from repro.backend import dtype_name, resolve_dtype
 from repro.data.interactions import InteractionMatrix
 from repro.models.biased_mf import BiasedMatrixFactorization
 from repro.models.lightgcn import LightGCN
@@ -22,18 +22,17 @@ __all__ = ["save_model", "load_model"]
 
 PathLike = Union[str, Path]
 
-#: v2 adds ``dtype``/``backend`` metadata so precision/backend mismatches
-#: fail at load time instead of silently changing serving numerics.
-#: v1 archives (no metadata) load as float64/numpy — what v1 always was.
+#: v2 adds ``dtype`` metadata so precision mismatches fail at load time
+#: instead of silently changing serving numerics.  v1 archives (no
+#: metadata) load as float64 — what v1 always was.  Archives written
+#: before the compute-backend option was removed also carry a
+#: ``backend`` provenance entry; loading ignores it.
 _FORMAT_VERSION = 2
 
 
 def _model_meta(model) -> dict:
-    """The dtype/backend provenance header written with every model."""
-    return {
-        "dtype": dtype_name(getattr(model, "dtype", np.float64)),
-        "backend": getattr(getattr(model, "backend", None), "name", "numpy"),
-    }
+    """The dtype provenance header written with every model."""
+    return {"dtype": dtype_name(model.dtype)}
 
 
 def save_model(model, path: PathLike) -> None:
@@ -120,7 +119,7 @@ def _checkpoint_dtype(archive, path: Path) -> np.dtype:
         ) from None
 
 
-def load_model(path: PathLike, *, dtype=None, backend=None):
+def load_model(path: PathLike, *, dtype=None):
     """Load a model previously written by :func:`save_model`.
 
     Parameter arrays are validated (rank, dtype, cross-array shape
@@ -132,10 +131,7 @@ def load_model(path: PathLike, *, dtype=None, backend=None):
     float32 checkpoint into a pipeline that demands float64 (or vice
     versa) raises instead of silently warm-starting at the wrong
     precision.  ``None`` accepts whatever the checkpoint records (v1
-    archives: float64).  ``backend`` constructs the model on a specific
-    compute backend (default: the checkpoint is host/numpy — the
-    recorded backend name is provenance, not a load requirement, since
-    parameters are stored device-agnostic).
+    archives: float64).
     """
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
@@ -153,13 +149,12 @@ def load_model(path: PathLike, *, dtype=None, backend=None):
                 f"{resolve_dtype(dtype).name} was requested; retrain or "
                 "load with the matching dtype policy"
             )
-        backend = get_backend(backend)
         if kind == "mf":
-            return _load_mf(archive, path, stored, backend)
+            return _load_mf(archive, path, stored)
         if kind == "biased_mf":
-            return _load_biased_mf(archive, path, stored, backend)
+            return _load_biased_mf(archive, path, stored)
         if kind == "lightgcn":
-            return _load_lightgcn(archive, path, stored, backend)
+            return _load_lightgcn(archive, path, stored)
     raise ValueError(f"{path}: unknown model kind {kind!r}")
 
 
@@ -187,7 +182,7 @@ def _load_factors(archive, path: Path, dtype):
     return user_factors, item_factors
 
 
-def _load_mf(archive, path: Path, dtype, backend) -> MatrixFactorization:
+def _load_mf(archive, path: Path, dtype) -> MatrixFactorization:
     user_factors, item_factors = _load_factors(archive, path, dtype)
     model = MatrixFactorization(
         user_factors.shape[0],
@@ -195,17 +190,13 @@ def _load_mf(archive, path: Path, dtype, backend) -> MatrixFactorization:
         user_factors.shape[1],
         seed=0,
         dtype=dtype,
-        backend=backend,
     )
     model.user_factors[:] = user_factors
     model.item_factors[:] = item_factors
-    model.sync_backend()
     return model
 
 
-def _load_biased_mf(
-    archive, path: Path, dtype, backend
-) -> BiasedMatrixFactorization:
+def _load_biased_mf(archive, path: Path, dtype) -> BiasedMatrixFactorization:
     user_factors, item_factors = _load_factors(archive, path, dtype)
     item_bias = _check_array(
         path,
@@ -225,16 +216,14 @@ def _load_biased_mf(
         user_factors.shape[1],
         seed=0,
         dtype=dtype,
-        backend=backend,
     )
     model.user_factors[:] = user_factors
     model.item_factors[:] = item_factors
     model.item_bias[:] = item_bias
-    model.sync_backend()
     return model
 
 
-def _load_lightgcn(archive, path: Path, dtype, backend) -> LightGCN:
+def _load_lightgcn(archive, path: Path, dtype) -> LightGCN:
     base_embeddings = _check_array(
         path,
         "base_embeddings",
@@ -270,10 +259,8 @@ def _load_lightgcn(archive, path: Path, dtype, backend) -> LightGCN:
         n_layers=int(_required(archive, path, "n_layers")),
         seed=0,
         dtype=dtype,
-        backend=backend,
     )
     model.base_embeddings[:] = base_embeddings
-    model.sync_backend()
     return model
 
 

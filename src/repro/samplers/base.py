@@ -44,7 +44,7 @@ rows for repeated users.
 
 from __future__ import annotations
 
-from abc import ABC, ABCMeta, abstractmethod
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Iterator, Optional, Tuple
@@ -90,54 +90,6 @@ class ScoreRequest(Enum):
     NONE = "none"
     FULL_BLOCK = "full_block"
     SPARSE = "sparse"
-
-
-def _derive_needs_scores(request) -> bool:
-    """The one place the legacy boolean is derived from a score request.
-
-    Non-:class:`ScoreRequest` values (a delegating property seen at class
-    level) answer conservatively ``True``.
-    """
-    if not isinstance(request, ScoreRequest):
-        return True
-    return request is not ScoreRequest.NONE
-
-
-class _NegativeSamplerMeta(ABCMeta):
-    """Metaclass exposing ``needs_scores`` as a *class-level* derived view.
-
-    ``needs_scores`` predates :class:`ScoreRequest` and is kept as the
-    boolean shorthand "does this sampler consume model scores at all";
-    tests and third-party code read it off the class, so it must stay
-    resolvable without an instance.  Samplers whose request is decided per
-    instance (delegation, estimator-dependent modes) expose a property for
-    ``score_request``; class-level access then answers conservatively
-    (``True``).
-
-    Backwards compatibility: a subclass written against the pre-protocol
-    API (``needs_scores = True`` in the class body, no ``score_request``)
-    is translated at class creation — the boolean is mapped to
-    ``FULL_BLOCK``/``NONE`` so the trainer keeps supplying exactly the
-    scores it did before the protocol existed, instead of silently
-    passing ``None``.
-    """
-
-    def __new__(mcls, name, bases, namespace, **kwargs):
-        legacy = namespace.get("needs_scores")
-        if isinstance(legacy, bool):
-            # Drop the plain attribute (it would shadow the derived
-            # instance property) and honour its intent unless the class
-            # also declares the new protocol explicitly.
-            del namespace["needs_scores"]
-            namespace.setdefault(
-                "score_request",
-                ScoreRequest.FULL_BLOCK if legacy else ScoreRequest.NONE,
-            )
-        return super().__new__(mcls, name, bases, namespace, **kwargs)
-
-    @property
-    def needs_scores(cls) -> bool:
-        return _derive_needs_scores(cls.score_request)
 
 
 @dataclass(frozen=True)
@@ -187,7 +139,7 @@ def group_batch_by_user(users: np.ndarray) -> BatchGroups:
     return BatchGroups(unique_users, rows, order, boundaries)
 
 
-class NegativeSampler(ABC, metaclass=_NegativeSamplerMeta):
+class NegativeSampler(ABC):
     """Base class for all negative samplers.
 
     Lifecycle: construct → :meth:`bind` (dataset + model + rng) →
@@ -202,21 +154,6 @@ class NegativeSampler(ABC, metaclass=_NegativeSamplerMeta):
     score_request: ClassVar[ScoreRequest] = ScoreRequest.NONE
     #: Short name used in reports and experiment configs.
     name: ClassVar[str] = "base"
-
-    @property
-    def needs_scores(self) -> bool:
-        """Derived boolean view of :attr:`score_request` (kept for
-        backwards compatibility: ``True`` unless the request is ``NONE``)."""
-        return _derive_needs_scores(self.score_request)
-
-    @needs_scores.setter
-    def needs_scores(self, value: bool) -> None:
-        # Legacy instance-level assignment (pre-protocol samplers did
-        # `self.needs_scores = True` in __init__): mirror the metaclass
-        # translation onto the instance's score_request.
-        self.score_request = (
-            ScoreRequest.FULL_BLOCK if value else ScoreRequest.NONE
-        )
 
     def __init__(self) -> None:
         self._dataset: Optional[ImplicitDataset] = None

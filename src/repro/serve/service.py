@@ -52,8 +52,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.backend import kernels
 from repro.data.interactions import InteractionMatrix
-from repro.eval.topk import top_k_items_batch
 from repro.reliability.breaker import CircuitBreaker, CircuitOpenError
 from repro.reliability.faults import FaultInjector
 from repro.reliability.policy import DeadlineExceeded
@@ -240,7 +240,6 @@ class RankingService:
         train: Optional[InteractionMatrix] = None,
         *,
         dtype=None,
-        backend=None,
         **kwargs,
     ) -> "RankingService":
         """Build a service from a persisted ``model.npz`` checkpoint.
@@ -252,13 +251,12 @@ class RankingService:
 
         ``dtype`` asserts the serving precision: a float32 checkpoint
         cannot silently warm-start a float64 serving instance (the load
-        raises instead).  ``backend`` serves the checkpoint on a specific
-        compute backend (e.g. ``"torch"``).
+        raises instead).
         """
         from repro.models.lightgcn import LightGCN
         from repro.models.persistence import load_model
 
-        model = load_model(path, dtype=dtype, backend=backend)
+        model = load_model(path, dtype=dtype)
         if train is None:
             if isinstance(model, LightGCN):
                 from repro.models.persistence import _graph_pairs
@@ -512,9 +510,7 @@ class RankingService:
         This is, deliberately, the evaluator's exact pipeline
         (``scores_batch`` + ``positives_in_rows`` + the canonical top-K)
         so served lists and offline metrics can never disagree.  The
-        block keeps the model's dtype policy, and ranking routes through
-        the model's :class:`~repro.backend.ArrayBackend` when it has one
-        (every backend delegates to the same canonical host kernel).
+        block keeps the model's dtype policy.
         """
         block = np.asarray(self.model.scores_batch(users))
         if block.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
@@ -523,10 +519,7 @@ class RankingService:
             block = block.copy()
         rows, cols = self._train.positives_in_rows(users)
         block[rows, cols] = -np.inf
-        backend = getattr(self.model, "backend", None)
-        if backend is not None:
-            return backend.topk(block, width)
-        return top_k_items_batch(block, width)
+        return kernels.topk(block, width)
 
     # ------------------------------------------------------------------ #
     # Graceful degradation

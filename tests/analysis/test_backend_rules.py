@@ -1,4 +1,4 @@
-"""Fixture snippets for R007 (backend-seam purity)."""
+"""Fixture snippets for R007 (dense-kernel purity)."""
 
 from repro.analysis import lint_sources
 

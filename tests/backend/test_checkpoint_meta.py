@@ -1,9 +1,10 @@
-"""Checkpoint dtype/backend metadata (format v2) and its load guards."""
+"""Checkpoint dtype metadata (format v2) and its load guards."""
 
 import numpy as np
 import pytest
 
 from repro.data.interactions import InteractionMatrix
+from repro.eval.topk import top_k_items_batch
 from repro.models.biased_mf import BiasedMatrixFactorization
 from repro.models.lightgcn import LightGCN
 from repro.models.mf import MatrixFactorization
@@ -18,6 +19,16 @@ def interactions():
     return InteractionMatrix(
         12, 30, rng.integers(12, size=80), rng.integers(30, size=80)
     )
+
+
+def _reference_top_k(model, train, k):
+    """The saved model's top-``k`` lists through the evaluator's pipeline."""
+    users = np.arange(model.n_users)
+    block = model.scores_batch(users)
+    rows, cols = train.positives_in_rows(users)
+    block[rows, cols] = -np.inf
+    ids, lengths = top_k_items_batch(block, k)
+    return [ids[user, : lengths[user]] for user in users]
 
 
 def _models(interactions, **kwargs):
@@ -36,7 +47,7 @@ class TestMetadataRoundTrip:
             save_model(model, path)
             with np.load(path, allow_pickle=False) as archive:
                 assert str(archive["dtype"]) == dtype
-                assert str(archive["backend"]) == "numpy"
+                assert "backend" not in archive
                 assert int(archive["version"]) == 2
             loaded = load_model(path)
             assert loaded.dtype == np.dtype(dtype)
@@ -108,7 +119,6 @@ class TestLegacyArchives:
         )
         loaded = load_model(path)
         assert loaded.dtype == np.dtype(np.float64)
-        assert loaded.backend.name == "numpy"
         np.testing.assert_array_equal(loaded.user_factors, model.user_factors)
 
     def test_v1_archive_rejects_float32_expectation(self, tmp_path):
@@ -123,3 +133,26 @@ class TestLegacyArchives:
         )
         with pytest.raises(ValueError, match="float64"):
             load_model(path, dtype="float32")
+
+    @pytest.mark.parametrize("recorded", ["numpy", "torch"])
+    def test_v2_archive_with_backend_key_serves_saved_rankings(
+        self, tmp_path, interactions, recorded
+    ):
+        # Archives written while models took a compute-backend option
+        # carry a `backend` provenance entry; loading ignores it.
+        for model in _models(interactions):
+            path = tmp_path / f"{type(model).__name__}.npz"
+            save_model(model, path)
+            with np.load(path, allow_pickle=False) as archive:
+                payload = dict(archive)
+            payload["backend"] = recorded
+            np.savez(path, **payload)
+
+            expected = _reference_top_k(model, interactions, 5)
+            loaded = load_model(path)
+            assert type(loaded) is type(model)
+            reloaded = _reference_top_k(loaded, interactions, 5)
+            service = RankingService.from_checkpoint(path, interactions)
+            for user, ranked in enumerate(expected):
+                np.testing.assert_array_equal(reloaded[user], ranked)
+                np.testing.assert_array_equal(service.top_k(user, 5), ranked)

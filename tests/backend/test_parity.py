@@ -1,10 +1,11 @@
-"""Backend parity suite: the compute seam must not move a single bit.
+"""Kernel parity suite: the named numpy kernels must not move a single bit.
 
-``golden_numpy_f64.json`` was captured from the pre-backend code (direct
-numpy kernels, float64).  The NumpyBackend/float64 path — the default —
-must reproduce every scoring output, top-K ranking, metric, and loss
-curve **bitwise** (sha256 of raw array bytes, hex-exact floats).  The
-float32 fast mode is held to statistical closeness, never bitwise.
+``golden_numpy_f64.json`` was captured from direct numpy kernels at
+float64.  The float64 path through :data:`repro.backend.kernels` — the
+default — must reproduce every scoring output, top-K ranking, metric,
+and loss curve **bitwise** (sha256 of raw array bytes, hex-exact
+floats).  The float32 fast mode is held to statistical closeness, never
+bitwise.
 """
 
 import hashlib
@@ -14,15 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backend import (
-    BACKEND_NAMES,
-    ArrayBackend,
-    BackendUnavailableError,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    resolve_dtype,
-)
+from repro.backend import kernels, resolve_dtype
 from repro.data.interactions import InteractionMatrix
 from repro.data.registry import load_dataset
 from repro.eval.protocol import Evaluator
@@ -74,14 +67,14 @@ def _sha(array):
 
 
 class TestBitwiseParity:
-    """NumpyBackend/float64 reproduces the pre-seam outputs bit for bit."""
+    """The float64 kernels reproduce the golden outputs bit for bit."""
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {},  # defaults: the seam must be invisible
-            {"backend": "numpy", "dtype": "float64"},
-            {"backend": NumpyBackend(), "dtype": np.float64},
+            {},  # the default policy
+            {"dtype": "float64"},
+            {"dtype": np.dtype(np.float64)},
         ],
         ids=["defaults", "by-name", "by-instance"],
     )
@@ -116,8 +109,8 @@ class TestBitwiseParity:
         ids, lengths = top_k_items_batch(masked, 10)
         assert _sha(ids) == expected["topk_ids_sha"]
         assert _sha(lengths) == expected["topk_lengths_sha"]
-        # The backend's topk delegates to the same canonical kernel.
-        ids_bk, lengths_bk = model.backend.topk(masked, 10)
+        # The shared kernel's topk delegates to the same canonical kernel.
+        ids_bk, lengths_bk = kernels.topk(masked, 10)
         np.testing.assert_array_equal(ids_bk, ids)
         np.testing.assert_array_equal(lengths_bk, lengths)
 
@@ -202,27 +195,7 @@ class TestFloat32FastMode:
         assert all(np.isfinite(v) for v in metrics.values())
 
 
-class TestBackendRegistry:
-    def test_default_and_name_resolution(self):
-        assert get_backend(None).name == "numpy"
-        assert get_backend("numpy") is get_backend("numpy")  # cached
-        backend = NumpyBackend()
-        assert get_backend(backend) is backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("tensorflow")
-
-    def test_names_and_availability(self):
-        assert BACKEND_NAMES == ("numpy", "torch", "torch-cuda")
-        assert "numpy" in available_backends()
-
-    def test_torch_unavailable_raises_actionable_error(self):
-        if "torch" in available_backends():
-            pytest.skip("torch installed; unavailability path not reachable")
-        with pytest.raises(BackendUnavailableError):
-            get_backend("torch")
-
+class TestDtypePolicy:
     def test_resolve_dtype(self):
         assert resolve_dtype("float64") == np.dtype(np.float64)
         assert resolve_dtype("float32") == np.dtype(np.float32)
@@ -232,52 +205,7 @@ class TestBackendRegistry:
         with pytest.raises(ValueError):
             resolve_dtype("int32")
 
-    def test_runspec_validates_backend_and_dtype_names(self):
-        with pytest.raises(ValueError, match="backend"):
-            RunSpec(backend="jax")
+    def test_runspec_validates_dtype_names(self):
         with pytest.raises(ValueError, match="dtype"):
             RunSpec(dtype="float16")
-        # Other machines' backends stay *constructible* (availability is
-        # checked at model build, not spec build).
-        assert RunSpec(backend="torch-cuda").backend == "torch-cuda"
-
-
-class _FakeDeviceBackend(NumpyBackend):
-    """Numpy numerics pretending to live off-host (device-backend paths)."""
-
-    name = "fake-device"
-    shares_host_memory = False
-
-
-class TestDeviceBackendContract:
-    def test_training_rejected_on_device_backend(self, probes):
-        interactions, probe_users, _ = probes
-        model = MatrixFactorization(
-            N_USERS, N_ITEMS, D, seed=7, backend=_FakeDeviceBackend()
-        )
-        # Scoring works (parity: same numerics as numpy).
-        golden_model = MatrixFactorization(N_USERS, N_ITEMS, D, seed=7)
-        np.testing.assert_array_equal(
-            model.scores_batch(probe_users),
-            golden_model.scores_batch(probe_users),
-        )
-        from repro.train.optimizer import SGD
-
-        with pytest.raises(RuntimeError, match="fake-device"):
-            model.train_step(
-                np.array([0, 1]),
-                np.array([1, 2]),
-                np.array([3, 4]),
-                SGD(0.1),
-                0.0,
-            )
-
-    def test_host_view_refused_off_host(self):
-        backend = _FakeDeviceBackend()
-        with pytest.raises(Exception, match="host"):
-            backend.host_view(backend.from_numpy(np.zeros(3)))
-
-    def test_abstract_backend_is_the_protocol(self):
-        assert issubclass(NumpyBackend, ArrayBackend)
-        with pytest.raises(TypeError):
-            ArrayBackend()  # abstract
+        assert RunSpec(dtype="float32").dtype == "float32"

@@ -1,9 +1,9 @@
-"""Run-key coverage of the backend/dtype fields (the R003 contract).
+"""Run-key coverage of the dtype field (the R003 contract).
 
-Backends other than numpy (and float32) are statistically — not bitwise
-— equivalent, so a cached numpy/float64 payload must never be served for
-a torch or float32 request: the fields must be in the manifest, in the
-canonical payload, and therefore in the key.
+float32 is statistically — not bitwise — equivalent to float64, so a
+cached float64 payload must never be served for a float32 request: the
+field must be in the manifest, in the canonical payload, and therefore
+in the key.
 """
 
 from repro.experiments.config import RunSpec
@@ -16,27 +16,24 @@ from repro.experiments.engine.request import (
 )
 
 
-def test_manifest_lists_backend_and_dtype():
-    assert "backend" in KEYED_SPEC_FIELDS
+def test_manifest_lists_dtype():
     assert "dtype" in KEYED_SPEC_FIELDS
+    assert "backend" not in KEYED_SPEC_FIELDS
 
 
-def test_canonical_payload_carries_backend_and_dtype():
+def test_canonical_payload_carries_dtype():
     payload = canonical_payload(EngineRequest(RunSpec(dataset="tiny")))
-    assert payload["spec"]["backend"] == "numpy"
     assert payload["spec"]["dtype"] == "float64"
+    assert "backend" not in payload["spec"]
 
 
-def test_backend_and_dtype_change_the_key():
+def test_dtype_changes_the_key():
     base = run_key(EngineRequest(RunSpec(dataset="tiny")))
-    torch_key = run_key(
-        EngineRequest(RunSpec(dataset="tiny", backend="torch"))
-    )
     f32_key = run_key(EngineRequest(RunSpec(dataset="tiny", dtype="float32")))
-    assert len({base, torch_key, f32_key}) == 3
+    assert base != f32_key
 
 
 def test_format_version_bumped_for_the_schema_change():
-    # v1 keys predate the backend/dtype fields; serving them for v2
-    # requests would mis-read payloads keyed under the old schema.
-    assert CACHE_FORMAT_VERSION >= 2
+    # v2 keys hash a spec with a `backend` field; v3 specs have none, so
+    # v2 payloads must stay unreachable rather than be mis-read.
+    assert CACHE_FORMAT_VERSION >= 3

@@ -13,7 +13,7 @@ from repro.train.trainer import Trainer, TrainingConfig
 
 class TestLightGCNPipeline:
     def test_batched_training_with_score_sampler(self, tiny_dataset):
-        """The grouped-batch sampling path with a needs_scores sampler."""
+        """The grouped-batch sampling path with a score-consuming sampler."""
         model = LightGCN(tiny_dataset.train, n_factors=8, n_layers=1, seed=0)
         trainer = Trainer(
             model,

@@ -6,6 +6,7 @@ import pytest
 from repro.core.empirical import empirical_cdf_at
 from repro.core.risk import conditional_sampling_risk
 from repro.core.unbiasedness import unbias
+from repro.samplers.base import ScoreRequest
 from repro.samplers.bns import BayesianNegativeSampler, PosteriorOnlySampler
 from repro.samplers.priors import OraclePrior, UniformPrior
 from repro.train.loss import informativeness
@@ -43,7 +44,7 @@ class TestConstruction:
         assert isinstance(sampler.prior, PopularityPrior)
 
     def test_needs_scores(self):
-        assert BayesianNegativeSampler.needs_scores is True
+        assert BayesianNegativeSampler.score_request is not ScoreRequest.NONE
 
 
 class TestSchedule:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.samplers.base import ScoreRequest
 from repro.samplers.pns import PopularityNegativeSampler
 from repro.samplers.rns import RandomNegativeSampler
 
@@ -15,7 +16,7 @@ class TestRNS:
         return sampler
 
     def test_does_not_need_scores(self):
-        assert RandomNegativeSampler.needs_scores is False
+        assert RandomNegativeSampler.score_request is ScoreRequest.NONE
 
     def test_one_negative_per_positive(self, bound, tiny_dataset):
         pos = tiny_dataset.train.items_of(0)
