@@ -132,7 +132,7 @@ def _eval_users_per_second(dataset, dtype):
         dtype=dtype,
     )
     model, _, _ = build_model(spec, dataset)
-    evaluator = Evaluator(dataset, ks=KS, batched=True)
+    evaluator = Evaluator(dataset, ks=KS)
     n_users = evaluator.evaluated_users().size
     seconds = _best_seconds(lambda: evaluator.evaluate(model), repeats=5)
     return n_users / seconds

@@ -1,7 +1,7 @@
 """Orchestration throughput: sequential vs parallel grids, cold vs warm cache.
 
 The per-run hot paths were vectorized in earlier iterations
-(``bench_samplers.py`` / ``bench_eval.py`` / ``bench_train.py``); this
+(``bench_samplers.py`` / ``bench_train.py``); this
 suite times the layer above them — the experiment engine that executes a
 *grid* of runs — on a synthetic (sampler × seed) grid:
 

@@ -28,7 +28,6 @@ from repro.models.mf import MatrixFactorization
 from repro.samplers.base import ScoreRequest
 from repro.samplers.variants import make_sampler
 from repro.utils.rng import as_rng
-from repro.train.trainer import TrainingConfig
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_samplers.json"
 
@@ -102,15 +101,14 @@ def _best_seconds(fn, repeats):
     return float(min(times))
 
 
-def _measure(name, dataset, model, users, pos, repeats, min_batch):
+def _measure(name, dataset, model, users, pos, repeats):
     """Triples/sec of the per-user loop vs the trainer's batched dispatch.
 
     The "batched" column measures the production policy, not a forced
-    ``sample_batch`` call: batches below the trainer's scalar-fallback
-    threshold (``TrainingConfig.batched_sampling_min_batch``) route
-    through the per-user path exactly as ``Trainer._sample_negatives``
-    would, which is what fixed the historical B=1 regression (0.25–0.5x)
-    this file used to record.
+    ``sample_batch`` call: a one-row batch routes through the per-user
+    path exactly as ``Trainer._sample_negatives`` does, which is what
+    fixed the historical B=1 regression (0.25–0.5x) this file used to
+    record.
     """
     scalar_sampler = make_sampler(name)
     scalar_sampler.bind(dataset, model, seed=0)
@@ -132,7 +130,7 @@ def _measure(name, dataset, model, users, pos, repeats, min_batch):
         return per_user_loop_with(scalar_sampler)
 
     def batched():
-        if users.size < min_batch:
+        if users.size == 1:
             return per_user_loop_with(batched_sampler)
         scores = (
             model.scores_batch(np.unique(users))
@@ -162,14 +160,13 @@ def test_batched_vs_scalar_speedup():
         dataset.n_users, dataset.n_items, n_factors=32, seed=0
     )
     batch_rng = as_rng(7)
-    min_batch = TrainingConfig().batched_sampling_min_batch
     results = {name: {} for name in COMPARED_SAMPLERS}
     for size in BATCH_SIZES:
         users, pos = _mixed_batch(dataset, batch_rng, size)
         repeats = 30 if size <= 128 else 20
         for name in COMPARED_SAMPLERS:
             results[name][str(size)] = _measure(
-                name, dataset, model, users, pos, repeats, min_batch
+                name, dataset, model, users, pos, repeats
             )
 
     # Upper bound for uniform sampling: the fully vectorized multi-user
@@ -187,7 +184,6 @@ def test_batched_vs_scalar_speedup():
         "n_users": dataset.n_users,
         "n_items": dataset.n_items,
         "batch_sizes": BATCH_SIZES,
-        "batched_sampling_min_batch": min_batch,
         "samplers": results,
         "rns_nonparity_triples_per_s_1024": round(1024 / nonparity_seconds, 1),
         "bns_1024_speedup": bns_speedup,

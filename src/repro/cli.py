@@ -125,15 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "train sub-linearly in the catalogue size",
     )
     train.add_argument(
-        "--min-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="smallest mini-batch routed through the batched sampling "
-        "pipeline (smaller batches take the scalar path); default is the "
-        "trainer's bench-tuned crossover",
-    )
-    train.add_argument(
         "--dtype",
         choices=("float64", "float32"),
         default="float64",
@@ -346,7 +337,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         n_factors=args.factors,
         seed=args.seed,
         cdf=args.cdf,
-        batched_sampling_min_batch=args.min_batch,
         dtype=args.dtype,
     )
     result = run_spec(spec)

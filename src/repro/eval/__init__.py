@@ -51,7 +51,7 @@ from repro.eval.significance import (
     paired_sign_test,
 )
 from repro.eval.stratified import popularity_buckets, stratified_recall
-from repro.eval.topk import top_k_items, top_k_items_batch, top_k_premasked
+from repro.eval.topk import top_k_items, top_k_items_batch
 
 __all__ = [
     "Evaluator",
@@ -88,6 +88,5 @@ __all__ = [
     "stratified_recall",
     "top_k_items",
     "top_k_items_batch",
-    "top_k_premasked",
     "true_negative_rate",
 ]

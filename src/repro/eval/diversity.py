@@ -33,6 +33,9 @@ __all__ = [
 def _top_k_lists(
     model, dataset: ImplicitDataset, k: int, max_users: Optional[int]
 ) -> np.ndarray:
+    """Every trainable user's top-``k`` list, concatenated."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     users = dataset.trainable_users()
     if max_users is not None:
         users = users[:max_users]
@@ -43,27 +46,36 @@ def _top_k_lists(
     return np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
 
 
+def _coverage(recommended: np.ndarray, dataset: ImplicitDataset) -> float:
+    return float(np.unique(recommended).size / dataset.n_items)
+
+
+def _arp(recommended: np.ndarray, dataset: ImplicitDataset) -> float:
+    if recommended.size == 0:
+        raise ValueError("no recommendations produced")
+    popularity = dataset.train.item_popularity
+    return float(popularity[recommended].mean())
+
+
+def _lift(arp: float, dataset: ImplicitDataset) -> float:
+    mean_popularity = float(dataset.train.item_popularity.mean())
+    if mean_popularity == 0.0:
+        raise ValueError("dataset has no training interactions")
+    return arp / mean_popularity
+
+
 def catalog_coverage(
     model, dataset: ImplicitDataset, k: int = 20, *, max_users: Optional[int] = None
 ) -> float:
     """Fraction of items recommended to at least one user (in [0, 1])."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    recommended = _top_k_lists(model, dataset, k, max_users)
-    return float(np.unique(recommended).size / dataset.n_items)
+    return _coverage(_top_k_lists(model, dataset, k, max_users), dataset)
 
 
 def average_recommendation_popularity(
     model, dataset: ImplicitDataset, k: int = 20, *, max_users: Optional[int] = None
 ) -> float:
     """Mean training popularity of recommended items."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    recommended = _top_k_lists(model, dataset, k, max_users)
-    if recommended.size == 0:
-        raise ValueError("no recommendations produced")
-    popularity = dataset.train.item_popularity
-    return float(popularity[recommended].mean())
+    return _arp(_top_k_lists(model, dataset, k, max_users), dataset)
 
 
 def popularity_lift(
@@ -71,22 +83,17 @@ def popularity_lift(
 ) -> float:
     """ARP divided by the catalogue's mean popularity (1.0 = neutral)."""
     arp = average_recommendation_popularity(model, dataset, k, max_users=max_users)
-    mean_popularity = float(dataset.train.item_popularity.mean())
-    if mean_popularity == 0.0:
-        raise ValueError("dataset has no training interactions")
-    return arp / mean_popularity
+    return _lift(arp, dataset)
 
 
 def recommendation_footprint(
     model, dataset: ImplicitDataset, k: int = 20, *, max_users: Optional[int] = None
 ) -> Dict[str, float]:
-    """All three metrics in one pass-friendly dict."""
+    """All three metrics from one ranking pass over the users."""
+    recommended = _top_k_lists(model, dataset, k, max_users)
+    arp = _arp(recommended, dataset)
     return {
-        f"coverage@{k}": catalog_coverage(model, dataset, k, max_users=max_users),
-        f"arp@{k}": average_recommendation_popularity(
-            model, dataset, k, max_users=max_users
-        ),
-        f"popularity_lift@{k}": popularity_lift(
-            model, dataset, k, max_users=max_users
-        ),
+        f"coverage@{k}": _coverage(recommended, dataset),
+        f"arp@{k}": arp,
+        f"popularity_lift@{k}": _lift(arp, dataset),
     }

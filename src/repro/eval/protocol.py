@@ -4,35 +4,27 @@ For each user with at least one test positive: rank all un-interacted
 items by the model's scores, compute Precision/Recall/NDCG at each cutoff
 (plus optional extras), and average over users.
 
-Two execution paths compute the same per-user numbers:
+Users are processed in chunks of ``chunk_users``: one
+:meth:`~repro.models.base.ScoreModel.scores_batch` call fetches the
+chunk's ``(U, n_items)`` score block, train positives are masked out with
+one :meth:`~repro.data.interactions.InteractionMatrix.positives_in_rows`
+scatter, the whole chunk's top-``max(ks)`` lists come from one
+:func:`~repro.eval.topk.top_k_items_batch` call, the hit matrix is one
+CSR lookup (:meth:`~repro.data.interactions.InteractionMatrix.
+hits_in_rows` against the test split), and every metric at every cutoff
+is cumulative-sum algebra over that matrix
+(:func:`~repro.eval.ranking.ranking_metrics_block`).  No per-user Python,
+no per-metric ``isin``; peak memory is bounded by
+``chunk_users × n_items`` so million-user evaluation streams.
 
-* **batched** (default) — the evaluation hot path.  Users are processed in
-  chunks of ``chunk_users``: one :meth:`~repro.models.base.ScoreModel.
-  scores_batch` call fetches the chunk's ``(U, n_items)`` score block,
-  train positives are masked out with one
-  :meth:`~repro.data.interactions.InteractionMatrix.positives_in_rows`
-  scatter, the whole chunk's top-``max(ks)`` lists come from one
-  :func:`~repro.eval.topk.top_k_items_batch` call, the hit matrix is one
-  CSR lookup (:meth:`~repro.data.interactions.InteractionMatrix.
-  hits_in_rows` against the test split), and every metric at every cutoff
-  is cumulative-sum algebra over that matrix
-  (:func:`~repro.eval.ranking.ranking_metrics_block`).  No per-user
-  Python, no per-metric ``isin``; peak memory is bounded by
-  ``chunk_users × n_items`` so million-user evaluation streams.
-* **scalar** (``batched=False``) — the per-user reference loop kept for
-  A/B checks and third-party models: per-user ``scores``, per-user top-K,
-  and the scalar metric functions (with the hit flags computed once per
-  user, not once per metric per cutoff).
-
-Both paths share the canonical tie rule of :mod:`repro.eval.topk` and the
-sequential-sum metric semantics of :mod:`repro.eval.ranking`, so given the
-same score *values* they are **bitwise identical per user** (pinned by
-``tests/property/test_property_eval_batch.py``).  The one caveat sits in
+The pipeline follows the canonical tie rule of :mod:`repro.eval.topk` and
+the sequential-sum metric semantics of :mod:`repro.eval.ranking`, so given
+the same score *values* it is **bitwise identical per user** to a per-user
+loop over the scalar metric functions — the oracle in
+``tests/property/test_property_eval_batch.py``.  The one caveat sits in
 the score source, as in the training pipeline: ``scores_batch`` is a BLAS
-gemm whose last-ulp rounding can differ from the per-user ``scores`` gemv,
-so cross-path runs on real models are statistically — not bitwise —
-equivalent.  Models that lack ``scores_batch`` are scored per user and
-stacked, which makes the two paths bitwise equal even at the score layer.
+gemm whose last-ulp rounding can differ from the per-user ``scores``
+gemv.  Models that lack ``scores_batch`` are scored per user and stacked.
 """
 
 from __future__ import annotations
@@ -43,19 +35,7 @@ import numpy as np
 
 from repro.backend import kernels
 from repro.data.dataset import ImplicitDataset
-from repro.eval.ranking import (
-    auc,
-    auc_block,
-    average_precision_at_k,
-    hit_rate_at_k,
-    hits_against,
-    ndcg_at_k,
-    precision_at_k,
-    ranking_metrics_block,
-    recall_at_k,
-    reciprocal_rank,
-)
-from repro.eval.topk import top_k_premasked
+from repro.eval.ranking import auc_block, ranking_metrics_block
 
 __all__ = ["DEFAULT_EVAL_CHUNK", "Evaluator", "score_block"]
 
@@ -75,7 +55,7 @@ def score_block(model, users: np.ndarray) -> np.ndarray:
     Uses the model's ``scores_batch`` when present (one matmul for real
     models); otherwise stacks per-user ``scores`` calls so any object with
     a ``scores(user)`` method — oracle stubs, third-party wrappers — works
-    on the batched path.  The result may be masked in place: per the
+    too.  The result may be masked in place: per the
     :class:`~repro.models.base.ScoreModel` ownership contract,
     ``scores_batch`` returns a freshly allocated block on every call, so
     no copy is taken unless a dtype conversion (or a read-only return)
@@ -139,17 +119,14 @@ class Evaluator:
         Cutoffs; the paper reports ``(5, 10, 20)``.
     extra_metrics:
         When true, additionally reports ``hitrate@K``, ``map@K``, ``mrr``
-        and ``auc`` (not in the paper's tables but standard).  On the
-        batched path AUC re-ranks each chunk's full score block, roughly
-        doubling per-chunk cost and memory.
+        and ``auc`` (not in the paper's tables but standard).  AUC
+        re-ranks each chunk's full score block, roughly doubling
+        per-chunk cost and memory.
     max_users:
         Optional cap: evaluate a reproducible subset of users (ordered ids)
         — used by fast benchmarks.
-    batched:
-        Use the vectorized chunked path (default).  ``False`` restores the
-        per-user scalar loop for A/B checks.
     chunk_users:
-        Users per score block on the batched path; bounds peak memory at
+        Users per score block; bounds peak memory at
         ``chunk_users × n_items`` floats and controls cache residency
         (see :data:`DEFAULT_EVAL_CHUNK`).  Lower it for huge item
         universes or when ``extra_metrics`` doubles the per-chunk
@@ -163,7 +140,6 @@ class Evaluator:
         *,
         extra_metrics: bool = False,
         max_users: Optional[int] = None,
-        batched: bool = True,
         chunk_users: int = DEFAULT_EVAL_CHUNK,
     ) -> None:
         if not ks:
@@ -176,7 +152,6 @@ class Evaluator:
         self.ks = tuple(int(k) for k in ks)
         self.extra_metrics = bool(extra_metrics)
         self.max_users = max_users
-        self.batched = bool(batched)
         self.chunk_users = int(chunk_users)
 
     # ------------------------------------------------------------------ #
@@ -194,31 +169,12 @@ class Evaluator:
         users requires the un-averaged values.
         """
         users = self.evaluated_users()
-        if self.batched:
-            return self._per_user_batched(model, users)
-        return self._per_user_scalar(model, users)
-
-    def evaluated_users(self) -> np.ndarray:
-        """The user ids evaluation iterates, in order."""
-        users = self.dataset.evaluable_users()
-        if self.max_users is not None:
-            users = users[: self.max_users]
-        if users.size == 0:
-            raise ValueError("no users with test positives to evaluate")
-        return users
-
-    # ------------------------------------------------------------------ #
-    # Batched path
-    # ------------------------------------------------------------------ #
-
-    def _per_user_batched(self, model, users: np.ndarray) -> Dict[str, np.ndarray]:
         train = self.dataset.train
         test = self.dataset.test
-        max_k = max(self.ks)
         parts: Dict[str, list] = {key: [] for key in self._metric_keys()}
 
         for chunk, block, rows, cols, ranked, hits in _iter_ranked_chunks(
-            model, self.dataset, users, max_k, self.chunk_users
+            model, self.dataset, users, max(self.ks), self.chunk_users
         ):
             n_relevant = test.degrees_of(chunk)
             metrics = ranking_metrics_block(
@@ -242,49 +198,14 @@ class Evaluator:
             for key, values in parts.items()
         }
 
-    # ------------------------------------------------------------------ #
-    # Scalar reference path
-    # ------------------------------------------------------------------ #
-
-    def _per_user_scalar(self, model, users: np.ndarray) -> Dict[str, np.ndarray]:
-        max_k = max(self.ks)
-        n_items = self.dataset.n_items
-        accumulators: Dict[str, list] = {key: [] for key in self._metric_keys()}
-        # Reused per-user workspaces: one masking row for top-K extraction
-        # and, for AUC, the relevance/candidate masks — refilled, never
-        # reallocated (the hot-path waste the batched path exists to kill).
-        masked = np.empty(n_items, dtype=np.float64)
-        if self.extra_metrics:
-            relevant_mask = np.zeros(n_items, dtype=bool)
-            candidate_mask = np.empty(n_items, dtype=bool)
-
-        for user in users.tolist():
-            train_pos = self.dataset.train.items_of(user)
-            test_pos = self.dataset.test.items_of(user)
-            relevant = set(test_pos.tolist())
-            scores = np.asarray(model.scores(user), dtype=np.float64)
-            np.copyto(masked, scores)
-            masked[train_pos] = -np.inf
-            ranked = top_k_premasked(masked, max_k)
-            # Hit flags once per user; every metric below reuses them.
-            hits = hits_against(ranked, test_pos)
-            add = lambda key, value: accumulators[key].append(value)  # noqa: E731
-            for k in self.ks:
-                add(f"precision@{k}", precision_at_k(ranked, relevant, k, hits=hits))
-                add(f"recall@{k}", recall_at_k(ranked, relevant, k, hits=hits))
-                add(f"ndcg@{k}", ndcg_at_k(ranked, relevant, k, hits=hits))
-                if self.extra_metrics:
-                    add(f"hitrate@{k}", hit_rate_at_k(ranked, relevant, k, hits=hits))
-                    add(f"map@{k}", average_precision_at_k(ranked, relevant, k, hits=hits))
-            if self.extra_metrics:
-                add("mrr", reciprocal_rank(ranked, relevant, hits=hits))
-                relevant_mask[test_pos] = True
-                candidate_mask.fill(True)
-                candidate_mask[train_pos] = False
-                add("auc", auc(scores, relevant_mask, candidate_mask))
-                relevant_mask[test_pos] = False
-
-        return {key: np.asarray(values) for key, values in accumulators.items()}
+    def evaluated_users(self) -> np.ndarray:
+        """The user ids evaluation iterates, in order."""
+        users = self.dataset.evaluable_users()
+        if self.max_users is not None:
+            users = users[: self.max_users]
+        if users.size == 0:
+            raise ValueError("no users with test positives to evaluate")
+        return users
 
     # ------------------------------------------------------------------ #
 

@@ -5,8 +5,8 @@ Two families share one set of formulas:
 * the **scalar** functions (``precision_at_k`` …) take a *ranked* array of
   recommended item ids (best first, train positives already excluded) and
   the user's set of relevant items (test positives), returning a scalar in
-  [0, 1] — the reference implementations the evaluator's per-user path
-  uses and the tests reason about;
+  [0, 1] — the reference implementations the tests reason about and
+  build the evaluator's per-user oracle from;
 * the **block** kernels (``precision_at_k_block`` …) take a ``(U, W)``
   boolean hit matrix (row ``r`` = user ``r``'s hit flags down their ranked
   list, padded ``False`` past the list length) and return a ``(U,)`` array
@@ -14,8 +14,8 @@ Two families share one set of formulas:
 
 Every sum in both families is accumulated **sequentially in rank order**
 (``np.cumsum``), so for identical hit patterns the scalar value and the
-kernel row are bitwise equal — the invariant the evaluator's batched/scalar
-parity tests pin.  (Summing the hit terms in rank order also keeps the
+kernel row are bitwise equal — the invariant the evaluator's oracle parity
+tests pin.  (Summing the hit terms in rank order also keeps the
 classic property that a perfect ranking's DCG equals its ideal DCG exactly,
 making NDCG exactly 1.0 instead of drifting an ulp above it.)
 
@@ -72,7 +72,7 @@ def hits_against(ranked: np.ndarray, relevant_items: np.ndarray) -> np.ndarray:
 
     One binary search instead of a per-call set materialization; ``-1``
     padding entries (see :func:`repro.eval.topk.top_k_items_batch`) never
-    match.  This is what the evaluator computes once per user and feeds to
+    match.  A per-user loop computes it once per user and feeds it to
     every scalar metric via their ``hits=`` parameter.
     """
     ranked = np.asarray(ranked, dtype=np.int64).ravel()
@@ -369,8 +369,8 @@ def auc_block(
 
     Ties average their ranks (Mann–Whitney), matching the scalar function
     bitwise: average ranks are exact half-integers, and each row's positive
-    ranks are summed with the same contiguous ``np.sum`` the scalar path
-    uses.
+    ranks are summed with the same contiguous ``np.sum`` the scalar
+    function uses.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n_rows, n_items = scores.shape

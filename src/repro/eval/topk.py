@@ -1,4 +1,4 @@
-"""Top-K recommendation extraction, scalar and batched.
+"""Top-K recommendation extraction, per user and batched.
 
 The protocol: a user's recommendation list ranks his *un-interacted* items
 by predicted score — train positives are masked out, test positives stay in
@@ -11,8 +11,8 @@ with ascending item id breaking ties** — including ties that straddle the
 cut-off, where the tied items with the smallest ids win the remaining
 slots.  The rule makes the ranked list a pure function of the score
 *values* (no dependence on ``argpartition``'s implementation-defined
-ordering), which is what lets the evaluator pin its scalar and batched
-paths exactly equal per user.
+ordering), which is what lets the tests pin the evaluator exactly equal,
+per user, to a per-user oracle built on :func:`top_k_items`.
 
 Only finite scores are rankable: masked items sit at ``-inf`` and models
 are expected to emit finite scores for everything else.
@@ -25,10 +25,14 @@ Two implementations compute the canonical result:
   on the (rare) rows that need it, and two small ``(U, k)`` sorts produce
   the final ordering.  The full-width passes are one partial select and
   one equality scan, independent of how many entries clear the cut-off.
-* :func:`top_k_items_batch_reference` — the original membership-scan
-  kernel, kept as the executable specification; the two are pinned
-  bitwise-equal (ids, lengths and padding) by
-  ``tests/eval/test_topk.py`` and the property suite.
+* :func:`top_k_items_batch_reference` — the membership-scan kernel and
+  executable specification.  The fast path calls it to repair the rows
+  whose ties straddle the cut-off, and the two are pinned bitwise-equal
+  (ids, lengths and padding) by ``tests/eval/test_topk.py`` and the
+  property suite.
+
+:func:`top_k_items` is the per-user form: it masks one score vector and
+runs it through :func:`top_k_items_batch` as a one-row block.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ __all__ = [
     "top_k_items",
     "top_k_items_batch",
     "top_k_items_batch_reference",
-    "top_k_premasked",
-    "ranked_items",
 ]
 
 
@@ -64,17 +66,6 @@ def top_k_items(
     """
     masked = np.asarray(scores, dtype=np.float64).copy()
     masked[np.asarray(train_positives, dtype=np.int64)] = -np.inf
-    return top_k_premasked(masked, k)
-
-
-def top_k_premasked(masked: np.ndarray, k: int) -> np.ndarray:
-    """Top-``k`` over a score vector whose excluded items are already ``-inf``.
-
-    The allocation-free variant of :func:`top_k_items` for callers that
-    maintain their own masking buffer (the scalar evaluator path copies the
-    model's scores into one reused row instead of allocating per user).
-    ``masked`` is not modified.
-    """
     ids, lengths = top_k_items_batch(masked[None, :], k)
     return ids[0, : lengths[0]]
 
@@ -236,11 +227,3 @@ def top_k_items_batch_reference(
     head_order = np.argsort(-head_scores, axis=1, kind="stable")
     return np.take_along_axis(ids, head_order, axis=1), lengths
 
-
-def ranked_items(scores: np.ndarray, train_positives: np.ndarray) -> np.ndarray:
-    """Full descending ranking of the user's un-interacted items."""
-    scores = np.asarray(scores, dtype=np.float64)
-    mask = np.ones(scores.size, dtype=bool)
-    mask[np.asarray(train_positives, dtype=np.int64)] = False
-    eligible = np.nonzero(mask)[0]
-    return eligible[np.argsort(-scores[eligible], kind="stable")]

@@ -86,10 +86,6 @@ class RunSpec:
     #: ``"cached[:T]"`` select an estimator (see ``repro.samplers.cdf``).
     #: Only meaningful for samplers that accept a ``cdf`` parameter.
     cdf: Optional[str] = None
-    #: Override for ``TrainingConfig.batched_sampling_min_batch`` (the
-    #: scalar-fallback threshold of the sampling pipeline); ``None`` keeps
-    #: the trainer default.
-    batched_sampling_min_batch: Optional[int] = None
     #: Parameter/score dtype policy: ``"float64"`` (exact, the default)
     #: or ``"float32"`` (fast — statistically equivalent numerics).
     dtype: str = "float64"
@@ -100,10 +96,6 @@ class RunSpec:
         check_positive(self.lr, "lr")
         check_non_negative(self.reg, "reg")
         check_positive(self.n_factors, "n_factors")
-        if self.batched_sampling_min_batch is not None:
-            check_positive(
-                self.batched_sampling_min_batch, "batched_sampling_min_batch"
-            )
         if self.model not in ("mf", "lightgcn"):
             raise ValueError(f"model must be 'mf' or 'lightgcn', got {self.model!r}")
         if self.dtype not in DTYPE_NAMES:

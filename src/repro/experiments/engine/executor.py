@@ -224,8 +224,6 @@ def execute_request(
         distribution_epochs=request.distribution_epochs,
         extra_callbacks=extra_callbacks,
         evaluate=request.evaluate,
-        eval_batched=request.eval_batched,
-        eval_chunk_users=request.eval_chunk_users,
     )
     checkpoint = None
     if checkpointer is not None and checkpointer.n_saves > 0:
@@ -377,12 +375,12 @@ class ProcessPoolRunExecutor:
       worker initializer before any worker-side numpy work; under the
       fork start method a BLAS pool the *parent* already spun up is
       inherited as-is (spawn gives the strict guarantee);
-    * unless ``share_datasets=False``, the grid's datasets are built once
-      in the parent, exported to ``multiprocessing.shared_memory``, and
-      attached zero-copy by every worker (including the workers of a
-      rebuilt pool) — killing the per-worker dataset rebuild.  Export or
-      attach failure degrades gracefully to the old rebuild-per-worker
-      behavior; payload bytes are identical either way.
+    * the grid's datasets are built once in the parent, exported to
+      ``multiprocessing.shared_memory``, and attached zero-copy by every
+      worker (including the workers of a rebuilt pool), so no worker
+      rebuilds a dataset.  When export or attach fails, the workers
+      rebuild their datasets from the specs instead; payload bytes are
+      identical either way.
     """
 
     kind = "process-pool"
@@ -395,7 +393,6 @@ class ProcessPoolRunExecutor:
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         sleeper: Callable[[float], None] = time.sleep,
-        share_datasets: bool = True,
     ) -> None:
         check_positive(workers, "workers")
         self.workers = int(workers)
@@ -403,7 +400,6 @@ class ProcessPoolRunExecutor:
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.fault_plan = fault_plan
         self._sleeper = sleeper
-        self.share_datasets = bool(share_datasets)
         #: key → recovered failure count of the most recent :meth:`run`.
         self.retry_counts: Dict[str, int] = {}
         #: Pools rebuilt during the most recent :meth:`run`.
@@ -429,11 +425,9 @@ class ProcessPoolRunExecutor:
         """Export each distinct (dataset, seed) of ``jobs`` to shared memory.
 
         Returns the live exports (the caller owns ``destroy()``); an empty
-        list when sharing is disabled or export failed — workers then
-        rebuild datasets themselves, exactly the pre-sharing behavior.
+        list when export failed — workers then rebuild datasets from their
+        specs.
         """
-        if not self.share_datasets:
-            return []
         wanted = []
         for job in jobs:
             key = (job.request.spec.dataset, job.request.resolved_dataset_seed)

@@ -4,10 +4,9 @@ A cached run is only reusable if its key covers *everything* that can
 change the payload: every :class:`~repro.experiments.config.RunSpec` field
 (dataset, model, sampler + kwargs, CDF estimator, training knobs, seed)
 plus the run options (which recorders are attached, whether evaluation
-runs, the evaluation path).  :func:`run_key` therefore hashes the
-canonical JSON of the whole request, prefixed with a format version so a
-payload-schema change invalidates old caches wholesale instead of
-mis-reading them.
+runs).  :func:`run_key` therefore hashes the canonical JSON of the whole
+request, prefixed with a format version so a payload-schema change
+invalidates old caches wholesale instead of mis-reading them.
 """
 
 from __future__ import annotations
@@ -32,8 +31,10 @@ __all__ = [
 #: changes; old cache entries become unreachable (new keys + new store
 #: subdirectory) rather than silently mis-read.  v2: ``RunSpec`` grew
 #: ``backend``/``dtype``.  v3: ``RunSpec.backend`` was removed (numpy is
-#: the only compute path).
-CACHE_FORMAT_VERSION = 3
+#: the only compute path).  v4: ``RunSpec.batched_sampling_min_batch``,
+#: ``EngineRequest.eval_batched`` and ``EngineRequest.eval_chunk_users``
+#: were removed (the batch size routes sampling; one evaluator path).
+CACHE_FORMAT_VERSION = 4
 
 #: Run-key coverage manifests — the introspection hook for ``repro lint``
 #: rule R003 and for :func:`_check_key_coverage` below.  Every dataclass
@@ -55,7 +56,6 @@ KEYED_SPEC_FIELDS: Tuple[str, ...] = (
     "seed",
     "ks",
     "cdf",
-    "batched_sampling_min_batch",
     "dtype",
 )
 KEYED_REQUEST_FIELDS: Tuple[str, ...] = (
@@ -64,8 +64,6 @@ KEYED_REQUEST_FIELDS: Tuple[str, ...] = (
     "record_sampling_quality",
     "distribution_epochs",
     "evaluate",
-    "eval_batched",
-    "eval_chunk_users",
 )
 
 
@@ -84,10 +82,6 @@ class EngineRequest:
     distribution_epochs: Tuple[int, ...] = ()
     #: Run the final ranking evaluation (off for training-only artifacts).
     evaluate: bool = True
-    #: Evaluator path/chunking — part of the key because gemm-vs-gemv
-    #: score rounding makes the two paths last-ulp different.
-    eval_batched: bool = True
-    eval_chunk_users: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -168,8 +162,6 @@ def canonical_payload(request: EngineRequest) -> dict:
         "record_sampling_quality": bool(request.record_sampling_quality),
         "distribution_epochs": list(request.distribution_epochs),
         "evaluate": bool(request.evaluate),
-        "eval_batched": bool(request.eval_batched),
-        "eval_chunk_users": request.eval_chunk_users,
     }
 
 

@@ -90,8 +90,6 @@ def run_spec(
     distribution_epochs: Sequence[int] = (),
     extra_callbacks: Sequence[Callback] = (),
     evaluate: bool = True,
-    eval_batched: bool = True,
-    eval_chunk_users: Optional[int] = None,
 ) -> RunResult:
     """Execute one training run and evaluate it.
 
@@ -109,12 +107,6 @@ def run_spec(
         Additional observers.
     evaluate:
         Skip final evaluation when only training-side artifacts are needed.
-    eval_batched:
-        Use the evaluator's vectorized chunked path (default); ``False``
-        runs the per-user scalar reference — the evaluation-side A/B knob,
-        mirroring ``TrainingConfig.batched_sampling`` on the training side.
-    eval_chunk_users:
-        Override the evaluator's users-per-score-block memory bound.
     """
     if dataset is None:
         dataset = load_dataset(spec.dataset, seed=spec.seed)
@@ -133,9 +125,6 @@ def run_spec(
         )
         callbacks.append(distributions)
 
-    config_kwargs: Dict[str, object] = {}
-    if spec.batched_sampling_min_batch is not None:
-        config_kwargs["batched_sampling_min_batch"] = spec.batched_sampling_min_batch
     config = TrainingConfig(
         epochs=spec.epochs,
         batch_size=spec.batch_size,
@@ -143,7 +132,6 @@ def run_spec(
         reg=spec.reg,
         seed=spec.seed,
         lr_schedule=lr_schedule,
-        **config_kwargs,
     )
     trainer = Trainer(
         model, dataset, sampler, config, optimizer=optimizer, callbacks=callbacks
@@ -153,10 +141,7 @@ def run_spec(
 
     metrics: Dict[str, float] = {}
     if evaluate:
-        eval_options: Dict[str, object] = {"batched": eval_batched}
-        if eval_chunk_users is not None:
-            eval_options["chunk_users"] = eval_chunk_users
-        metrics = Evaluator(dataset, ks=spec.ks, **eval_options).evaluate(model)
+        metrics = Evaluator(dataset, ks=spec.ks).evaluate(model)
     return RunResult(
         spec=spec,
         metrics=metrics,

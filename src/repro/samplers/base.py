@@ -8,10 +8,14 @@ samplers, nothing for ``SPARSE`` samplers (which gather-score only the
 item ids they touch) — and dispatches one
 :meth:`NegativeSampler.sample_batch` — handing the precomputed
 :class:`BatchGroups` along so no sampler re-derives the grouping — to
-obtain one negative per positive in the batch.  Per-user scoring cost stays O(candidates) per triple on top of
-one shared O(n_items · d) score computation per user per batch — the
-linear-time budget the paper claims for BNS — but the constant factors move
-from Python into a handful of whole-batch NumPy calls.
+obtain one negative per positive in the batch.  A one-row batch (every
+batch of the paper's ``batch_size=1`` SGD) skips the grouping: the
+trainer scores that one user with ``scores`` and calls
+:meth:`NegativeSampler.sample_for_user`.  Per-user scoring cost stays
+O(candidates) per triple on top of one shared O(n_items · d) score
+computation per user per batch — the linear-time budget the paper claims
+for BNS — but the constant factors move from Python into a handful of
+whole-batch NumPy calls.
 
 Randomness contract (RNG parity)
 --------------------------------
@@ -29,9 +33,9 @@ equivalence for every registered sampler
 
 The one documented divergence sits a layer above: score *values* from
 ``ScoreModel.scores_batch`` can differ from per-user ``scores`` in the last
-ulp (BLAS gemm vs gemv rounding), so trainer-level runs that switch
-``TrainingConfig.batched_sampling`` are statistically, not bitwise,
-equivalent.  At the sampler layer, same scores in → same negatives out.
+ulp (BLAS gemm vs gemv rounding), so the trainer's one-row route and its
+batch route are statistically, not bitwise, interchangeable.  At the
+sampler layer, same scores in → same negatives out.
 
 Score-block convention
 ----------------------
@@ -144,7 +148,7 @@ class NegativeSampler(ABC):
 
     Lifecycle: construct → :meth:`bind` (dataset + model + rng) →
     per epoch :meth:`on_epoch_start` → per mini-batch :meth:`sample_batch`
-    (or many per-user :meth:`sample_for_user` calls on the scalar path).
+    (or one :meth:`sample_for_user` call for a one-row mini-batch).
     """
 
     #: What score data the trainer must provide per batch (see
@@ -218,9 +222,9 @@ class NegativeSampler(ABC):
         through cannot change the draws — RNG parity is untouched).
 
         This compatibility fallback groups the batch by sorted unique user
-        and delegates to :meth:`sample_for_user`, which is exactly the
-        scalar trainer path; vectorized subclasses override it but must
-        keep the RNG-parity contract.
+        and delegates to :meth:`sample_for_user` per group — the per-user
+        reference of the RNG-parity contract; vectorized subclasses
+        override it but must keep that contract.
         """
         users, pos_items = self._check_batch(users, pos_items)
         if users.size == 0:

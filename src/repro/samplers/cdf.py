@@ -44,12 +44,13 @@ elementwise arithmetic, so for a bound seed and equal estimator state
 ``sample_for_user`` grouping and ``sample_batch`` return identical
 negatives — the same RNG-parity contract the samplers themselves honour
 (``repro.samplers.base``).  One scoped divergence: :class:`CachedCDF`'s
-staleness clock ticks once per sampler *dispatch*, and the scalar trainer
-path dispatches once per unique user per batch where the batched path
-dispatches once per batch, so across a multi-batch run with a moving
-model the two paths refresh at different points and cached-mode runs are
-statistically, not bitwise, equivalent across paths (exactly like the
-documented gemm-vs-gemv trainer divergence).
+staleness clock ticks once per sampler *dispatch* — one ``sample_batch``
+call, or one ``sample_for_user`` call — so a caller that samples a batch
+user by user ticks it once per unique user where ``sample_batch`` ticks
+it once, and across a multi-batch run with a moving model the two
+refresh at different points, so cached-mode results are statistically,
+not bitwise, equivalent between them.  The trainer dispatches once per
+mini-batch, one-row batches included.
 """
 
 from __future__ import annotations
@@ -116,13 +117,12 @@ class CDFEstimator(ABC):
 
     def advance(self) -> None:
         """One sampler dispatch happened (staleness clock tick); no-op by
-        default.  The scalar trainer path dispatches once per user per
-        batch, the batched path once per batch (and a run mixing both —
-        e.g. an epoch's ragged final batch below
-        ``batched_sampling_min_batch`` — ticks accordingly), so staleness
-        is counted in *dispatches*, not wall-clock batches.  Each path is
-        deterministic under a bound seed; they are not bitwise
-        interchangeable for stateful estimators (see module docstring)."""
+        default.  The trainer dispatches once per mini-batch — one
+        ``sample_batch``, or one ``sample_for_user`` for a one-row batch —
+        so staleness is counted in mini-batches.  A caller that samples a
+        batch user by user ticks once per unique user instead, so the two
+        are not bitwise interchangeable for stateful estimators (see
+        module docstring)."""
 
     # ------------------------------------------------------------------ #
 

@@ -10,12 +10,13 @@ negative per positive, and takes a BPR step.  ``batch_size=1`` reproduces
 the paper's per-triple SGD for MF; larger batches vectorize the same
 computation (the paper uses 128/1024 for LightGCN).
 
-``TrainingConfig(batched_sampling=False)`` keeps the legacy scalar path —
-group by user, per-user ``scores`` + ``sample_for_user`` — for A/B checks
-and benchmarks.  The two paths draw identical randomness (the samplers'
-RNG-parity contract) and differ only in score rounding: ``scores_batch``
-is a BLAS gemm whose last-ulp rounding can differ from the per-user gemv,
-so runs are statistically equivalent, not bitwise.
+A one-row batch — every batch of the paper's ``batch_size=1`` SGD, and
+an epoch's ragged final batch of one — skips the batch machinery: one
+per-user ``scores`` call and one ``sample_for_user``, whose per-call
+overhead is lower.  Both routes draw identical randomness (the samplers'
+RNG-parity contract); they differ only in score rounding, because
+``scores_batch`` is a BLAS gemm whose last-ulp rounding can differ from
+the per-user gemv.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ class TrainingConfig:
     """Hyper-parameters of one training run.
 
     Defaults follow the paper's MF setup: ``d=32`` (on the model),
-    ``lr=0.01``, ``reg=0.01``, 100 epochs, batch size 1.
+    ``lr=0.01``, ``reg=0.01``, 100 epochs, batch size 1.  The batch size
+    alone decides the sampling route: one-row batches sample per user,
+    larger ones through ``sample_batch`` (see the module docstring).
     """
 
     epochs: int = 100
@@ -56,30 +59,12 @@ class TrainingConfig:
     seed: Optional[int] = 0
     lr_schedule: Optional[Schedule] = None
     shuffle: bool = True
-    #: Use the vectorized sampling pipeline (one ``scores_batch`` + one
-    #: ``sample_batch`` per mini-batch).  ``False`` restores the legacy
-    #: per-user scalar path.
-    batched_sampling: bool = True
-    #: Smallest mini-batch routed through the batched pipeline; smaller
-    #: batches (including every batch of the paper's ``batch_size=1`` SGD,
-    #: and an epoch's final ragged batch) take the scalar path, whose
-    #: per-call overhead is lower.  The default of 2 reproduces the
-    #: pre-threshold routing exactly (scalar only for single-row batches),
-    #: keeping default-config runs bitwise-identical across the refactor
-    #: — rerouting a batch flips its scores from gemm to gemv, a last-ulp
-    #: change that can flip a risk argmin.  The measured BNS crossover is
-    #: ≈3 (batched/scalar ≈ 0.85× at B=2, 1.2× at B=3, 1.5× at B=4 — see
-    #: ``BENCH_samplers.json``), so set 3–4 when ragged small batches
-    #: dominate and bitwise continuity does not matter; SRNS/AOBPR
-    #: amortize later still (≈ B=12).
-    batched_sampling_min_batch: int = 2
 
     def __post_init__(self) -> None:
         check_positive(self.epochs, "epochs")
         check_positive(self.batch_size, "batch_size")
         check_positive(self.lr, "lr")
         check_non_negative(self.reg, "reg")
-        check_positive(self.batched_sampling_min_batch, "batched_sampling_min_batch")
 
     def resolve_lr_schedule(self) -> Schedule:
         """The LR schedule (constant at ``lr`` unless one was given)."""
@@ -214,26 +199,25 @@ class Trainer:
     ) -> np.ndarray:
         """One negative per (user, positive) for the whole mini-batch.
 
-        Batched path: group the batch **once**, provide the score data the
-        sampler's :class:`~repro.samplers.base.ScoreRequest` asks for —
-        the unique users' score block in one ``scores_batch`` call for
-        ``FULL_BLOCK`` samplers, nothing for ``SPARSE``/``NONE`` samplers
-        (sparse samplers gather-score only the item ids they touch) — and
-        hand both to one ``sample_batch`` dispatch; the sampler reuses the
+        Group the batch **once**, provide the score data the sampler's
+        :class:`~repro.samplers.base.ScoreRequest` asks for — the unique
+        users' score block in one ``scores_batch`` call for ``FULL_BLOCK``
+        samplers, nothing for ``SPARSE``/``NONE`` samplers (sparse
+        samplers gather-score only the item ids they touch) — and hand
+        both to one ``sample_batch`` dispatch; the sampler reuses the
         precomputed :class:`~repro.samplers.base.BatchGroups` instead of
-        re-deriving the grouping (and grouping is deterministic, so the
-        negatives are unchanged).  Batches smaller than
-        ``config.batched_sampling_min_batch`` (notably the paper's
-        ``batch_size=1`` SGD for MF and an epoch's ragged final batch)
-        skip the batch machinery — below the measured crossover, grouping
-        costs more than it saves, and the draw cores are shared so the
-        negatives are statistically the same.
+        re-deriving the grouping.  A one-row batch instead takes one
+        per-user ``scores`` call and one ``sample_for_user``: there is
+        nothing to group, and the per-call overhead is lower.
         """
-        if (
-            not self.config.batched_sampling
-            or batch_users.size < self.config.batched_sampling_min_batch
-        ):
-            return self._sample_negatives_scalar(batch_users, batch_pos)
+        if batch_users.size == 1:
+            user = int(batch_users[0])
+            scores = None
+            if self.sampler.score_request is ScoreRequest.FULL_BLOCK:
+                scores = self.model.scores(user)
+            negatives = np.empty(1, dtype=np.int64)
+            negatives[0] = self.sampler.sample_for_user(user, batch_pos, scores)[0]
+            return negatives
         groups = group_batch_by_user(batch_users)
         scores = None
         if self.sampler.score_request is ScoreRequest.FULL_BLOCK:
@@ -241,23 +225,3 @@ class Trainer:
         return self.sampler.sample_batch(
             batch_users, batch_pos, scores, groups=groups
         )
-
-    def _sample_negatives_scalar(
-        self, batch_users: np.ndarray, batch_pos: np.ndarray
-    ) -> np.ndarray:
-        """Legacy per-user path: group by user, score and sample per group."""
-        full_block = self.sampler.score_request is ScoreRequest.FULL_BLOCK
-        negatives = np.empty(batch_users.size, dtype=np.int64)
-        if batch_users.size == 1:
-            user = int(batch_users[0])
-            scores = self.model.scores(user) if full_block else None
-            negatives[0] = self.sampler.sample_for_user(user, batch_pos, scores)[0]
-            return negatives
-        unique_users = np.unique(batch_users)
-        for user in unique_users:
-            mask = batch_users == user
-            scores = self.model.scores(int(user)) if full_block else None
-            negatives[mask] = self.sampler.sample_for_user(
-                int(user), batch_pos[mask], scores
-            )
-        return negatives

@@ -1,4 +1,4 @@
-"""Shared utilities: seeded randomness, validation, logging, timing.
+"""Shared utilities: seeded randomness, validation, logging.
 
 Every stochastic component in :mod:`repro` draws randomness through a
 :class:`numpy.random.Generator` created by :func:`repro.utils.rng.make_rng`
@@ -8,7 +8,6 @@ reproducible from a single integer seed.
 
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngMixin, as_rng, make_rng, spawn_rngs
-from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -19,7 +18,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "RngMixin",
-    "Timer",
     "as_rng",
     "check_in_range",
     "check_non_negative",

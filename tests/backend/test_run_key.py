@@ -34,6 +34,7 @@ def test_dtype_changes_the_key():
 
 
 def test_format_version_bumped_for_the_schema_change():
-    # v2 keys hash a spec with a `backend` field; v3 specs have none, so
-    # v2 payloads must stay unreachable rather than be mis-read.
-    assert CACHE_FORMAT_VERSION >= 3
+    # v2 keys hash a spec with a `backend` field; v3 specs have none, and
+    # v3 keys hash the sampling-threshold and eval-path fields v4 dropped,
+    # so older payloads must stay unreachable rather than be mis-read.
+    assert CACHE_FORMAT_VERSION >= 4

@@ -110,3 +110,22 @@ class TestFootprint:
             ConstantModel(micro_dataset.n_items), micro_dataset, k=3
         )
         assert set(footprint) == {"coverage@3", "arp@3", "popularity_lift@3"}
+
+    def test_ranks_each_user_once(self, micro_dataset):
+        """One ranking pass serves all three metrics, with the values the
+        separate functions compute."""
+        model = PersonalModel(micro_dataset.n_items)
+        calls = []
+
+        class CountingModel:
+            def scores(self, user):
+                calls.append(user)
+                return model.scores(user)
+
+        footprint = recommendation_footprint(CountingModel(), micro_dataset, k=3)
+        assert sorted(calls) == micro_dataset.trainable_users().tolist()
+        assert footprint == {
+            "coverage@3": catalog_coverage(model, micro_dataset, k=3),
+            "arp@3": average_recommendation_popularity(model, micro_dataset, k=3),
+            "popularity_lift@3": popularity_lift(model, micro_dataset, k=3),
+        }

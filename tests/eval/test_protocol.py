@@ -85,18 +85,24 @@ class TestEvaluator:
             Evaluator(micro_dataset, ks=(2,), chunk_users=0)
 
     def test_batched_and_scalar_paths_agree(self, micro_dataset, micro_model):
-        """A/B knob: both execution paths produce the same averages.
+        """A real model's batched ``scores_batch`` block and its per-user
+        ``scores`` rows (a scores-only view, stacked by the evaluator)
+        produce the same averages.
 
         (Tolerance instead of exact equality only because MF's
         ``scores_batch`` gemm may differ from per-user gemv in the last
-        ulp; exact per-user parity on a shared score source is pinned by
+        ulp; exact per-user parity with the scalar metric functions on a
+        shared score source is pinned by the oracle in
         tests/property/test_property_eval_batch.py.)
         """
+
+        class PerUserScores:
+            def scores(self, user):
+                return micro_model.scores(user)
+
         options = dict(ks=(1, 3, 5), extra_metrics=True)
         batched = Evaluator(micro_dataset, **options).evaluate(micro_model)
-        scalar = Evaluator(micro_dataset, batched=False, **options).evaluate(
-            micro_model
-        )
+        scalar = Evaluator(micro_dataset, **options).evaluate(PerUserScores())
         assert set(batched) == set(scalar)
         for key, value in batched.items():
             assert value == pytest.approx(scalar[key], abs=1e-12), key

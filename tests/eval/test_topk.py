@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.eval.topk import (
-    ranked_items,
     top_k_items_batch_reference,
     top_k_items,
     top_k_items_batch,
-    top_k_premasked,
 )
 
 
@@ -128,27 +126,22 @@ class TestTopKItemsBatch:
         assert np.array_equal(block, copy)
 
     def test_premasked_trims_padding(self):
+        """Items already at ``-inf`` are excluded like train positives, and
+        the one-row block's ``-1`` padding is trimmed."""
         masked = _masked([0.1, 0.9, 0.5], [1])
-        out = top_k_premasked(masked, 5)
+        out = top_k_items(masked, np.asarray([], dtype=np.int64), 5)
         assert np.array_equal(out, [2, 0])
 
 
 class TestRankedItems:
-    def test_full_ranking(self):
-        scores = np.asarray([0.2, 0.9, 0.4])
-        out = ranked_items(scores, np.asarray([], dtype=np.int64))
-        assert np.array_equal(out, [1, 2, 0])
-
-    def test_excludes_positives(self):
-        scores = np.asarray([0.2, 0.9, 0.4])
-        out = ranked_items(scores, np.asarray([1]))
-        assert np.array_equal(out, [2, 0])
-
     def test_agrees_with_topk(self):
+        """The head of the full ranking of un-interacted items (a stable
+        descending argsort) is ``top_k_items``' list."""
         rng = np.random.default_rng(0)
         scores = rng.random(30)
         positives = np.asarray([3, 7, 11])
-        full = ranked_items(scores, positives)
+        eligible = np.setdiff1d(np.arange(30), positives)
+        full = eligible[np.argsort(-scores[eligible], kind="stable")]
         head = top_k_items(scores, positives, 10)
         assert np.array_equal(full[:10], head)
 

@@ -39,7 +39,6 @@ class TestRunKey:
             replace(SPEC, seed=1),
             replace(SPEC, ks=(5,)),
             replace(SPEC, cdf="subsampled:32"),
-            replace(SPEC, batched_sampling_min_batch=4),
         ]
         keys = {run_key(EngineRequest(spec)) for spec in changed}
         assert base not in keys
@@ -50,8 +49,6 @@ class TestRunKey:
         assert run_key(EngineRequest(SPEC, record_sampling_quality=True)) != base
         assert run_key(EngineRequest(SPEC, distribution_epochs=(0, 2))) != base
         assert run_key(EngineRequest(SPEC, evaluate=False)) != base
-        assert run_key(EngineRequest(SPEC, eval_batched=False)) != base
-        assert run_key(EngineRequest(SPEC, eval_chunk_users=64)) != base
         assert run_key(EngineRequest(SPEC, dataset_seed=7)) != base
 
     def test_default_dataset_seed_is_spec_seed(self):

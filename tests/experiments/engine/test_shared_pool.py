@@ -2,8 +2,9 @@
 
 The sharing layer may change *how fast* workers get their dataset, never
 *what* they compute: pooled payloads stay bitwise equal to sequential
-ones with sharing on, off, and under injected worker crashes — and a
-torn-down grid leaves no shared-memory segments behind, crash or not.
+ones with sharing on, with the export failing, and under injected worker
+crashes — and a torn-down grid leaves no shared-memory segments behind,
+crash or not.
 """
 
 import os
@@ -61,15 +62,9 @@ class TestSharedPoolParity:
     def test_pool_with_sharing_matches_sequential_bitwise(self, baseline):
         before = _live_segments()
         executor = ProcessPoolRunExecutor(2)
-        assert executor.share_datasets
         results = dict(executor.run(_jobs()))
         assert results == baseline
         assert _live_segments() <= before  # every segment unlinked
-
-    def test_pool_with_sharing_disabled_matches_too(self, baseline):
-        executor = ProcessPoolRunExecutor(2, share_datasets=False)
-        results = dict(executor.run(_jobs()))
-        assert results == baseline
 
     def test_worker_crashes_leak_no_segments(self, baseline):
         jobs = _jobs()

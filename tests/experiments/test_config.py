@@ -62,15 +62,9 @@ class TestSublinearKnobs:
         spec = RunSpec(sampler_kwargs=(("cdf", "exact"),), cdf="cached:5")
         assert spec.sampler_options["cdf"] == "cached:5"
 
-    def test_min_batch_validated(self):
-        assert RunSpec(batched_sampling_min_batch=8).batched_sampling_min_batch == 8
-        with pytest.raises(ValueError):
-            RunSpec(batched_sampling_min_batch=0)
-
     def test_defaults_leave_options_untouched(self):
         assert RunSpec().sampler_options == {}
         assert RunSpec().cdf is None
-        assert RunSpec().batched_sampling_min_batch is None
 
     def test_with_sampler_resets_cdf(self):
         """Sweeping a BNS spec against baselines must not leak the BNS

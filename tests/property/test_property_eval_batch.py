@@ -1,21 +1,24 @@
-"""Batched/scalar evaluator parity: the eval-pipeline refactor's invariant.
+"""Evaluator parity with a per-user oracle: the eval pipeline's invariant.
 
-``Evaluator(batched=True)`` (chunked score blocks, batched top-K, CSR hit
-matrix, cumulative-sum metric kernels) must return **bitwise identical
-per-user metrics** to ``Evaluator(batched=False)`` (per-user scores,
-per-user top-K, scalar metric functions) whenever both paths consume the
-same score *values*.
+:class:`~repro.eval.protocol.Evaluator` (chunked score blocks, batched
+top-K, CSR hit matrix, cumulative-sum metric kernels) must return
+**bitwise identical per-user metrics** to :func:`per_user_oracle` — a
+plain loop over users built from the public per-user pieces (``scores``,
+:func:`~repro.eval.topk.top_k_items` and the scalar metric functions of
+:mod:`repro.eval.ranking`) — whenever both consume the same score
+*values*.
 
 The score source here is a fixed table whose ``scores_batch`` is an exact
-row gather, so the paths see identical floats (real models' gemm-vs-gemv
-last-ulp divergence is documented in ``repro.eval.protocol`` and is a
-property of BLAS, not of the evaluator).  A seeded grid is used instead of
-hypothesis, matching the sampler-parity suite: the contract is exact
-equality, so a deterministic sweep over adversarial compositions — heavy
-score ties, users with empty test or train rows, a user with many test
-positives hit at the top (stressing summation order), cutoffs past the
-item-universe size, ragged chunk boundaries — exercises it just as hard
-and keeps failures trivially reproducible.
+row gather, so the evaluator and the oracle see identical floats (real
+models' gemm-vs-gemv last-ulp divergence is documented in
+``repro.eval.protocol`` and is a property of BLAS, not of the evaluator).
+A seeded grid is used instead of hypothesis, matching the sampler-parity
+suite: the contract is exact equality, so a deterministic sweep over
+adversarial compositions — heavy score ties, users with empty test or
+train rows, a user with many test positives hit at the top (stressing
+summation order), cutoffs past the item-universe size, ragged chunk
+boundaries — exercises it just as hard and keeps failures trivially
+reproducible.
 """
 
 import numpy as np
@@ -24,10 +27,21 @@ import pytest
 from repro.data.dataset import ImplicitDataset
 from repro.data.interactions import InteractionMatrix
 from repro.eval.protocol import Evaluator
+from repro.eval.ranking import (
+    auc,
+    average_precision_at_k,
+    hit_rate_at_k,
+    ndcg_at_k,
+    precision_at_k,
+    recall_at_k,
+    reciprocal_rank,
+)
+from repro.eval.topk import top_k_items
 
 
 class TableModel:
-    """Score model backed by a fixed table; both paths see identical values."""
+    """Score model backed by a fixed table; evaluator and oracle see
+    identical values."""
 
     def __init__(self, table):
         self._table = np.asarray(table, dtype=np.float64)
@@ -89,22 +103,62 @@ def make_table(rng, dataset, ties):
     return table
 
 
-def assert_paths_equal(dataset, model, **options):
-    batched = Evaluator(dataset, batched=True, **options)
-    scalar = Evaluator(
+def per_user_oracle(dataset, model, ks, extra_metrics=False, max_users=None):
+    """Per-user metric arrays from one plain loop over the evaluated users.
+
+    Each user's ``scores`` row is ranked by :func:`top_k_items` (train
+    positives excluded) and scored by the scalar metric functions; keys
+    follow the evaluator's canonical order.
+    """
+    users = dataset.evaluable_users()
+    if max_users is not None:
+        users = users[:max_users]
+    max_k = max(ks)
+    results = {}
+
+    def add(key, value):
+        results.setdefault(key, []).append(value)
+
+    for user in users.tolist():
+        train_pos = dataset.train.items_of(user)
+        test_pos = dataset.test.items_of(user)
+        relevant = set(test_pos.tolist())
+        scores = np.asarray(model.scores(user), dtype=np.float64)
+        ranked = top_k_items(scores, train_pos, max_k)
+        for k in ks:
+            add(f"precision@{k}", precision_at_k(ranked, relevant, k))
+            add(f"recall@{k}", recall_at_k(ranked, relevant, k))
+            add(f"ndcg@{k}", ndcg_at_k(ranked, relevant, k))
+            if extra_metrics:
+                add(f"hitrate@{k}", hit_rate_at_k(ranked, relevant, k))
+                add(f"map@{k}", average_precision_at_k(ranked, relevant, k))
+        if extra_metrics:
+            add("mrr", reciprocal_rank(ranked, relevant))
+            relevant_mask = np.zeros(dataset.n_items, dtype=bool)
+            relevant_mask[test_pos] = True
+            candidate_mask = np.ones(dataset.n_items, dtype=bool)
+            candidate_mask[train_pos] = False
+            add("auc", auc(scores, relevant_mask, candidate_mask))
+    return {key: np.asarray(values) for key, values in results.items()}
+
+
+def assert_matches_oracle(dataset, model, **options):
+    evaluator = Evaluator(dataset, **options)
+    per_user = evaluator.evaluate_per_user(model)
+    oracle = per_user_oracle(
         dataset,
-        batched=False,
-        **{key: value for key, value in options.items() if key != "chunk_users"},
+        model,
+        evaluator.ks,
+        extra_metrics=evaluator.extra_metrics,
+        max_users=evaluator.max_users,
     )
-    per_user_batched = batched.evaluate_per_user(model)
-    per_user_scalar = scalar.evaluate_per_user(model)
-    assert list(per_user_batched) == list(per_user_scalar)
-    n_users = batched.evaluated_users().size
-    for key, values in per_user_batched.items():
+    assert list(per_user) == list(oracle)
+    n_users = evaluator.evaluated_users().size
+    for key, values in per_user.items():
         assert values.shape == (n_users,), key
-        assert np.array_equal(values, per_user_scalar[key]), (
+        assert np.array_equal(values, oracle[key]), (
             f"{key} diverged: max abs diff "
-            f"{np.max(np.abs(values - per_user_scalar[key]))}"
+            f"{np.max(np.abs(values - oracle[key]))}"
         )
 
 
@@ -115,7 +169,7 @@ def test_batched_equals_scalar(seed, ties, extra_metrics):
     rng = np.random.default_rng(seed)
     dataset = make_dataset(rng)
     model = TableModel(make_table(rng, dataset, ties))
-    assert_paths_equal(
+    assert_matches_oracle(
         dataset,
         model,
         ks=(5, 10, 20),
@@ -130,7 +184,7 @@ def test_cutoff_shapes(ks):
     rng = np.random.default_rng(11)
     dataset = make_dataset(rng, n_users=20, n_items=40)
     model = TableModel(make_table(rng, dataset, ties=True))
-    assert_paths_equal(dataset, model, ks=ks, extra_metrics=True, chunk_users=3)
+    assert_matches_oracle(dataset, model, ks=ks, extra_metrics=True, chunk_users=3)
 
 
 @pytest.mark.parametrize("max_users", [1, 2, 9])
@@ -138,7 +192,7 @@ def test_max_users_cap(max_users):
     rng = np.random.default_rng(5)
     dataset = make_dataset(rng)
     model = TableModel(make_table(rng, dataset, ties=False))
-    assert_paths_equal(
+    assert_matches_oracle(
         dataset, model, ks=(5, 10), max_users=max_users, chunk_users=4
     )
 
@@ -150,22 +204,23 @@ def test_chunk_boundaries_do_not_matter(chunk_users):
     dataset = make_dataset(rng)
     model = TableModel(make_table(rng, dataset, ties=True))
     reference = Evaluator(
-        dataset, ks=(5, 20), extra_metrics=True, batched=True, chunk_users=7
+        dataset, ks=(5, 20), extra_metrics=True, chunk_users=7
     ).evaluate_per_user(model)
     other = Evaluator(
-        dataset, ks=(5, 20), extra_metrics=True, batched=True, chunk_users=chunk_users
+        dataset, ks=(5, 20), extra_metrics=True, chunk_users=chunk_users
     ).evaluate_per_user(model)
     for key, values in reference.items():
         assert np.array_equal(values, other[key]), key
 
 
 def test_scores_only_model_supported():
-    """Models without ``scores_batch`` ride the batched path via stacking —
-    and then the two paths are bitwise equal even at the score layer."""
+    """Models without ``scores_batch`` are scored per user and stacked —
+    and then evaluator and oracle are bitwise equal even at the score
+    layer."""
     rng = np.random.default_rng(3)
     dataset = make_dataset(rng, n_users=16, n_items=32)
     model = ScoresOnlyModel(make_table(rng, dataset, ties=True))
-    assert_paths_equal(dataset, model, ks=(5, 10), extra_metrics=True, chunk_users=6)
+    assert_matches_oracle(dataset, model, ks=(5, 10), extra_metrics=True, chunk_users=6)
 
 
 def test_empty_test_users_excluded():

@@ -52,14 +52,11 @@ class TestCommands:
 
 
 class TestSublinearFlags:
-    def test_cdf_and_min_batch_parsed(self):
+    def test_cdf_parsed(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["train", "--cdf", "subsampled:64", "--min-batch", "8"]
-        )
+        args = build_parser().parse_args(["train", "--cdf", "subsampled:64"])
         assert args.cdf == "subsampled:64"
-        assert args.min_batch == 8
 
     def test_train_with_sparse_cdf_runs(self, capsys):
         from repro.cli import main
@@ -73,8 +70,6 @@ class TestSublinearFlags:
                 "bns",
                 "--cdf",
                 "subsampled:32",
-                "--min-batch",
-                "2",
                 "--epochs",
                 "2",
                 "--batch-size",

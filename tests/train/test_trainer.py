@@ -177,39 +177,6 @@ class TestTrainerCallbacks:
 
 
 class TestBatchedSampling:
-    def test_batched_is_default(self):
-        assert TrainingConfig().batched_sampling is True
-
-    def test_batched_matches_scalar_for_score_free_sampler(self, micro_dataset):
-        """RNS never reads scores, so the batched and scalar trainer paths
-        consume identical randomness AND produce bitwise-identical runs."""
-        batched = make_trainer(micro_dataset, epochs=3, batched_sampling=True)
-        scalar = make_trainer(micro_dataset, epochs=3, batched_sampling=False)
-        history_b, history_s = batched.fit(), scalar.fit()
-        for epoch_b, epoch_s in zip(history_b, history_s):
-            assert np.array_equal(epoch_b.neg_items, epoch_s.neg_items)
-        assert np.array_equal(batched.model.user_factors, scalar.model.user_factors)
-
-    def test_batched_scalar_statistically_close_for_dns(self, tiny_dataset):
-        """Score-dependent samplers see gemm-vs-gemv rounding (the one
-        documented divergence), so runs are close, not bitwise equal."""
-        batched = make_trainer(
-            tiny_dataset,
-            epochs=5,
-            batch_size=8,
-            sampler=DynamicNegativeSampler(n_candidates=3),
-            batched_sampling=True,
-        )
-        scalar = make_trainer(
-            tiny_dataset,
-            epochs=5,
-            batch_size=8,
-            sampler=DynamicNegativeSampler(n_candidates=3),
-            batched_sampling=False,
-        )
-        history_b, history_s = batched.fit(), scalar.fit()
-        assert abs(history_b[-1].mean_loss - history_s[-1].mean_loss) < 0.05
-
     def test_batched_negatives_never_train_positives(self, micro_dataset):
         trainer = make_trainer(
             micro_dataset, epochs=2, sampler=DynamicNegativeSampler(n_candidates=3)
@@ -220,32 +187,37 @@ class TestBatchedSampling:
 
 
 class TestScalarFallbackThreshold:
-    """The configurable small-batch crossover (batched_sampling_min_batch)."""
-
-    def test_default_and_validation(self):
-        # Default 2 == the pre-threshold routing (scalar only at size 1),
-        # keeping default-config runs bitwise-identical across the
-        # refactor; the measured crossover (~3 for BNS) is documentation
-        # for tuning, not the default.
-        assert TrainingConfig().batched_sampling_min_batch == 2
-        with pytest.raises(ValueError):
-            TrainingConfig(batched_sampling_min_batch=0)
+    """The one-row rule: single-row batches sample per user, every larger
+    batch goes through ``sample_batch``."""
 
     def test_small_batches_route_scalar(self, micro_dataset, monkeypatch):
-        """Batches below the threshold must never touch sample_batch."""
+        """Single-row batches never touch sample_batch, and the per-user
+        route still hands the trainer an int64 array of one negative."""
         trainer = make_trainer(
             micro_dataset,
             epochs=1,
-            batch_size=2,
+            batch_size=1,
             sampler=DynamicNegativeSampler(n_candidates=3),
-            batched_sampling_min_batch=3,
         )
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("sample_batch called below the threshold")
+            raise AssertionError("sample_batch called for a one-row batch")
 
         monkeypatch.setattr(trainer.sampler, "sample_batch", forbidden)
+        stepped = []
+        original_step = trainer.model.train_step
+
+        def step_spy(users, pos, neg, *args, **kwargs):
+            stepped.append(neg)
+            return original_step(users, pos, neg, *args, **kwargs)
+
+        monkeypatch.setattr(trainer.model, "train_step", step_spy)
         trainer.fit()
+        assert len(stepped) == micro_dataset.train.n_interactions
+        for negatives in stepped:
+            assert isinstance(negatives, np.ndarray)
+            assert negatives.dtype == np.int64
+            assert negatives.shape == (1,)
 
     def test_large_batches_route_batched(self, micro_dataset, monkeypatch):
         trainer = make_trainer(
@@ -253,7 +225,6 @@ class TestScalarFallbackThreshold:
             epochs=1,
             batch_size=4,
             sampler=DynamicNegativeSampler(n_candidates=3),
-            batched_sampling_min_batch=3,
         )
         calls = []
         original = trainer.sampler.sample_batch
@@ -265,22 +236,8 @@ class TestScalarFallbackThreshold:
         monkeypatch.setattr(trainer.sampler, "sample_batch", spy)
         trainer.fit()
         # micro: 9 pairs at batch 4 → batches of 4, 4, 1; only the ragged
-        # final batch (1 < 3) falls back to the scalar path.
+        # one-row final batch takes the per-user route.
         assert calls == [4, 4]
-
-    def test_threshold_one_forces_batched_everywhere(self, micro_dataset):
-        """min_batch=1 pushes even single-row batches through sample_batch
-        — the negatives stay valid and the run completes."""
-        trainer = make_trainer(
-            micro_dataset,
-            epochs=2,
-            batch_size=1,
-            sampler=DynamicNegativeSampler(n_candidates=3),
-            batched_sampling_min_batch=1,
-        )
-        for stats in trainer.fit():
-            for user, item in zip(stats.users, stats.neg_items):
-                assert not micro_dataset.train.contains(int(user), int(item))
 
 
 class TestEpochLossAccumulation:

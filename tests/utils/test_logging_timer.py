@@ -1,10 +1,8 @@
-"""Tests for repro.utils.logging and repro.utils.timer."""
+"""Tests for repro.utils.logging."""
 
 import logging
-import time
 
 from repro.utils.logging import enable_console_logging, get_logger
-from repro.utils.timer import Timer
 
 
 class TestGetLogger:
@@ -32,27 +30,3 @@ class TestEnableConsoleLogging:
         assert first not in root.handlers
         root.removeHandler(second)
 
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_running_flag(self):
-        t = Timer()
-        assert not t.running
-        with t:
-            assert t.running
-        assert not t.running
-
-    def test_elapsed_readable_while_running(self):
-        with Timer() as t:
-            assert t.elapsed >= 0.0
-
-    def test_elapsed_frozen_after_exit(self):
-        with Timer() as t:
-            pass
-        frozen = t.elapsed
-        time.sleep(0.005)
-        assert t.elapsed == frozen
