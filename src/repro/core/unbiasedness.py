@@ -50,9 +50,9 @@ def unbias(cdf_values: np.ndarray, prior_fn: np.ndarray) -> np.ndarray:
     tn_mass = (1.0 - cdf_values) * (1.0 - prior_fn)
     fn_mass = cdf_values * prior_fn
     denominator = tn_mass + fn_mass
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denominator > 0.0, tn_mass / np.where(denominator > 0, denominator, 1.0), 0.5)
-    return out
+    # Non-positive denominators divide by 1.0, so no 0/0 is ever computed.
+    positive = denominator > 0.0
+    return np.where(positive, tn_mass / np.where(positive, denominator, 1.0), 0.5)
 
 
 def unbias_from_components(

@@ -23,14 +23,15 @@ __all__ = ["sigmoid", "log_sigmoid", "bpr_loss", "informativeness"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    ``z = exp(−|x|)`` never overflows; ``σ(x)`` is ``1/(1+z)`` for
+    ``x ≥ 0`` and ``z/(1+z)`` below.  ``np.minimum(x, −x)`` is ``−|x|``
+    that passes a NaN through untouched, sign bit included.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    z = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -29,6 +29,11 @@ def aggregate_rows(rows: np.ndarray, grads: np.ndarray) -> Tuple[np.ndarray, np.
     per-occurrence gradients independently would make the result depend on
     application order.  This collapses ``(rows, grads)`` into
     ``(unique_rows, summed_grads)``.
+
+    One row, or two distinct rows — one triple's user row and item pair,
+    the paper's ``batch_size=1`` step — are already unique, and summing
+    them into zeros is ``grads + 0.0`` bit for bit (``-0.0`` becomes
+    ``+0.0`` either way), so they skip ``np.unique``/``np.add.at``.
     """
     rows = np.asarray(rows, dtype=np.int64).ravel()
     grads = np.asarray(grads, dtype=np.float64)
@@ -36,6 +41,14 @@ def aggregate_rows(rows: np.ndarray, grads: np.ndarray) -> Tuple[np.ndarray, np.
         raise ValueError(
             f"rows ({rows.size}) and grads ({grads.shape[0]}) must be parallel"
         )
+    if rows.size == 1:
+        return rows, grads + 0.0
+    if rows.size == 2:
+        first, second = rows.tolist()
+        if first < second:
+            return rows, grads + 0.0
+        if first > second:
+            return rows[::-1], grads[::-1] + 0.0
     unique, inverse = np.unique(rows, return_inverse=True)
     summed = np.zeros((unique.size, grads.shape[1]), dtype=np.float64)
     np.add.at(summed, inverse, grads)

@@ -162,31 +162,37 @@ class Trainer:
             order = np.arange(n)
         batch_size = self.config.batch_size
 
+        # The epoch's pairs in execution order, gathered once: every batch
+        # is a slice view of them, and EpochStats keeps them.  Read-only,
+        # so a model or sampler writing into its batch raises instead of
+        # corrupting the recorded triples.
+        users = users_all[order]
+        pos_items = pos_all[order]
+        users.flags.writeable = False
+        pos_items.flags.writeable = False
         neg_out = np.empty(n, dtype=np.int64)
         info_out = np.empty(n, dtype=np.float64)
 
         for start in range(0, n, batch_size):
-            batch_idx = order[start : start + batch_size]
-            batch_users = users_all[batch_idx]
-            batch_pos = pos_all[batch_idx]
+            stop = start + batch_size
+            batch_users = users[start:stop]
+            batch_pos = pos_items[start:stop]
             batch_neg = self._sample_negatives(batch_users, batch_pos)
             info = self.model.train_step(
                 batch_users, batch_pos, batch_neg, self.optimizer, self.config.reg
             )
-            neg_out[start : start + batch_idx.size] = batch_neg
-            info_out[start : start + batch_idx.size] = info
+            neg_out[start:stop] = batch_neg
+            info_out[start:stop] = info
 
         # loss = −ln σ(diff) = −ln(1 − info); clip keeps info→1 finite.
         # One vectorized pass over the epoch's recorded info values instead
         # of a log + clip + sum allocation inside every mini-batch.
         mean_loss = float(np.mean(-np.log(np.clip(1.0 - info_out, 1e-12, None))))
 
-        # Reorder the recorded triples back to epoch execution order
-        # (they are already in execution order; users/pos follow `order`).
         return EpochStats(
             epoch=epoch,
-            users=users_all[order],
-            pos_items=pos_all[order],
+            users=users,
+            pos_items=pos_items,
             neg_items=neg_out,
             info=info_out,
             mean_loss=mean_loss,

@@ -38,6 +38,22 @@ class TestBoundaryBehaviour:
         assert unbias(np.asarray([1.0]), np.asarray([0.0]))[0] == 0.5
         assert unbias(np.asarray([0.0]), np.asarray([1.0]))[0] == 0.5
 
+    def test_corners_raise_no_floating_point_error(self):
+        """The 0/0 corners never divide by zero, so ``errstate(all="raise")``
+        sees nothing."""
+        with np.errstate(all="raise"):
+            out = unbias(np.asarray([1.0, 0.0]), np.asarray([0.0, 1.0]))
+        assert out.tolist() == [0.5, 0.5]
+
+    def test_nan_input_raises_nothing(self):
+        """A NaN denominator is not positive, so it lands on the 0.5
+        corner without signalling."""
+        with np.errstate(all="raise"):
+            out = unbias(
+                np.asarray([np.nan, 0.3, np.nan]), np.asarray([0.2, np.nan, np.nan])
+            )
+        assert out.tolist() == [0.5, 0.5, 0.5]
+
     def test_uniform_prior_half_cdf(self):
         """F = 1/2 with prior 1/2 → posterior 1/2 (no information)."""
         assert unbias(np.asarray([0.5]), np.asarray([0.5]))[0] == pytest.approx(0.5)

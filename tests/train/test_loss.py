@@ -29,6 +29,59 @@ class TestSigmoid:
         assert sigmoid(np.zeros((3, 4))).shape == (3, 4)
 
 
+def masked_sigmoid(x):
+    """The boolean-mask body ``sigmoid`` had before: the bitwise oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestSigmoidMatchesMaskedFormula:
+    """``exp(−|x|)`` once is the same exponential the masked version took
+    per branch, so every output bit — NaN sign and payload included —
+    must agree."""
+
+    EDGES = [
+        0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 709.8, -709.8,
+        5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 36.8, -36.8,
+    ]
+    # Quiet NaNs of both signs, one with a payload, and a signalling NaN.
+    NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF80000000ABCDE,
+                0x7FF0000000000001]
+
+    def test_edge_values_bitwise(self):
+        nans = np.asarray(self.NAN_BITS, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([self.EDGES, nans])
+        with np.errstate(invalid="ignore"):
+            expected = masked_sigmoid(x)
+            actual = sigmoid(x)
+        np.testing.assert_array_equal(_bits(actual), _bits(expected))
+
+    def test_float32_input_bitwise(self, rng):
+        x = (rng.standard_normal(1000) * 20).astype(np.float32)
+        x[:4] = [0.0, -0.0, np.inf, -np.inf]
+        out = sigmoid(x)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(_bits(out), _bits(masked_sigmoid(x)))
+
+    def test_random_values_bitwise(self, rng):
+        x = rng.standard_normal(10**5) * 30
+        np.testing.assert_array_equal(_bits(sigmoid(x)), _bits(masked_sigmoid(x)))
+
+    def test_zero_dim_input(self):
+        out = sigmoid(-2.5)
+        assert out.shape == ()
+        assert _bits(out) == _bits(masked_sigmoid(-2.5))
+
+
 class TestLogSigmoid:
     def test_matches_log_of_sigmoid(self):
         x = np.linspace(-20, 20, 101)

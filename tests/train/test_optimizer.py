@@ -24,6 +24,72 @@ class TestAggregateRows:
             aggregate_rows(np.asarray([0, 1]), np.ones((3, 2)))
 
 
+def unique_add_at(rows, grads):
+    """The ``np.unique``/``np.add.at`` body of ``aggregate_rows``: the oracle."""
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    grads = np.asarray(grads, dtype=np.float64)
+    unique, inverse = np.unique(rows, return_inverse=True)
+    summed = np.zeros((unique.size, grads.shape[1]), dtype=np.float64)
+    np.add.at(summed, inverse, grads)
+    return unique, summed
+
+
+class TestAggregateRowsMatchesOracle:
+    """Every shape — the one- and two-row shortcut included — must equal
+    summing into zeros, bit for bit."""
+
+    CASES = {
+        "one-row": [7],
+        "pair-ascending": [2, 9],
+        "pair-descending": [9, 2],
+        "pair-equal": [4, 4],
+        "repeats": [3, 1, 3, 0, 1, 3],
+        "triple-distinct": [5, 0, 2],
+    }
+
+    @staticmethod
+    def _assert_bitwise(actual, expected):
+        (rows, summed), (rows_ref, summed_ref) = actual, expected
+        assert rows.dtype == np.int64
+        np.testing.assert_array_equal(rows, rows_ref)
+        assert summed.dtype == np.float64
+        assert summed.shape == summed_ref.shape
+        np.testing.assert_array_equal(
+            summed.view(np.uint64), summed_ref.view(np.uint64)
+        )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_random_grads(self, case, rng):
+        rows = np.asarray(self.CASES[case])
+        grads = rng.standard_normal((rows.size, 4))
+        self._assert_bitwise(aggregate_rows(rows, grads), unique_add_at(rows, grads))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_negative_zero_grads_become_positive_zero(self, case):
+        rows = np.asarray(self.CASES[case])
+        grads = np.full((rows.size, 3), -0.0)
+        out = aggregate_rows(rows, grads)
+        self._assert_bitwise(out, unique_add_at(rows, grads))
+        assert not np.signbit(out[1]).any()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_float32_grads_upcast(self, case, rng):
+        rows = np.asarray(self.CASES[case])
+        grads = rng.standard_normal((rows.size, 2)).astype(np.float32)
+        self._assert_bitwise(aggregate_rows(rows, grads), unique_add_at(rows, grads))
+
+    def test_equal_pair_is_summed(self):
+        rows, summed = aggregate_rows(np.asarray([4, 4]), np.asarray([[1.5], [2.0]]))
+        assert rows.tolist() == [4]
+        assert summed.tolist() == [[3.5]]
+
+    def test_returned_grads_are_a_fresh_array(self):
+        grads = np.ones((1, 3))
+        _, summed = aggregate_rows(np.asarray([0]), grads)
+        summed[0, 0] = 5.0
+        assert grads[0, 0] == 1.0
+
+
 class TestSGD:
     def test_row_update(self):
         param = np.ones((4, 2))

@@ -240,6 +240,53 @@ class TestScalarFallbackThreshold:
         assert calls == [4, 4]
 
 
+class TestBatchArraysReadOnly:
+    """Batches are slice views of the epoch's recorded pairs, so a model or
+    sampler writing into its batch must raise instead of corrupting
+    ``EpochStats``."""
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_model_writing_into_batch_raises(
+        self, micro_dataset, monkeypatch, batch_size
+    ):
+        trainer = make_trainer(micro_dataset, epochs=1, batch_size=batch_size)
+        original_step = trainer.model.train_step
+
+        def scribbling_step(users, pos, neg, *args, **kwargs):
+            pos[0] = neg[0]
+            return original_step(users, pos, neg, *args, **kwargs)
+
+        monkeypatch.setattr(trainer.model, "train_step", scribbling_step)
+        with pytest.raises(ValueError, match="read-only"):
+            trainer.fit()
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_sampler_writing_into_batch_raises(self, micro_dataset, batch_size):
+        class ScribblingSampler(RandomNegativeSampler):
+            def sample_for_user(self, user, pos_items, scores):
+                pos_items[:] = 0
+                return super().sample_for_user(user, pos_items, scores)
+
+            def sample_batch(self, users, pos_items, scores=None, *, groups=None):
+                users[:] = 0
+                return super().sample_batch(users, pos_items, scores, groups=groups)
+
+        trainer = make_trainer(
+            micro_dataset, epochs=1, batch_size=batch_size, sampler=ScribblingSampler()
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            trainer.fit()
+
+    def test_recorded_pairs_follow_the_shuffle(self, micro_dataset):
+        trainer = make_trainer(micro_dataset, epochs=2, batch_size=4)
+        users_all, pos_all = micro_dataset.train.pairs()
+        for stats in trainer.fit():
+            assert not stats.users.flags.writeable
+            assert not stats.pos_items.flags.writeable
+            recorded = sorted(zip(stats.users.tolist(), stats.pos_items.tolist()))
+            assert recorded == sorted(zip(users_all.tolist(), pos_all.tolist()))
+
+
 class TestEpochLossAccumulation:
     def test_mean_loss_matches_per_batch_reference(self, micro_dataset):
         """The hoisted one-pass mean equals the old per-batch log-sum."""
