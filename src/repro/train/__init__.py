@@ -19,7 +19,7 @@ from repro.train.early_stopping import EarlyStopping, StopTraining
 from repro.train.loss import bpr_loss, informativeness, log_sigmoid, sigmoid
 from repro.train.optimizer import SGD, Adam, Optimizer, aggregate_rows
 from repro.train.schedule import ConstantSchedule, Schedule, StepDecay, WarmStartLambda
-from repro.train.trainer import Trainer, TrainingConfig
+from repro.train.trainer import Trainer, TrainingConfig, TrainingDivergedError
 
 __all__ = [
     "Adam",
@@ -38,6 +38,7 @@ __all__ = [
     "StepDecay",
     "Trainer",
     "TrainingConfig",
+    "TrainingDivergedError",
     "WarmStartLambda",
     "aggregate_rows",
     "bpr_loss",

@@ -37,9 +37,17 @@ from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_non_negative, check_positive
 
-__all__ = ["TrainingConfig", "Trainer"]
+__all__ = ["TrainingConfig", "Trainer", "TrainingDivergedError"]
 
 _LOGGER = get_logger("train.trainer")
+
+
+class TrainingDivergedError(FloatingPointError):
+    """An epoch ended with a non-finite mean BPR loss.
+
+    A diverged model still ranks items, so its metrics would read as an
+    ordinary result; the trainer raises this instead of returning it.
+    """
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,11 @@ class Trainer:
     # ------------------------------------------------------------------ #
 
     def fit(self) -> List[EpochStats]:
-        """Run the configured number of epochs; returns per-epoch stats."""
+        """Run the configured number of epochs; returns per-epoch stats.
+
+        Raises :class:`TrainingDivergedError` after the first epoch whose
+        mean loss is not finite.
+        """
         users_all, pos_all = self.dataset.train.pairs()
         if users_all.size == 0:
             raise ValueError("cannot train on an empty training set")
@@ -127,6 +139,12 @@ class Trainer:
             self.optimizer.lr = lr_schedule.value(epoch)
             self.sampler.on_epoch_start(epoch)
             stats = self._run_epoch(epoch, users_all, pos_all, started)
+            # A NaN anywhere in the epoch's info makes the mean NaN.
+            if not np.isfinite(stats.mean_loss):
+                raise TrainingDivergedError(
+                    f"training diverged in epoch {epoch}: mean loss is "
+                    f"{stats.mean_loss}"
+                )
             self.history.append(stats)
             try:
                 for callback in self.callbacks:

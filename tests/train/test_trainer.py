@@ -8,7 +8,7 @@ from repro.samplers.rns import RandomNegativeSampler
 from repro.samplers.dns import DynamicNegativeSampler
 from repro.train.callbacks import Callback, HistoryRecorder
 from repro.train.schedule import StepDecay
-from repro.train.trainer import Trainer, TrainingConfig
+from repro.train.trainer import Trainer, TrainingConfig, TrainingDivergedError
 
 
 class TestTrainingConfig:
@@ -285,6 +285,46 @@ class TestBatchArraysReadOnly:
             assert not stats.pos_items.flags.writeable
             recorded = sorted(zip(stats.users.tolist(), stats.pos_items.tolist()))
             assert recorded == sorted(zip(users_all.tolist(), pos_all.tolist()))
+
+
+class TestDivergence:
+    """A non-finite epoch loss is an error, not a result."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_raises_named_error(self, tiny_dataset):
+        from repro.samplers.variants import make_sampler
+
+        model = MatrixFactorization(
+            tiny_dataset.n_users, tiny_dataset.n_items, n_factors=8, seed=1
+        )
+        recorder = HistoryRecorder()
+        trainer = Trainer(
+            model,
+            tiny_dataset,
+            make_sampler("bns"),
+            TrainingConfig(epochs=5, batch_size=4, lr=1e6, seed=1),
+            callbacks=[recorder],
+        )
+        with pytest.raises(TrainingDivergedError, match="epoch 0") as caught:
+            trainer.fit()
+        assert isinstance(caught.value, FloatingPointError)
+        # The diverged epoch reaches neither the history nor a callback.
+        assert trainer.history == []
+        assert recorder.epochs == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_spec_does_not_report_a_diverged_run(self):
+        from repro.experiments.config import RunSpec
+        from repro.experiments.runner import run_spec
+        from repro.train import TrainingDivergedError as exported
+
+        assert exported is TrainingDivergedError
+        spec = RunSpec(
+            dataset="tiny", sampler="bns", epochs=5, batch_size=4, lr=1e6,
+            n_factors=8, seed=1,
+        )
+        with pytest.raises(TrainingDivergedError, match="diverged in epoch"):
+            run_spec(spec)
 
 
 class TestEpochLossAccumulation:
