@@ -78,11 +78,6 @@ class TestAggregateRowsMatchesOracle:
         grads = rng.standard_normal((rows.size, 2)).astype(np.float32)
         self._assert_bitwise(aggregate_rows(rows, grads), unique_add_at(rows, grads))
 
-    def test_equal_pair_is_summed(self):
-        rows, summed = aggregate_rows(np.asarray([4, 4]), np.asarray([[1.5], [2.0]]))
-        assert rows.tolist() == [4]
-        assert summed.tolist() == [[3.5]]
-
     def test_returned_grads_are_a_fresh_array(self):
         grads = np.ones((1, 3))
         _, summed = aggregate_rows(np.asarray([0]), grads)

@@ -277,14 +277,24 @@ class TestBatchArraysReadOnly:
         with pytest.raises(ValueError, match="read-only"):
             trainer.fit()
 
-    def test_recorded_pairs_follow_the_shuffle(self, micro_dataset):
+    def test_stats_record_the_batches_in_execution_order(
+        self, micro_dataset, monkeypatch
+    ):
         trainer = make_trainer(micro_dataset, epochs=2, batch_size=4)
-        users_all, pos_all = micro_dataset.train.pairs()
-        for stats in trainer.fit():
+        stepped = []
+        original_step = trainer.model.train_step
+
+        def step_spy(users, pos, neg, *args, **kwargs):
+            stepped.append((users.tolist(), pos.tolist()))
+            return original_step(users, pos, neg, *args, **kwargs)
+
+        monkeypatch.setattr(trainer.model, "train_step", step_spy)
+        for epoch, stats in enumerate(trainer.fit()):
+            batches = stepped[3 * epoch : 3 * epoch + 3]  # 9 pairs: 4, 4, 1
+            assert stats.users.tolist() == sum((u for u, _ in batches), [])
+            assert stats.pos_items.tolist() == sum((p for _, p in batches), [])
             assert not stats.users.flags.writeable
             assert not stats.pos_items.flags.writeable
-            recorded = sorted(zip(stats.users.tolist(), stats.pos_items.tolist()))
-            assert recorded == sorted(zip(users_all.tolist(), pos_all.tolist()))
 
 
 class TestDivergence:
