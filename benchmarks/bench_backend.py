@@ -1,24 +1,17 @@
-"""Precision benchmark: float32 fast mode and shared-memory datasets.
+"""Precision benchmark: float32 fast mode.
 
-Two headline numbers land in ``BENCH_backend.json``:
-
-* **float32 fast mode** — end-to-end MF/BNS epoch throughput under the
-  ``dtype="float32"`` policy vs the ``float64`` reference on a
-  large-catalogue (16k-item) synthetic bench at 128 factors, where the
-  per-batch ``(U, n_items)`` score gemm dominates and halving the element
-  width pays.  Gate: >= 1.3x triples/sec (quiet machine).
-* **shared-memory transport** — attaching the exported bench dataset via
-  :func:`repro.data.shared.attach_dataset` (zero-copy segment mapping) vs
-  the per-worker rebuild it replaces (regenerate the synthetic log and
-  reconstruct the dataset, exactly the pool worker's cache-miss path).
-  Gate: attach >= 5x faster.
+The headline number lands in ``BENCH_backend.json``: end-to-end MF/BNS
+epoch throughput under the ``dtype="float32"`` policy vs the ``float64``
+reference on a large-catalogue (16k-item) synthetic bench at 512
+factors, where the per-batch ``(U, n_items)`` score gemm dominates and
+halving the element width pays.  Gate: >= 1.3x triples/sec (quiet
+machine).
 
 Environment knobs for CI smoke runs on shared, noisy runners:
 
 * ``REPRO_BACKEND_BENCH_USERS`` / ``_ITEMS`` / ``_INTERACTIONS`` —
   override the bench universe so smoke legs stay fast;
-* ``REPRO_BACKEND_BENCH_MIN_F32_SPEEDUP`` — float32 gate, default 1.3;
-* ``REPRO_BACKEND_BENCH_MIN_SHM_SPEEDUP`` — attach gate, default 5.0.
+* ``REPRO_BACKEND_BENCH_MIN_F32_SPEEDUP`` — float32 gate, default 1.3.
 """
 
 import json
@@ -29,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.data.registry import dataset_from_log
-from repro.data.shared import attach_dataset, export_dataset
 from repro.data.synthetic import CalibrationPreset, LatentFactorGenerator
 from repro.eval.protocol import Evaluator
 from repro.experiments.config import RunSpec
@@ -138,42 +130,11 @@ def _eval_users_per_second(dataset, dtype):
     return n_users / seconds
 
 
-def _shared_memory_speedup(dataset):
-    """(attach_seconds, rebuild_seconds) for the pool's dataset hand-off.
-
-    Rebuild times the worker's sharing-disabled cache-miss path: regrow
-    the calibrated synthetic log and reconstruct (and re-validate) the
-    dataset.  Attach times the shared-memory alternative: map the
-    exported segments and reassemble zero-copy CSR views.
-    """
-    export = export_dataset(dataset, cache_name="bench-backend", cache_seed=0)
-    try:
-        def _attach():
-            attached, segments = attach_dataset(export.handle)
-            assert attached.train.n_interactions > 0
-            for shm in segments:
-                shm.close()
-
-        attach_seconds = _best_seconds(_attach, repeats=10)
-    finally:
-        export.destroy()
-
-    def _rebuild():
-        log = LatentFactorGenerator(_bench_preset(), seed=0).generate()
-        rebuilt = dataset_from_log(log, seed=0)
-        assert rebuilt.train.n_interactions > 0
-
-    rebuild_seconds = _best_seconds(_rebuild, repeats=3)
-    return attach_seconds, rebuild_seconds
-
-
-def test_backend_fast_mode_and_shared_memory():
-    """Record the float32 and shared-memory wins and gate both floors.
+def test_backend_fast_mode():
+    """Record the float32 win and gate its floor.
 
     float32 fast mode must reach ``REPRO_BACKEND_BENCH_MIN_F32_SPEEDUP``
-    (default 1.3x) the float64 epoch throughput, and shared-memory attach
-    must beat the per-worker rebuild by
-    ``REPRO_BACKEND_BENCH_MIN_SHM_SPEEDUP`` (default 5x).
+    (default 1.3x) the float64 epoch throughput.
     """
     dataset = _bench_dataset()
 
@@ -188,9 +149,6 @@ def test_backend_fast_mode_and_shared_memory():
 
     f32_speedup = train_tput["numpy-float32"] / train_tput["numpy-float64"]
 
-    attach_seconds, rebuild_seconds = _shared_memory_speedup(dataset)
-    shm_speedup = rebuild_seconds / attach_seconds
-
     payload = {
         "dataset": dataset.name,
         "n_users": dataset.n_users,
@@ -202,9 +160,6 @@ def test_backend_fast_mode_and_shared_memory():
         "train_triples_per_s": train_tput,
         "eval_users_per_s": eval_tput,
         "f32_speedup": round(f32_speedup, 2),
-        "shm_attach_ms": round(attach_seconds * 1e3, 3),
-        "worker_rebuild_ms": round(rebuild_seconds * 1e3, 3),
-        "shm_speedup": round(shm_speedup, 1),
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\n[saved to {BENCH_JSON}]")
@@ -213,11 +168,7 @@ def test_backend_fast_mode_and_shared_memory():
             f"  {key:>14s}  train {train_tput[key]:>10.1f} triples/s  "
             f"eval {eval_tput[key]:>8.1f} users/s"
         )
-    print(
-        f"  float32 speedup {payload['f32_speedup']}x; shared-memory attach "
-        f"{payload['shm_attach_ms']}ms vs rebuild {payload['worker_rebuild_ms']}ms "
-        f"({payload['shm_speedup']}x)"
-    )
+    print(f"  float32 speedup {payload['f32_speedup']}x")
 
     f32_floor = float(
         os.environ.get("REPRO_BACKEND_BENCH_MIN_F32_SPEEDUP", "1.3")
@@ -225,13 +176,6 @@ def test_backend_fast_mode_and_shared_memory():
     assert f32_speedup >= f32_floor, (
         f"float32 fast mode must reach >= {f32_floor}x float64 epoch "
         f"throughput, got {f32_speedup:.2f}x (see {BENCH_JSON})"
-    )
-    shm_floor = float(
-        os.environ.get("REPRO_BACKEND_BENCH_MIN_SHM_SPEEDUP", "5.0")
-    )
-    assert shm_speedup >= shm_floor, (
-        f"shared-memory attach must beat the per-worker rebuild by >= "
-        f"{shm_floor}x, got {shm_speedup:.1f}x (see {BENCH_JSON})"
     )
 
     # Sanity: fast mode changes speed, not the protocol — top-line eval

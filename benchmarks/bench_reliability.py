@@ -3,12 +3,14 @@
 Two costs of the fault-tolerance layer are tracked into
 ``BENCH_reliability.json`` at the repo root:
 
-* **Warm-path overhead** — the per-job cost of running every job through
-  :meth:`RetryPolicy.call_with_retry` when nothing fails (the common
-  case).  A :class:`SequentialExecutor` runs the same grid bare and
-  wrapped; the wrapped median must stay within
-  ``REPRO_RELIABILITY_BENCH_MAX_OVERHEAD_PCT`` (default 5%) of the bare
-  one, and both must produce bitwise-identical payloads.
+* **Warm-path overhead** — the cost of the executor's fault-tolerance
+  bookkeeping (fault-plan check, retry state, quarantine decision) when
+  nothing fails, the common case.  A plain loop over
+  :func:`execute_request` and a :class:`SequentialExecutor` with a
+  three-attempt :class:`RetryPolicy` run the same grid, timed
+  interleaved; the executor's best time must stay within
+  ``REPRO_RELIABILITY_BENCH_MAX_OVERHEAD_PCT`` (default 5%) of the
+  loop's, and both must produce bitwise-identical payloads.
 
 * **Pool recovery** — wall-clock cost of healing a
   :class:`ProcessPoolRunExecutor` whose workers are killed mid-grid by
@@ -16,7 +18,9 @@ Two costs of the fault-tolerance layer are tracked into
   pool run of the same grid, and the rebuild count is recorded.  The
   recovery path is correctness-gated (bitwise-equal results, >= 1
   rebuild) but not time-gated — rebuild cost is dominated by process
-  spawn, which shared runners cannot bound usefully.
+  spawn, which shared runners cannot bound usefully.  The rebuilt pool's
+  workers get the grid's datasets from the same initializer as the
+  first pool's.
 
 Environment knobs (for CI smoke runs on shared, noisy runners):
 
@@ -24,14 +28,13 @@ Environment knobs (for CI smoke runs on shared, noisy runners):
   (default 8).
 * ``REPRO_RELIABILITY_BENCH_SEEDS`` — seeds per sampler (default 2).
 * ``REPRO_RELIABILITY_BENCH_REPEATS`` — timing repeats per variant
-  (default 3; the median is reported).
+  (default 5; the best is reported).
 * ``REPRO_RELIABILITY_BENCH_MAX_OVERHEAD_PCT`` — warm-path gate,
   default ``5.0``.
 """
 
 import json
 import os
-import statistics
 import time
 from pathlib import Path
 
@@ -40,6 +43,7 @@ from repro.experiments.engine import (
     EngineRequest,
     ProcessPoolRunExecutor,
     SequentialExecutor,
+    execute_request,
 )
 from repro.experiments.engine.jobs import JobGraph
 from repro.reliability import FaultPlan, FaultSpec, RetryPolicy
@@ -48,7 +52,7 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_reliability.json"
 
 EPOCHS = int(os.environ.get("REPRO_RELIABILITY_BENCH_EPOCHS", "8"))
 SEEDS = tuple(range(int(os.environ.get("REPRO_RELIABILITY_BENCH_SEEDS", "2"))))
-REPEATS = int(os.environ.get("REPRO_RELIABILITY_BENCH_REPEATS", "3"))
+REPEATS = int(os.environ.get("REPRO_RELIABILITY_BENCH_REPEATS", "5"))
 
 
 def _jobs():
@@ -73,30 +77,37 @@ def _no_sleep(_seconds):
     return None
 
 
-def _time_run(executor, jobs):
+def _timed(run):
     start = time.perf_counter()
-    results = dict(executor.run(jobs))
+    results = run()
     return time.perf_counter() - start, results
-
-
-def _median_run(make_executor, jobs):
-    times, results = [], None
-    for _ in range(REPEATS):
-        elapsed, results = _time_run(make_executor(), jobs)
-        times.append(elapsed)
-    return statistics.median(times), results
 
 
 def test_retry_wrapper_overhead_and_pool_recovery():
     """Record the reliability benchmark and gate the warm-path overhead."""
     jobs = _jobs()
     policy = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
+    legs = {
+        "bare": lambda: {job.key: execute_request(job.request) for job in jobs},
+        "wrapped": lambda: dict(
+            SequentialExecutor(retry_policy=policy).run(jobs)
+        ),
+    }
 
-    bare_s, bare = _median_run(SequentialExecutor, jobs)
-    wrapped_s, wrapped = _median_run(
-        lambda: SequentialExecutor(retry_policy=policy), jobs
+    # One warm-up round, then best-of-N with the legs interleaved (and
+    # their order alternating), so load drift hits both alike.
+    results = {name: run() for name, run in legs.items()}
+    best = {name: float("inf") for name in legs}
+    for repeat in range(REPEATS):
+        order = list(legs) if repeat % 2 == 0 else list(reversed(legs))
+        for name in order:
+            elapsed, results[name] = _timed(legs[name])
+            best[name] = min(best[name], elapsed)
+    bare_s, wrapped_s = best["bare"], best["wrapped"]
+    bare = results["bare"]
+    assert results["wrapped"] == bare, (
+        "retry wrapper changed payloads on the warm path"
     )
-    assert wrapped == bare, "retry wrapper changed payloads on the warm path"
     overhead_pct = (wrapped_s / bare_s - 1.0) * 100.0
 
     # Pool recovery: one injected worker crash per grid, timed against a
@@ -104,14 +115,12 @@ def test_retry_wrapper_overhead_and_pool_recovery():
     plan = FaultPlan(
         [FaultSpec(site="executor.job", key=jobs[0].key, action="crash")]
     )
-    clean_pool_s, pool_results = _time_run(
-        ProcessPoolRunExecutor(2, retry_policy=policy, sleeper=_no_sleep),
-        jobs,
-    )
+    clean = ProcessPoolRunExecutor(2, retry_policy=policy, sleeper=_no_sleep)
+    clean_pool_s, pool_results = _timed(lambda: dict(clean.run(jobs)))
     chaos = ProcessPoolRunExecutor(
         2, retry_policy=policy, fault_plan=plan, sleeper=_no_sleep
     )
-    chaos_s, chaos_results = _time_run(chaos, jobs)
+    chaos_s, chaos_results = _timed(lambda: dict(chaos.run(jobs)))
     assert chaos_results == bare, "chaos run diverged from the baseline"
     assert pool_results == bare
     assert chaos.pool_rebuilds >= 1
@@ -139,7 +148,7 @@ def test_retry_wrapper_overhead_and_pool_recovery():
     )
 
     # Acceptance bar is <= 5% on a quiet machine; shared CI runners see
-    # scheduler noise on sub-second medians, so they gate at a tolerant
+    # scheduler noise on sub-second timings, so they gate at a tolerant
     # ceiling via REPRO_RELIABILITY_BENCH_MAX_OVERHEAD_PCT instead of
     # turning timing jitter into red builds for unrelated changes.
     ceiling = float(

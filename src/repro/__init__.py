@@ -86,7 +86,7 @@ def quick_train(
     the chosen negative sampler, and returns the final ranking metrics.
     ``dtype`` selects the precision policy (``"float32"`` is the fast
     mode; metrics become statistically, not bitwise, equivalent — see
-    README "Precision & shared-memory datasets").
+    README "Precision & pool datasets").
     """
     dataset = load_dataset(dataset_name, seed=seed)
     if model == "mf":

@@ -11,7 +11,7 @@ Public surface::
 models, the evaluator and :class:`~repro.serve.service.RankingService`
 call.  Models create their parameter tables at the policy dtype and
 every kernel preserves it; float32 runs are statistically — not
-bitwise — equivalent to float64 (see README "Precision & shared-memory
+bitwise — equivalent to float64 (see README "Precision & pool
 datasets").
 """
 

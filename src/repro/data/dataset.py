@@ -58,23 +58,13 @@ class ImplicitDataset:
         name: str = "dataset",
         user_occupations: Optional[np.ndarray] = None,
         occupation_names: Optional[tuple] = None,
-        validate: bool = True,
     ) -> None:
-        """``validate=False`` skips the shape/disjointness invariants.
-
-        Trusted-only: used when re-assembling a dataset whose invariants
-        were already enforced at original construction — e.g. attaching a
-        parent-exported shared-memory dataset in a pool worker
-        (:mod:`repro.data.shared`), where the O(nnz) disjointness check
-        would be re-proving what the parent proved.
-        """
-        if validate:
-            if train.shape != test.shape:
-                raise ValueError(
-                    f"train shape {train.shape} != test shape {test.shape}"
-                )
-            if train.intersects(test):
-                raise ValueError("train and test interactions must be disjoint")
+        if train.shape != test.shape:
+            raise ValueError(
+                f"train shape {train.shape} != test shape {test.shape}"
+            )
+        if train.intersects(test):
+            raise ValueError("train and test interactions must be disjoint")
         self._train = train
         self._test = test
         self._name = str(name)

@@ -130,74 +130,6 @@ class InteractionMatrix:
         coo = matrix.tocoo()
         return cls(matrix.shape[0], matrix.shape[1], coo.row, coo.col)
 
-    @classmethod
-    def from_canonical_csr(
-        cls,
-        n_users: int,
-        n_items: int,
-        *,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        item_popularity: Optional[np.ndarray] = None,
-        user_activity: Optional[np.ndarray] = None,
-    ) -> "InteractionMatrix":
-        """Zero-copy construction from already-canonical CSR index arrays.
-
-        **Trusted path** — the arrays must be the :attr:`indptr` /
-        :attr:`indices` (and optionally :attr:`item_popularity` /
-        :attr:`user_activity`) of a previously built matrix: deduplicated,
-        binary, with sorted per-row indices.  Construction skips the
-        O(nnz log nnz) COO→CSR rebuild, duplicate collapse, and id-range
-        validation of ``__init__`` and *aliases* the given arrays instead
-        of copying them.  This is the attach side of the shared-memory
-        dataset transport (:mod:`repro.data.shared`): pool workers map a
-        parent-exported dataset in O(1) instead of rebuilding it.
-
-        Feeding non-canonical arrays here produces a silently wrong
-        matrix — go through ``__init__`` for anything untrusted.
-        """
-        if n_users <= 0 or n_items <= 0:
-            raise ValueError(
-                f"matrix shape must be positive, got {n_users}x{n_items}"
-            )
-        indptr = np.asarray(indptr)
-        indices = np.asarray(indices)
-        if indptr.shape != (n_users + 1,):
-            raise ValueError(
-                f"indptr must have shape ({n_users + 1},), got {indptr.shape}"
-            )
-        nnz = int(indptr[-1])
-        if indices.shape != (nnz,):
-            raise ValueError(
-                f"indices must have shape ({nnz},), got {indices.shape}"
-            )
-        # Assemble the scipy container around the arrays without copying:
-        # the (data, indices, indptr) constructor re-checks the format and
-        # may cast (and therefore copy) the index arrays.
-        matrix = sp.csr_matrix((n_users, n_items), dtype=np.int8)
-        matrix.data = np.ones(nnz, dtype=np.int8)
-        matrix.indices = indices
-        matrix.indptr = indptr
-        matrix.has_sorted_indices = True
-
-        self = cls.__new__(cls)
-        self._csr = matrix
-        self._n_users = int(n_users)
-        self._n_items = int(n_items)
-        if item_popularity is None:
-            item_popularity = np.bincount(
-                indices, minlength=n_items
-            ).astype(np.int64)
-        if user_activity is None:
-            user_activity = np.diff(indptr).astype(np.int64)
-        self._item_popularity = np.asarray(item_popularity, dtype=np.int64)
-        self._user_activity = np.asarray(user_activity, dtype=np.int64)
-        self._pair_keys = None
-        self._negatives_cache = {}
-        self._negatives_cache_cells = 0
-        self._negative_table = None
-        return self
-
     # ------------------------------------------------------------------ #
     # Shape and counts
     # ------------------------------------------------------------------ #

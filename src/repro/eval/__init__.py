@@ -20,7 +20,7 @@ from repro.eval.diversity import (
     popularity_lift,
     recommendation_footprint,
 )
-from repro.eval.protocol import Evaluator, score_block
+from repro.eval.protocol import Evaluator, NonFiniteScoresError, score_block
 from repro.eval.ranking import (
     auc,
     auc_block,
@@ -55,6 +55,7 @@ from repro.eval.topk import top_k_items, top_k_items_batch
 
 __all__ = [
     "Evaluator",
+    "NonFiniteScoresError",
     "PairedComparison",
     "SamplingQualityRecorder",
     "ScoreDistributionRecorder",

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.data.dataset import ImplicitDataset
-from repro.eval.topk import top_k_items
+from repro.eval.protocol import DEFAULT_EVAL_CHUNK, _iter_ranked_chunks
 
 __all__ = [
     "catalog_coverage",
@@ -39,10 +39,12 @@ def _top_k_lists(
     users = dataset.trainable_users()
     if max_users is not None:
         users = users[:max_users]
-    lists = []
-    for user in users.tolist():
-        scores = model.scores(user)
-        lists.append(top_k_items(scores, dataset.train.items_of(user), k))
+    lists = [
+        ranked[ranked >= 0]
+        for *_, ranked, _ in _iter_ranked_chunks(
+            model, dataset, users, k, DEFAULT_EVAL_CHUNK
+        )
+    ]
     return np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
 
 

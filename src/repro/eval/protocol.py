@@ -37,7 +37,7 @@ from repro.backend import kernels
 from repro.data.dataset import ImplicitDataset
 from repro.eval.ranking import auc_block, ranking_metrics_block
 
-__all__ = ["DEFAULT_EVAL_CHUNK", "Evaluator", "score_block"]
+__all__ = ["DEFAULT_EVAL_CHUNK", "Evaluator", "NonFiniteScoresError", "score_block"]
 
 #: Default users per evaluation chunk.  Smaller than the matmul-oriented
 #: :data:`repro.models.base.DEFAULT_SCORE_CHUNK` on purpose: the eval
@@ -47,6 +47,15 @@ __all__ = ["DEFAULT_EVAL_CHUNK", "Evaluator", "score_block"]
 #: measured ~1.5x faster than 1024-user chunks at ml-100k scale.  Still
 #: bounds peak memory at ``chunk × n_items`` floats; tune per universe.
 DEFAULT_EVAL_CHUNK = 256
+
+
+class NonFiniteScoresError(FloatingPointError):
+    """A model scored an unmasked item NaN or ``+inf``.
+
+    Such a score is not rankable: NaN takes a top-k slot yet shortens the
+    list, so the metrics of a broken model would read as an ordinary
+    result.  The evaluation pipeline raises this instead.
+    """
 
 
 def score_block(model, users: np.ndarray) -> np.ndarray:
@@ -92,9 +101,16 @@ def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
     chunk of ``users``: the chunk's score block (train positives already
     masked to ``-inf`` at ``block[mask_rows, mask_cols]``), its ranked-id
     matrix at cutoff ``k``, and the boolean hit matrix against the test
-    split.  Shared by :class:`Evaluator` and
-    :func:`repro.eval.stratified.stratified_recall` so the protocol's
-    masking and tie semantics live in exactly one place.
+    split.  Shared by :class:`Evaluator`,
+    :func:`repro.eval.stratified.stratified_recall` and
+    :func:`repro.eval.diversity.recommendation_footprint` so the
+    protocol's masking and tie semantics live in exactly one place.
+
+    Raises :class:`NonFiniteScoresError`, naming the first affected user,
+    when a chunk scores an unmasked item NaN or ``+inf``.  ``argpartition``
+    ranks both above every finite score, so each affected row holds one
+    among its top-``k`` ids: checking those ``(U, k)`` scores finds every
+    such row without another pass over the block.
     """
     train, test = dataset.train, dataset.test
     for start in range(0, users.size, chunk_users):
@@ -103,6 +119,13 @@ def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
         rows, cols = train.positives_in_rows(chunk)
         block[rows, cols] = -np.inf
         ranked, _ = kernels.topk(block, k)
+        head = np.take_along_axis(block, np.maximum(ranked, 0), axis=1)
+        broken = np.any((ranked >= 0) & ~np.isfinite(head), axis=1)
+        if broken.any():
+            raise NonFiniteScoresError(
+                f"model produced a non-finite score for user "
+                f"{int(chunk[np.argmax(broken)])}"
+            )
         hits = test.hits_in_rows(chunk, ranked)
         yield chunk, block, rows, cols, ranked, hits
 

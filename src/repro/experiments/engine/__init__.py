@@ -15,8 +15,9 @@ captures that purity:
 * :class:`~repro.experiments.engine.jobs.JobGraph` deduplicates requests
   into jobs; :class:`~repro.experiments.engine.executor.SequentialExecutor`
   and :class:`~repro.experiments.engine.executor.ProcessPoolRunExecutor`
-  execute them — workers rebuild dataset and model from the spec, so both
-  backends produce bitwise-identical payloads per key (a tested contract).
+  execute them — both build the model from the spec over the spec's
+  dataset, so both produce bitwise-identical payloads per key (a tested
+  contract).
 * :class:`~repro.experiments.engine.core.ExperimentEngine` ties it all
   together; every table/figure module declares its spec grid and consumes
   engine results.

@@ -1,11 +1,11 @@
 """Execution backends: sequential and process-pool, fault-tolerant.
 
-Both backends funnel through :func:`execute_request`, which rebuilds the
-dataset and model *from the spec* (per-spec seeded RNG, no shared mutable
-state) and returns a plain-JSON payload.  That shared code path is what
-makes the determinism contract hold: for the same key, the parallel
-backend's metrics are bitwise-identical to the sequential backend's —
-pinned by ``tests/experiments/engine/test_executor.py``.
+Both backends funnel through :func:`execute_request`, which builds the
+model *from the spec* over the spec's dataset (per-spec seeded RNG, no
+shared mutable state) and returns a plain-JSON payload.  That shared
+code path is what makes the determinism contract hold: for the same key,
+the parallel backend's metrics are bitwise-identical to the sequential
+backend's — pinned by ``tests/experiments/engine/test_executor.py``.
 
 Failure handling rides on top of that purity.  Each backend owns a
 :class:`~repro.reliability.policy.RetryPolicy`: a failed job is retried
@@ -24,15 +24,16 @@ worker's pipe), so it charges one attempt to every job that was in
 flight; innocent jobs simply succeed on resubmission while a poison job
 burns through its budget and quarantines, bounding the rebuild loop.
 
-Datasets are memoized per process keyed on ``(name, seed)``: pool workers
-are reused across jobs, so a grid over one dataset pays generation/split
-cost once per worker, not once per run — the same sharing the old
-sequential artifact loops got by passing one dataset object around.
+Datasets are memoized per process keyed on ``(name, seed)``.  The pool
+backend builds each distinct dataset of a grid once, in the parent, and
+hands the built objects to every worker through the pool initializer:
+fork workers share the parent's pages copy-on-write, spawn and
+forkserver workers unpickle one copy each.  No worker rebuilds a
+dataset, however many the grid holds.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
@@ -42,7 +43,6 @@ from typing import (
     Callable,
     Dict,
     Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -67,7 +67,6 @@ __all__ = [
     "SequentialExecutor",
     "ProcessPoolRunExecutor",
     "DEFAULT_RETRY_POLICY",
-    "WORKER_BLAS_THREADS_ENV",
 ]
 
 _LOGGER = get_logger("experiments.engine.executor")
@@ -87,59 +86,17 @@ DEFAULT_RETRY_POLICY = RetryPolicy(
 _DATASET_CACHE: "OrderedDict[Tuple[str, int], object]" = OrderedDict()
 _DATASET_CACHE_MAX = 4
 
-#: Env knob: BLAS/OpenMP threads per pool worker (default ``1``).  The
-#: pool's workers *are* the parallelism — letting each worker's BLAS also
-#: fan out ``n_cores`` threads oversubscribes the machine ``workers ×
-#: cores`` and thrashes.  Raise it for grids with few jobs and large
-#: gemms.
-WORKER_BLAS_THREADS_ENV = "REPRO_WORKER_BLAS_THREADS"
 
-#: The thread-count variables every mainstream BLAS/OpenMP honors.
-_BLAS_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
+def _pool_worker_init(datasets: Mapping[Tuple[str, int], object]) -> None:
+    """Pool-worker initializer: seed the memo with the grid's datasets.
 
-#: Worker-side anchors for attached shared-memory segments: the numpy
-#: views in the dataset cache alias these buffers, so the ``SharedMemory``
-#: objects must stay referenced for the worker's lifetime.
-_WORKER_SHM_SEGMENTS: List[object] = []
-
-
-def _pool_worker_init(handles: Sequence[object], blas_threads: int) -> None:
-    """Pool-worker initializer: cap BLAS threads, attach shared datasets.
-
-    The env vars take effect for BLAS thread pools not yet spun up —
-    reliable under the spawn start method; under fork a parent that
-    already ran large gemms may have an OpenBLAS pool pinned at its own
-    size (documented caveat on :class:`ProcessPoolRunExecutor`).
-
-    Attached datasets pre-seed :data:`_DATASET_CACHE`, so
-    :func:`load_dataset_cached` in this worker returns the shared-memory
-    view instead of rebuilding from the spec.  Attachment failure is not
-    fatal: the worker logs and falls back to rebuilding on demand — the
-    grid's outputs do not depend on how the dataset pages got here.
+    ``datasets`` maps every ``(name, seed)`` the grid needs to the dataset
+    the parent built, so :func:`load_dataset_cached` in this worker never
+    rebuilds one.  The memo may then hold more than
+    :data:`_DATASET_CACHE_MAX` entries: the cap applies only when a load
+    inserts one.
     """
-    for var in _BLAS_ENV_VARS:
-        os.environ[var] = str(int(blas_threads))
-    from repro.data.shared import attach_dataset
-
-    for handle in handles:
-        try:
-            dataset, segments = attach_dataset(handle)
-        except Exception as error:
-            _LOGGER.warning(
-                "could not attach shared dataset %s (seed %s): %s; "
-                "worker will rebuild it from the spec",
-                getattr(handle, "cache_name", "?"),
-                getattr(handle, "cache_seed", "?"),
-                error,
-            )
-            continue
-        _WORKER_SHM_SEGMENTS.extend(segments)
-        _DATASET_CACHE[(handle.cache_name, handle.cache_seed)] = dataset
+    _DATASET_CACHE.update(datasets)
 
 
 def load_dataset_cached(name: str, seed: int):
@@ -351,12 +308,10 @@ class SequentialExecutor:
 class ProcessPoolRunExecutor:
     """``concurrent.futures.ProcessPoolExecutor`` backend with recovery.
 
-    Jobs are self-contained (spec in, payload out), so workers share
-    nothing with the parent but code; results stream back in completion
-    order and the engine re-keys them, keeping output independent of
-    scheduling.  ``mp_context`` accepts a multiprocessing start-method
-    name ("fork"/"spawn"/"forkserver"); the platform default is used when
-    ``None``.
+    Jobs are self-contained (spec in, payload out); results stream back in
+    completion order and the engine re-keys them, keeping output
+    independent of scheduling.  The pool uses the platform's default
+    start method.
 
     Failure semantics (see the module docstring for the rationale):
 
@@ -367,20 +322,11 @@ class ProcessPoolRunExecutor:
       resubmits every job that had not completed, charging each one
       attempt; completed payloads are never lost or recomputed.
 
-    Worker resource shaping:
-
-    * each worker's BLAS/OpenMP thread count is capped (default 1, env
-      knob ``REPRO_WORKER_BLAS_THREADS``) so ``workers`` processes do not
-      each fan out ``n_cores`` BLAS threads.  The cap is set in the
-      worker initializer before any worker-side numpy work; under the
-      fork start method a BLAS pool the *parent* already spun up is
-      inherited as-is (spawn gives the strict guarantee);
-    * the grid's datasets are built once in the parent, exported to
-      ``multiprocessing.shared_memory``, and attached zero-copy by every
-      worker (including the workers of a rebuilt pool), so no worker
-      rebuilds a dataset.  When export or attach fails, the workers
-      rebuild their datasets from the specs instead; payload bytes are
-      identical either way.
+    Datasets: :meth:`run` builds each distinct ``(dataset, seed)`` of the
+    grid once in the parent and passes them to every worker's initializer,
+    including the workers of a rebuilt pool.  A dataset that fails to
+    build in the parent is left out; its jobs then build it in the worker
+    and fail there, under the retry policy, like any other job error.
     """
 
     kind = "process-pool"
@@ -389,14 +335,12 @@ class ProcessPoolRunExecutor:
         self,
         workers: int,
         *,
-        mp_context: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
         check_positive(workers, "workers")
         self.workers = int(workers)
-        self.mp_context = mp_context
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.fault_plan = fault_plan
         self._sleeper = sleeper
@@ -404,67 +348,31 @@ class ProcessPoolRunExecutor:
         self.retry_counts: Dict[str, int] = {}
         #: Pools rebuilt during the most recent :meth:`run`.
         self.pool_rebuilds = 0
-        #: Handles shipped to the current run's pool initializer.
-        self._shared_handles: List[object] = []
 
-    @property
-    def worker_blas_threads(self) -> int:
-        """BLAS threads each worker may use (``REPRO_WORKER_BLAS_THREADS``)."""
-        raw = os.environ.get(WORKER_BLAS_THREADS_ENV, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{WORKER_BLAS_THREADS_ENV} must be a positive integer, "
-                f"got {raw!r}"
-            ) from None
-        check_positive(threads, WORKER_BLAS_THREADS_ENV)
-        return threads
-
-    def _export_datasets(self, jobs: Sequence[Job]) -> List[object]:
-        """Export each distinct (dataset, seed) of ``jobs`` to shared memory.
-
-        Returns the live exports (the caller owns ``destroy()``); an empty
-        list when export failed — workers then rebuild datasets from their
-        specs.
-        """
-        wanted = []
-        for job in jobs:
-            key = (job.request.spec.dataset, job.request.resolved_dataset_seed)
-            if key not in wanted:
-                wanted.append(key)
-        from repro.data.shared import export_dataset
-
-        exports: List[object] = []
-        try:
-            for name, seed in wanted:
-                dataset = load_dataset_cached(name, seed)
-                exports.append(
-                    export_dataset(dataset, cache_name=name, cache_seed=seed)
+    @staticmethod
+    def _grid_datasets(jobs: Sequence[Job]) -> Dict[Tuple[str, int], object]:
+        """Each distinct ``(dataset, seed)`` of ``jobs``, built in this process."""
+        keys = dict.fromkeys(
+            (job.request.spec.dataset, job.request.resolved_dataset_seed)
+            for job in jobs
+        )
+        datasets: Dict[Tuple[str, int], object] = {}
+        for key in keys:
+            try:
+                datasets[key] = load_dataset_cached(*key)
+            except Exception as error:
+                _LOGGER.warning(
+                    "could not build dataset %s (seed %d): %s", *key, error
                 )
-        except Exception as error:
-            _LOGGER.warning(
-                "shared-memory dataset export failed (%s); workers will "
-                "rebuild datasets from their specs",
-                error,
-            )
-            for export in exports:
-                export.destroy()
-            return []
-        return exports
+        return datasets
 
-    def _new_pool(self, n_jobs: int) -> _PoolImpl:
-        context = None
-        if self.mp_context is not None:
-            import multiprocessing
-
-            context = multiprocessing.get_context(self.mp_context)
-        max_workers = min(self.workers, max(n_jobs, 1))
+    def _new_pool(
+        self, n_jobs: int, datasets: Mapping[Tuple[str, int], object]
+    ) -> _PoolImpl:
         return _PoolImpl(
-            max_workers=max_workers,
-            mp_context=context,
+            max_workers=min(self.workers, max(n_jobs, 1)),
             initializer=_pool_worker_init,
-            initargs=(tuple(self._shared_handles), self.worker_blas_threads),
+            initargs=(datasets,),
         )
 
     def run(
@@ -480,9 +388,8 @@ class ProcessPoolRunExecutor:
         # Insertion-ordered: resubmission order is a function of the job
         # list, not of scheduling.
         pending: Dict[str, Job] = {job.key: job for job in jobs}
-        exports = self._export_datasets(jobs)
-        self._shared_handles = [export.handle for export in exports]
-        pool = self._new_pool(len(pending))
+        datasets = self._grid_datasets(jobs)
+        pool = self._new_pool(len(pending), datasets)
         try:
             while pending:
                 futures: Dict[object, Job] = {}
@@ -550,7 +457,7 @@ class ProcessPoolRunExecutor:
                         if failure is not None:
                             del pending[job.key]
                             yield job.key, failure
-                    pool = self._new_pool(len(pending))
+                    pool = self._new_pool(len(pending), datasets)
                 elif retry_backoffs:
                     # One sleep per round, the longest pending backoff:
                     # retried jobs were already serialized behind the
@@ -558,6 +465,3 @@ class ProcessPoolRunExecutor:
                     self._sleeper(max(retry_backoffs.values()))
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-            self._shared_handles = []
-            for export in exports:
-                export.destroy()

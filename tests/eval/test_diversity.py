@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.eval import NonFiniteScoresError
 from repro.eval.diversity import (
     average_recommendation_popularity,
     catalog_coverage,
@@ -129,3 +130,16 @@ class TestFootprint:
             "arp@3": average_recommendation_popularity(model, micro_dataset, k=3),
             "popularity_lift@3": popularity_lift(model, micro_dataset, k=3),
         }
+
+    def test_non_finite_scores_raise(self, micro_dataset):
+        model = PersonalModel(micro_dataset.n_items)
+
+        class NanForUserOne:
+            def scores(self, user):
+                scores = model.scores(user)
+                if user == 1:
+                    scores[5] = np.nan
+                return scores
+
+        with pytest.raises(NonFiniteScoresError, match="user 1$"):
+            recommendation_footprint(NanForUserOne(), micro_dataset, k=3)

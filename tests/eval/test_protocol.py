@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.eval import NonFiniteScoresError
 from repro.eval.protocol import Evaluator
+from repro.models.mf import MatrixFactorization
 
 
 class OracleModel:
@@ -140,3 +142,46 @@ class TestEvaluator:
         metrics = evaluator.evaluate(TrainLover(micro_dataset))
         # Train positives are masked → none of them counted as hits.
         assert metrics["precision@3"] <= 1 / 3
+
+
+class PoisonedModel(OracleModel):
+    """The oracle, except that one (user, item) score is replaced."""
+
+    def __init__(self, dataset, user, item, value):
+        super().__init__(dataset)
+        self.user, self.item, self.value = user, item, value
+
+    def scores(self, user):
+        scores = super().scores(user)
+        if user == self.user:
+            scores[self.item] = self.value
+        return scores
+
+
+class TestNonFiniteScores:
+    def test_nan_item_factors_raise(self, tiny_dataset):
+        model = MatrixFactorization(
+            tiny_dataset.n_users, tiny_dataset.n_items, n_factors=8, seed=0
+        )
+        model.item_factors[:] = np.nan
+        evaluator = Evaluator(tiny_dataset, ks=(20,))
+        first = evaluator.evaluated_users()[0]
+        with pytest.raises(NonFiniteScoresError, match=f"user {first}$"):
+            evaluator.evaluate(model)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_one_bad_score_names_its_user(self, micro_dataset, value):
+        # Item 0 is not among user 2's train positives, so it is ranked.
+        model = PoisonedModel(micro_dataset, user=2, item=0, value=value)
+        for chunk_users in (1, 256):
+            evaluator = Evaluator(micro_dataset, ks=(1,), chunk_users=chunk_users)
+            with pytest.raises(NonFiniteScoresError, match="user 2$"):
+                evaluator.evaluate(model)
+
+    def test_masked_items_may_be_non_finite(self, micro_dataset):
+        # Item 4 is a train positive of user 2: masked, never ranked.
+        model = PoisonedModel(micro_dataset, user=2, item=4, value=np.nan)
+        evaluator = Evaluator(micro_dataset, ks=(3,))
+        assert evaluator.evaluate(model) == evaluator.evaluate(
+            OracleModel(micro_dataset)
+        )
