@@ -37,7 +37,13 @@ from repro.backend import kernels
 from repro.data.dataset import ImplicitDataset
 from repro.eval.ranking import auc_block, ranking_metrics_block
 
-__all__ = ["DEFAULT_EVAL_CHUNK", "Evaluator", "NonFiniteScoresError", "score_block"]
+__all__ = [
+    "DEFAULT_EVAL_CHUNK",
+    "Evaluator",
+    "NonFiniteScoresError",
+    "check_finite_head",
+    "score_block",
+]
 
 #: Default users per evaluation chunk.  Smaller than the matmul-oriented
 #: :data:`repro.models.base.DEFAULT_SCORE_CHUNK` on purpose: the eval
@@ -94,6 +100,28 @@ def score_block(model, users: np.ndarray) -> np.ndarray:
     return block
 
 
+def check_finite_head(
+    masked: np.ndarray, ranked: np.ndarray, users: np.ndarray
+) -> None:
+    """Raise :class:`NonFiniteScoresError` if a ranked row holds NaN/``+inf``.
+
+    ``masked`` is a masked score block, ``ranked`` its ``kernels.topk``
+    ids (``-1`` padding) and ``users`` the block's users; the error names
+    the first affected user.  ``argpartition`` ranks NaN and ``+inf``
+    above every finite score, so each affected row holds one among its
+    top-``k`` ids: checking those ``(U, k)`` scores finds every such row
+    without another pass over the block.  The evaluator and the ranking
+    service both call this, so neither ranks a broken model.
+    """
+    head = np.take_along_axis(masked, np.maximum(ranked, 0), axis=1)
+    broken = np.any((ranked >= 0) & ~np.isfinite(head), axis=1)
+    if broken.any():
+        raise NonFiniteScoresError(
+            f"model produced a non-finite score for user "
+            f"{int(users[np.argmax(broken)])}"
+        )
+
+
 def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
     """Drive the chunked score → mask → top-K → hit pipeline.
 
@@ -106,11 +134,8 @@ def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
     :func:`repro.eval.diversity.recommendation_footprint` so the
     protocol's masking and tie semantics live in exactly one place.
 
-    Raises :class:`NonFiniteScoresError`, naming the first affected user,
-    when a chunk scores an unmasked item NaN or ``+inf``.  ``argpartition``
-    ranks both above every finite score, so each affected row holds one
-    among its top-``k`` ids: checking those ``(U, k)`` scores finds every
-    such row without another pass over the block.
+    Raises :class:`NonFiniteScoresError` through :func:`check_finite_head`
+    when a chunk scores an unmasked item NaN or ``+inf``.
     """
     train, test = dataset.train, dataset.test
     for start in range(0, users.size, chunk_users):
@@ -119,13 +144,7 @@ def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
         rows, cols = train.positives_in_rows(chunk)
         block[rows, cols] = -np.inf
         ranked, _ = kernels.topk(block, k)
-        head = np.take_along_axis(block, np.maximum(ranked, 0), axis=1)
-        broken = np.any((ranked >= 0) & ~np.isfinite(head), axis=1)
-        if broken.any():
-            raise NonFiniteScoresError(
-                f"model produced a non-finite score for user "
-                f"{int(chunk[np.argmax(broken)])}"
-            )
+        check_finite_head(block, ranked, chunk)
         hits = test.hits_in_rows(chunk, ranked)
         yield chunk, block, rows, cols, ranked, hits
 

@@ -32,10 +32,11 @@ updates are the ROADMAP's incremental-training item, not this layer).
 
 Fault tolerance (``tests/serve/test_service.py::TestGracefulDegradation``):
 scoring runs behind a :class:`~repro.reliability.breaker.CircuitBreaker`,
-and when it fails — an exception out of the gemm, an open breaker, a
-coalescer deadline — the service *degrades* instead of erroring: it
-serves the user's stale cached list if one survives (seen-item filtering
-intact), else a popularity-ranked fallback over the user's unseen items.
+and when it fails — an exception out of the gemm, a NaN or ``+inf``
+score, an open breaker, a coalescer deadline — the service *degrades*
+instead of erroring: it serves the user's stale cached list if one
+survives (seen-item filtering intact), else a popularity-ranked fallback
+over the user's unseen items.
 Every degraded answer is counted in :class:`ServeStats` and surfaced by
 :meth:`RankingService.health`, so operators see the lie immediately;
 exact bitwise parity with the offline evaluator is guaranteed only for
@@ -54,6 +55,7 @@ import numpy as np
 
 from repro.backend import kernels
 from repro.data.interactions import InteractionMatrix
+from repro.eval.protocol import check_finite_head
 from repro.reliability.breaker import CircuitBreaker, CircuitOpenError
 from repro.reliability.faults import FaultInjector
 from repro.reliability.policy import DeadlineExceeded
@@ -508,9 +510,12 @@ class RankingService:
         """Score → mask seen items → canonical top-``width`` for a chunk.
 
         This is, deliberately, the evaluator's exact pipeline
-        (``scores_batch`` + ``positives_in_rows`` + the canonical top-K)
-        so served lists and offline metrics can never disagree.  The
-        block keeps the model's dtype policy.
+        (``scores_batch`` + ``positives_in_rows`` + the canonical top-K +
+        its finiteness check) so served lists and offline metrics can
+        never disagree.  The block keeps the model's dtype policy.  A NaN
+        or ``+inf`` score raises
+        :class:`~repro.eval.protocol.NonFiniteScoresError`, which
+        :meth:`_compute_batch` counts as a scoring failure.
         """
         block = np.asarray(self.model.scores_batch(users))
         if block.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
@@ -519,7 +524,9 @@ class RankingService:
             block = block.copy()
         rows, cols = self._train.positives_in_rows(users)
         block[rows, cols] = -np.inf
-        return kernels.topk(block, width)
+        ids, lengths = kernels.topk(block, width)
+        check_finite_head(block, ids, users)
+        return ids, lengths
 
     # ------------------------------------------------------------------ #
     # Graceful degradation

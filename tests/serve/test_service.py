@@ -297,18 +297,20 @@ def _score_fault(user, times=99, action="raise"):
     )
 
 
+def popularity_fallback(train, user, k):
+    """Most popular unseen items, ties by id: the deterministic fallback."""
+    order = np.argsort(-train.item_popularity, kind="stable")
+    seen = set(train.items_of(user).tolist())
+    return [item for item in order.tolist() if item not in seen][:k]
+
+
 class TestGracefulDegradation:
     def test_scoring_failure_served_by_popularity_fallback(self, tiny, model):
         service = RankingService(
             model, tiny.train, coalesce=False, fault_injector=_score_fault(0)
         )
         served = service.top_k(0, 5)
-        # Deterministic fallback: most popular unseen items, ties by id.
-        counts = tiny.train.item_popularity
-        order = np.argsort(-counts, kind="stable")
-        seen = set(tiny.train.items_of(0).tolist())
-        expected = [item for item in order.tolist() if item not in seen][:5]
-        assert served.tolist() == expected
+        assert served.tolist() == popularity_fallback(tiny.train, 0, 5)
         assert service.stats.degraded == 1
         assert service.stats.degraded_popularity == 1
         assert service.stats.scoring_failures == 1
@@ -398,6 +400,37 @@ class TestGracefulDegradation:
             assert served.size > 0
         # One batch gemm failed, so all three members of it degraded.
         assert service.stats.degraded == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("broken", ["all-nan", "one-nan", "one-inf"])
+    @pytest.mark.parametrize("coalesce", [False, True])
+    def test_non_finite_scores_degrade(self, tiny, model, broken, coalesce):
+        """A NaN or +inf score is a scoring failure, as in the evaluator:
+        never ranked, never cached, and the breaker hears of it."""
+        unseen = np.setdiff1d(np.arange(tiny.n_items), tiny.train.items_of(0))
+        if broken == "all-nan":
+            model.item_factors[:] = np.nan
+        else:
+            model.item_factors[unseen[0]] = np.nan if broken == "one-nan" else np.inf
+        service = RankingService(model, tiny.train, coalesce=coalesce)
+        served = service.top_k(0, 64)
+        assert served.tolist() == popularity_fallback(tiny.train, 0, 64)
+        assert service.stats.degraded == 1
+        assert service.stats.degraded_popularity == 1
+        assert service.stats.scoring_failures == 1
+        assert 0 not in service._cache
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_scores_reraise_without_degraded_serving(self, tiny, model):
+        from repro.eval.protocol import NonFiniteScoresError
+
+        model.item_factors[:] = np.nan
+        service = RankingService(
+            model, tiny.train, coalesce=False, degraded_serving=False
+        )
+        with pytest.raises(NonFiniteScoresError, match="user 0"):
+            service.top_k(0, 10)
+        assert service.stats.scoring_failures == 1
 
     def test_coalesced_path_degrades_too(self, tiny, model):
         service = RankingService(
