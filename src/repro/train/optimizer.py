@@ -30,10 +30,12 @@ def aggregate_rows(rows: np.ndarray, grads: np.ndarray) -> Tuple[np.ndarray, np.
     application order.  This collapses ``(rows, grads)`` into
     ``(unique_rows, summed_grads)``.
 
-    One row, or two distinct rows — one triple's user row and item pair,
-    the paper's ``batch_size=1`` step — are already unique, and summing
-    them into zeros is ``grads + 0.0`` bit for bit (``-0.0`` becomes
-    ``+0.0`` either way), so they skip ``np.unique``/``np.add.at``.
+    Distinct rows — one triple's user row and item pair (the paper's
+    ``batch_size=1`` step), or a conflict-free run of triples — need no
+    summing: adding each to a zero row is ``grads + 0.0`` bit for bit
+    (``-0.0`` becomes ``+0.0`` either way), so they return sorted without
+    ``np.unique``/``np.add.at``.  One and two rows are checked by hand,
+    which is cheapest; more rows by one argsort.
     """
     rows = np.asarray(rows, dtype=np.int64).ravel()
     grads = np.asarray(grads, dtype=np.float64)
@@ -49,6 +51,11 @@ def aggregate_rows(rows: np.ndarray, grads: np.ndarray) -> Tuple[np.ndarray, np.
             return rows, grads + 0.0
         if first > second:
             return rows[::-1], grads[::-1] + 0.0
+    else:
+        order = np.argsort(rows)
+        ordered = rows[order]
+        if not (ordered[1:] == ordered[:-1]).any():
+            return ordered, grads[order] + 0.0
     unique, inverse = np.unique(rows, return_inverse=True)
     summed = np.zeros((unique.size, grads.shape[1]), dtype=np.float64)
     np.add.at(summed, inverse, grads)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.train.optimizer import SGD, Adam, aggregate_rows
 
@@ -35,8 +37,8 @@ def unique_add_at(rows, grads):
 
 
 class TestAggregateRowsMatchesOracle:
-    """Every shape — the one- and two-row shortcut included — must equal
-    summing into zeros, bit for bit."""
+    """Every shape — the one- and two-row shortcut and the distinct-rows
+    argsort included — must equal summing into zeros, bit for bit."""
 
     CASES = {
         "one-row": [7],
@@ -45,6 +47,11 @@ class TestAggregateRowsMatchesOracle:
         "pair-equal": [4, 4],
         "repeats": [3, 1, 3, 0, 1, 3],
         "triple-distinct": [5, 0, 2],
+        # A conflict-free run of eight triples: 16 distinct item rows.
+        "run-distinct": [12, 3, 40, 7, 0, 25, 9, 31, 18, 5, 2, 44, 60, 1, 33, 8],
+        "run-one-repeat": [12, 3, 40, 7, 0, 25, 9, 31, 18, 5, 2, 44, 60, 1, 33, 3],
+        "wide-distinct": list(range(1023, -1, -1)),
+        "wide-repeats": [row % 512 for row in range(1024)],
     }
 
     @staticmethod
@@ -76,6 +83,22 @@ class TestAggregateRowsMatchesOracle:
     def test_float32_grads_upcast(self, case, rng):
         rows = np.asarray(self.CASES[case])
         grads = rng.standard_normal((rows.size, 2)).astype(np.float32)
+        self._assert_bitwise(aggregate_rows(rows, grads), unique_add_at(rows, grads))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.integers(0, 40), min_size=1, max_size=48),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        data=st.data(),
+    )
+    def test_any_rows(self, rows, dtype, data):
+        # Finite floats, -0.0 among them; float32 grads upcast first.
+        values = st.floats(allow_nan=False, allow_infinity=False, width=32)
+        grads = np.asarray(
+            data.draw(st.lists(values, min_size=3 * len(rows), max_size=3 * len(rows))),
+            dtype=dtype,
+        ).reshape(len(rows), 3)
+        rows = np.asarray(rows)
         self._assert_bitwise(aggregate_rows(rows, grads), unique_add_at(rows, grads))
 
     def test_returned_grads_are_a_fresh_array(self):
