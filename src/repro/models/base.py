@@ -42,6 +42,13 @@ class ScoreModel(ABC):
     #: see :func:`repro.backend.resolve_dtype`); concrete constructors set
     #: it before allocating their parameter tables.
     dtype: np.dtype = np.dtype(np.float64)
+    #: Whether :meth:`train_step` reads and writes only its triples' user
+    #: and item rows, row by row.  Then triples that share no row commute,
+    #: and one step over a run of them equals the one-triple steps bit for
+    #: bit, which the trainer exploits at ``batch_size=1`` (see
+    #: :mod:`repro.train.trainer`).  A subclass whose step reads other
+    #: rows (graph propagation, shared state) must leave it ``False``.
+    row_local_step: bool = False
 
     # ------------------------------------------------------------------ #
     # Scoring

@@ -30,6 +30,8 @@ __all__ = ["BiasedMatrixFactorization"]
 class BiasedMatrixFactorization(ScoreModel):
     """BPR-MF with item bias terms, trained with plain SGD."""
 
+    row_local_step = True
+
     def __init__(
         self,
         n_users: int,

@@ -46,6 +46,8 @@ class MatrixFactorization(ScoreModel):
         float32 model starts from the float64 init rounded down.
     """
 
+    row_local_step = True
+
     def __init__(
         self,
         n_users: int,

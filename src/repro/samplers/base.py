@@ -11,7 +11,9 @@ item ids they touch) — and dispatches one
 obtain one negative per positive in the batch.  A one-row batch (every
 batch of the paper's ``batch_size=1`` SGD) skips the grouping: the
 trainer scores that one user with ``scores`` and calls
-:meth:`NegativeSampler.sample_for_user`.  Per-user scoring cost stays
+:meth:`NegativeSampler.sample_for_user`; at ``batch_size=1`` a ``NONE``
+sampler instead draws the whole epoch with one
+:meth:`NegativeSampler.sample_in_order` call.  Per-user scoring cost stays
 O(candidates) per triple on top of one shared O(n_items · d) score
 computation per user per batch — the linear-time budget the paper claims
 for BNS — but the constant factors move from Python into a handful of
@@ -75,7 +77,10 @@ class ScoreRequest(Enum):
     ``n_items``:
 
     ``NONE``
-        No model scores at all (RNS, PNS).  ``scores`` is ``None``.
+        No model scores at all (RNS, PNS).  ``scores`` is ``None``, and
+        the sampler must never read the model: at ``batch_size=1`` the
+        trainer draws a whole epoch's negatives through
+        :meth:`NegativeSampler.sample_in_order` before its first step.
     ``FULL_BLOCK``
         One full ``(U, n_items)`` score row per sorted unique batch user
         via :meth:`~repro.models.base.ScoreModel.scores_batch` — the
@@ -148,7 +153,9 @@ class NegativeSampler(ABC):
 
     Lifecycle: construct → :meth:`bind` (dataset + model + rng) →
     per epoch :meth:`on_epoch_start` → per mini-batch :meth:`sample_batch`
-    (or one :meth:`sample_for_user` call for a one-row mini-batch).
+    (or one :meth:`sample_for_user` call for a one-row mini-batch; or,
+    for a ``NONE`` sampler at ``batch_size=1``, one
+    :meth:`sample_in_order` call per epoch).
     """
 
     #: What score data the trainer must provide per batch (see
@@ -240,6 +247,32 @@ class NegativeSampler(ABC):
             )
         return negatives
 
+    def sample_in_order(self, users: np.ndarray, pos_items: np.ndarray) -> np.ndarray:
+        """One negative per row, drawn row by row in the given order.
+
+        For ``NONE`` samplers only, which never read the model: the
+        trainer draws a ``batch_size=1`` epoch's negatives with one call
+        before its first step.  The result, and the generator state
+        after it, equal one-row ``sample_for_user(users[t],
+        pos_items[t:t + 1], None)`` calls for ``t = 0, 1, …`` — which is
+        this default.  It suits samplers that consume a data-dependent
+        number of draws per row (PNS's rejection loop); a sampler with a
+        fixed draw count per row may vectorize it (RNS).  The returned
+        array is freshly allocated and belongs to the caller.
+        """
+        if self.score_request is not ScoreRequest.NONE:
+            raise ValueError(
+                f"{type(self).__name__} reads model scores; only a NONE "
+                "sampler can draw an epoch's negatives ahead of training"
+            )
+        users, pos_items = self._check_batch(users, pos_items)
+        negatives = np.empty(users.size, dtype=np.int64)
+        for row, user in enumerate(users.tolist()):
+            negatives[row] = self.sample_for_user(
+                user, pos_items[row : row + 1], None
+            )[0]
+        return negatives
+
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
@@ -301,23 +334,33 @@ class NegativeSampler(ABC):
         """
         if m <= 0:
             raise ValueError(f"candidate set size must be positive, got {m}")
-        train = self.dataset.train
-        if not train.supports_negative_table():
+        if not self.dataset.train.supports_negative_table():
             return self._candidate_matrix_batch_grouped(groups, m)
-        table, counts = train.negative_table()
         sizes = np.diff(groups.boundaries)
-        grouped_users = np.repeat(groups.unique_users, sizes)
-        k = counts[grouped_users]
-        if k.size and k.min() == 0:
-            bad = int(grouped_users[np.argmin(k)])
-            raise ValueError(f"user {bad} has no un-interacted items to sample")
-        k = k[:, None]
-        draws = self.rng.random(grouped_users.size * m).reshape(-1, m)
-        indices = np.minimum((draws * k).astype(np.int64), k - 1)
-        grouped = table[grouped_users[:, None], indices]
+        grouped = self._table_draws(np.repeat(groups.unique_users, sizes), m)
         out = np.empty_like(grouped)
         out[groups.order] = grouped
         return out
+
+    def _table_draws(self, users: np.ndarray, m: int) -> np.ndarray:
+        """``(users.size, m)`` uniform negatives, row ``b`` for ``users[b]``.
+
+        One ``rng.random(users.size · m)`` call floor-scaled against each
+        row's negative count and gathered from the padded
+        :meth:`~repro.data.interactions.InteractionMatrix.negative_table`:
+        by split-invariance, the same values as per-row
+        :meth:`uniform_negatives` calls of ``m`` draws in row order.
+        Callers check ``supports_negative_table()`` first.
+        """
+        table, counts = self.dataset.train.negative_table()
+        k = counts[users]
+        if k.size and k.min() == 0:
+            bad = int(users[np.argmin(k)])
+            raise ValueError(f"user {bad} has no un-interacted items to sample")
+        k = k[:, None]
+        draws = self.rng.random(users.size * m).reshape(-1, m)
+        indices = np.minimum((draws * k).astype(np.int64), k - 1)
+        return table[users[:, None], indices]
 
     def _candidate_matrix_batch_grouped(
         self, groups: BatchGroups, m: int

@@ -57,3 +57,17 @@ class RandomNegativeSampler(NegativeSampler):
         if groups is None:
             groups = group_batch_by_user(users)
         return self.candidate_matrix_batch(groups, 1)[:, 0]
+
+    def sample_in_order(self, users: np.ndarray, pos_items: np.ndarray) -> np.ndarray:
+        """The one-row draws in row order, as one ``rng.random(n)`` call.
+
+        Each one-row ``sample_for_user`` call is one ``random(1)`` draw,
+        and ``Generator.random`` is split-invariant, so one draw of ``n``
+        against the negative table gives the same negatives and leaves
+        the same generator state.  Falls back to the per-row loop when
+        the table does not fit the dataset's cache budget.
+        """
+        users, pos_items = self._check_batch(users, pos_items)
+        if not self.dataset.train.supports_negative_table():
+            return super().sample_in_order(users, pos_items)
+        return self._table_draws(users, 1)[:, 0]

@@ -110,6 +110,9 @@ class WarmStartSampler(NegativeSampler):
     ) -> np.ndarray:
         return self._active.sample_batch(users, pos_items, scores, groups=groups)
 
+    def sample_in_order(self, users: np.ndarray, pos_items: np.ndarray) -> np.ndarray:
+        return self._active.sample_in_order(users, pos_items)
+
 
 # ---------------------------------------------------------------------- #
 # Variant factories

@@ -17,6 +17,18 @@ overhead is lower.  Both routes draw identical randomness (the samplers'
 RNG-parity contract); they differ only in score rounding, because
 ``scores_batch`` is a BLAS gemm whose last-ulp rounding can differ from
 the per-user gemv.
+
+Waves.  At ``batch_size=1`` two more facts can hold, and the trainer
+checks both every epoch (``bns-2`` switches samplers between epochs):
+the sampler's request is ``NONE``, so it never reads the model, and the
+model declares :attr:`~repro.models.base.ScoreModel.row_local_step`, so
+triples that share no user and no item row commute.  Then the epoch's
+negatives are drawn up front, in execution order, from the same
+generator (:meth:`~repro.samplers.base.NegativeSampler.sample_in_order`),
+the epoch is cut into maximal conflict-free runs
+(:func:`conflict_free_runs`), and each run is one ``train_step``.  The
+parameters, ``info`` and negatives equal the one-triple steps bit for
+bit; only the number of ``train_step`` calls changes.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_non_negative, check_positive
 
-__all__ = ["TrainingConfig", "Trainer", "TrainingDivergedError"]
+__all__ = ["TrainingConfig", "Trainer", "TrainingDivergedError", "conflict_free_runs"]
 
 _LOGGER = get_logger("train.trainer")
 
@@ -50,14 +62,43 @@ class TrainingDivergedError(FloatingPointError):
     """
 
 
+def conflict_free_runs(
+    users: np.ndarray, pos_items: np.ndarray, neg_items: np.ndarray
+) -> List[int]:
+    """Cut ``n ≥ 1`` triples into maximal runs that share no row.
+
+    Returns the boundaries ``[0, b_1, …, n]``: run ``r`` is the triples
+    ``bounds[r]:bounds[r + 1]``.  No two triples of a run share a user or
+    an item (positives and negatives together), and the triple after a
+    run shares one with it.  One Python pass over the epoch.
+    """
+    bounds = [0]
+    seen_users: set = set()
+    seen_items: set = set()
+    triples = zip(users.tolist(), pos_items.tolist(), neg_items.tolist())
+    for row, (user, pos, neg) in enumerate(triples):
+        if user in seen_users or pos in seen_items or neg in seen_items:
+            bounds.append(row)
+            seen_users.clear()
+            seen_items.clear()
+        seen_users.add(user)
+        seen_items.add(pos)
+        seen_items.add(neg)
+    bounds.append(len(users))
+    return bounds
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Hyper-parameters of one training run.
 
     Defaults follow the paper's MF setup: ``d=32`` (on the model),
-    ``lr=0.01``, ``reg=0.01``, 100 epochs, batch size 1.  The batch size
-    alone decides the sampling route: one-row batches sample per user,
-    larger ones through ``sample_batch`` (see the module docstring).
+    ``lr=0.01``, ``reg=0.01``, 100 epochs, batch size 1.  The batch size,
+    the sampler's score request and the model's row-locality decide the
+    route: at batch size 1, a ``NONE`` sampler with a row-local model
+    trains in conflict-free waves and every other pair samples per user;
+    larger batches go through ``sample_batch`` (see the module
+    docstring).  Every route computes the same per-triple SGD.
     """
 
     epochs: int = 100
@@ -188,19 +229,38 @@ class Trainer:
         pos_items = pos_all[order]
         users.flags.writeable = False
         pos_items.flags.writeable = False
-        neg_out = np.empty(n, dtype=np.int64)
         info_out = np.empty(n, dtype=np.float64)
 
-        for start in range(0, n, batch_size):
-            stop = start + batch_size
-            batch_users = users[start:stop]
-            batch_pos = pos_items[start:stop]
-            batch_neg = self._sample_negatives(batch_users, batch_pos)
-            info = self.model.train_step(
-                batch_users, batch_pos, batch_neg, self.optimizer, self.config.reg
-            )
-            neg_out[start:stop] = batch_neg
-            info_out[start:stop] = info
+        # The waves route (module docstring), re-checked every epoch.  Its
+        # negatives are read-only for the same reason as the pairs.
+        if (
+            batch_size == 1
+            and self.sampler.score_request is ScoreRequest.NONE
+            and getattr(self.model, "row_local_step", False)
+        ):
+            neg_out = self.sampler.sample_in_order(users, pos_items)
+            neg_out.flags.writeable = False
+            bounds = conflict_free_runs(users, pos_items, neg_out)
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                info_out[start:stop] = self.model.train_step(
+                    users[start:stop],
+                    pos_items[start:stop],
+                    neg_out[start:stop],
+                    self.optimizer,
+                    self.config.reg,
+                )
+        else:
+            neg_out = np.empty(n, dtype=np.int64)
+            for start in range(0, n, batch_size):
+                stop = start + batch_size
+                batch_users = users[start:stop]
+                batch_pos = pos_items[start:stop]
+                batch_neg = self._sample_negatives(batch_users, batch_pos)
+                info = self.model.train_step(
+                    batch_users, batch_pos, batch_neg, self.optimizer, self.config.reg
+                )
+                neg_out[start:stop] = batch_neg
+                info_out[start:stop] = info
 
         # loss = −ln σ(diff) = −ln(1 − info); clip keeps info→1 finite.
         # One vectorized pass over the epoch's recorded info values instead

@@ -271,9 +271,30 @@ class TestBatchArraysReadOnly:
                 users[:] = 0
                 return super().sample_batch(users, pos_items, scores, groups=groups)
 
+            # The batch-1 route with MF and a NONE sampler: the waves.
+            def sample_in_order(self, users, pos_items):
+                pos_items[:] = 0
+                return super().sample_in_order(users, pos_items)
+
         trainer = make_trainer(
             micro_dataset, epochs=1, batch_size=batch_size, sampler=ScribblingSampler()
         )
+        with pytest.raises(ValueError, match="read-only"):
+            trainer.fit()
+
+    def test_model_writing_into_wave_negatives_raises(
+        self, micro_dataset, monkeypatch
+    ):
+        """The waves route draws the epoch's negatives up front; a step
+        writing into its slice of them must raise, not rewrite history."""
+        trainer = make_trainer(micro_dataset, epochs=1, batch_size=1)
+        original_step = trainer.model.train_step
+
+        def scribbling_step(users, pos, neg, *args, **kwargs):
+            neg[0] = pos[0]
+            return original_step(users, pos, neg, *args, **kwargs)
+
+        monkeypatch.setattr(trainer.model, "train_step", scribbling_step)
         with pytest.raises(ValueError, match="read-only"):
             trainer.fit()
 
