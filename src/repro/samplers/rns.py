@@ -67,7 +67,7 @@ class RandomNegativeSampler(NegativeSampler):
         the same generator state.  Falls back to the per-row loop when
         the table does not fit the dataset's cache budget.
         """
-        users, pos_items = self._check_batch(users, pos_items)
         if not self.dataset.train.supports_negative_table():
             return super().sample_in_order(users, pos_items)
+        users, _ = self._check_batch(users, pos_items)
         return self._table_draws(users, 1)[:, 0]

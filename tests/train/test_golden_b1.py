@@ -1,9 +1,10 @@
 """Batch-1 goldens: the paper's per-triple SGD must not move a bit.
 
 The paper trains MF one triple at a time (``batch_size=1``, d=32,
-lr = reg = 0.01), so every batch takes the trainer's one-row route:
-``scores`` + ``sample_for_user`` + a one-triple ``train_step``.
-``golden_b1_f64.json`` pins that route:
+lr = reg = 0.01).  Score-based samplers take the trainer's one-row
+route: ``scores`` + ``sample_for_user`` + a one-triple ``train_step``;
+RNS and PNS take the waves route, one ``train_step`` per conflict-free
+run, which must give the same bits.  ``golden_b1_f64.json`` pins both:
 
 * ``runs`` — ``run_spec`` metrics and loss curves (``float.hex``) for
   the six Table II samplers on ``tiny``, plus one float32 BNS run;
