@@ -410,8 +410,11 @@ class TestGracefulDegradation:
         unseen = np.setdiff1d(np.arange(tiny.n_items), tiny.train.items_of(0))
         if broken == "all-nan":
             model.item_factors[:] = np.nan
-        else:
-            model.item_factors[unseen[0]] = np.nan if broken == "one-nan" else np.inf
+        elif broken == "one-nan":
+            model.item_factors[unseen[0]] = np.nan
+        else:  # every term of the dot product +inf
+            model.item_factors[unseen[0]] = np.copysign(np.inf, model.user_factors[0])
+            assert np.isposinf(model.scores(0)[unseen[0]])
         service = RankingService(model, tiny.train, coalesce=coalesce)
         served = service.top_k(0, 64)
         assert served.tolist() == popularity_fallback(tiny.train, 0, 64)
