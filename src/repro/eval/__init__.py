@@ -25,17 +25,11 @@ from repro.eval.ranking import (
     auc,
     auc_block,
     average_precision_at_k,
-    average_precision_at_k_block,
     hit_rate_at_k,
-    hit_rate_at_k_block,
-    hits_against,
     ndcg_at_k,
-    ndcg_at_k_block,
     precision_at_k,
-    precision_at_k_block,
     ranking_metrics_block,
     recall_at_k,
-    recall_at_k_block,
     reciprocal_rank,
     reciprocal_rank_block,
 )
@@ -62,26 +56,20 @@ __all__ = [
     "auc",
     "auc_block",
     "average_precision_at_k",
-    "average_precision_at_k_block",
     "average_recommendation_popularity",
     "catalog_coverage",
     "false_negative_flags",
     "hit_rate_at_k",
-    "hit_rate_at_k_block",
-    "hits_against",
     "popularity_lift",
     "recommendation_footprint",
     "informativeness_measure",
     "ndcg_at_k",
-    "ndcg_at_k_block",
     "paired_bootstrap_test",
     "paired_sign_test",
     "popularity_buckets",
     "precision_at_k",
-    "precision_at_k_block",
     "ranking_metrics_block",
     "recall_at_k",
-    "recall_at_k_block",
     "reciprocal_rank",
     "reciprocal_rank_block",
     "score_block",

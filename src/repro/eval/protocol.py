@@ -17,6 +17,10 @@ is cumulative-sum algebra over that matrix
 no per-metric ``isin``; peak memory is bounded by
 ``chunk_users × n_items`` so million-user evaluation streams.
 
+The score → mask → top-K steps are :func:`rank_unseen`, which
+:class:`~repro.serve.service.RankingService` calls too, so served lists
+equal the evaluator's by construction.
+
 The pipeline follows the canonical tie rule of :mod:`repro.eval.topk` and
 the sequential-sum metric semantics of :mod:`repro.eval.ranking`, so given
 the same score *values* it is **bitwise identical per user** to a per-user
@@ -29,7 +33,7 @@ gemv.  Models that lack ``scores_batch`` are scored per user and stacked.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +46,7 @@ __all__ = [
     "Evaluator",
     "NonFiniteScoresError",
     "check_finite_head",
+    "rank_unseen",
     "score_block",
 ]
 
@@ -56,11 +61,13 @@ DEFAULT_EVAL_CHUNK = 256
 
 
 class NonFiniteScoresError(FloatingPointError):
-    """A model scored an unmasked item NaN or ``+inf``.
+    """A model scored an unmasked item NaN, ``+inf`` or ``-inf``.
 
     Such a score is not rankable: NaN takes a top-k slot yet shortens the
-    list, so the metrics of a broken model would read as an ordinary
-    result.  The evaluation pipeline raises this instead.
+    list, and ``-inf`` ranks the item with the masked ones, so the item
+    silently drops off a list that should hold it.  Either way the
+    metrics of a broken model would read as an ordinary result.  The
+    ranking pipeline (:func:`rank_unseen`) raises this instead.
     """
 
 
@@ -101,20 +108,28 @@ def score_block(model, users: np.ndarray) -> np.ndarray:
 
 
 def check_finite_head(
-    masked: np.ndarray, ranked: np.ndarray, users: np.ndarray
+    masked: np.ndarray,
+    ranked: np.ndarray,
+    lengths: np.ndarray,
+    n_unseen: np.ndarray,
+    users: np.ndarray,
 ) -> None:
-    """Raise :class:`NonFiniteScoresError` if a ranked row holds NaN/``+inf``.
+    """Raise :class:`NonFiniteScoresError` unless every ranked row is a
+    full list of finite scores.
 
-    ``masked`` is a masked score block, ``ranked`` its ``kernels.topk``
-    ids (``-1`` padding) and ``users`` the block's users; the error names
-    the first affected user.  ``argpartition`` ranks NaN and ``+inf``
-    above every finite score, so each affected row holds one among its
-    top-``k`` ids: checking those ``(U, k)`` scores finds every such row
-    without another pass over the block.  The evaluator and the ranking
-    service both call this, so neither ranks a broken model.
+    ``masked`` is a masked score block, ``ranked`` and ``lengths`` its
+    ``kernels.topk`` result (``-1`` padding), ``n_unseen`` each row's
+    number of unmasked items and ``users`` the block's users; the error
+    names the first affected user.  ``argpartition`` ranks NaN and
+    ``+inf`` above every finite score, so each such row holds one among
+    its top-``k`` ids: checking those ``(U, k)`` scores finds every such
+    row without another pass over the block.  An unmasked ``-inf`` sinks
+    with the masked items instead, and the row comes out shorter than
+    ``min(k, n_unseen)``.
     """
     head = np.take_along_axis(masked, np.maximum(ranked, 0), axis=1)
     broken = np.any((ranked >= 0) & ~np.isfinite(head), axis=1)
+    broken |= lengths < np.minimum(ranked.shape[1], n_unseen)
     if broken.any():
         raise NonFiniteScoresError(
             f"model produced a non-finite score for user "
@@ -122,31 +137,42 @@ def check_finite_head(
         )
 
 
-def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
-    """Drive the chunked score → mask → top-K → hit pipeline.
+def rank_unseen(
+    model, train, users: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank each user's unseen items: the one ranking pipeline.
 
-    Yields ``(chunk, block, mask_rows, mask_cols, ranked, hits)`` per
-    chunk of ``users``: the chunk's score block (train positives already
-    masked to ``-inf`` at ``block[mask_rows, mask_cols]``), its ranked-id
-    matrix at cutoff ``k``, and the boolean hit matrix against the test
-    split.  Shared by :class:`Evaluator`,
-    :func:`repro.eval.stratified.stratified_recall` and
-    :func:`repro.eval.diversity.recommendation_footprint` so the
-    protocol's masking and tie semantics live in exactly one place.
-
-    Raises :class:`NonFiniteScoresError` through :func:`check_finite_head`
-    when a chunk scores an unmasked item NaN or ``+inf``.
+    :func:`score_block` → mask ``train`` positives to ``-inf`` →
+    ``kernels.topk`` → :func:`check_finite_head`.  The evaluator and
+    :class:`~repro.serve.service.RankingService` both call this, so
+    served lists and offline metrics cannot disagree.  Returns
+    ``(block, ranked, lengths)``: the masked score block, its canonical
+    top-``k`` ids (``-1`` padding) and the list lengths.  Raises
+    :class:`NonFiniteScoresError` through :func:`check_finite_head`.
     """
-    train, test = dataset.train, dataset.test
+    block = score_block(model, users)
+    block[train.positives_in_rows(users)] = -np.inf
+    ranked, lengths = kernels.topk(block, k)
+    n_unseen = train.n_items - train.degrees_of(users)
+    check_finite_head(block, ranked, lengths, n_unseen, users)
+    return block, ranked, lengths
+
+
+def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
+    """Drive the chunked :func:`rank_unseen` → hit pipeline.
+
+    Yields ``(chunk, block, ranked, hits)`` per chunk of ``users``: the
+    chunk's score block (train positives masked to ``-inf``), its
+    ranked-id matrix at cutoff ``k``, and the boolean hit matrix against
+    the test split.  Shared by :class:`Evaluator`,
+    :func:`repro.eval.stratified.stratified_recall` and
+    :func:`repro.eval.diversity.recommendation_footprint`.  Raises
+    :class:`NonFiniteScoresError` through :func:`rank_unseen`.
+    """
     for start in range(0, users.size, chunk_users):
         chunk = users[start : start + chunk_users]
-        block = score_block(model, chunk)
-        rows, cols = train.positives_in_rows(chunk)
-        block[rows, cols] = -np.inf
-        ranked, _ = kernels.topk(block, k)
-        check_finite_head(block, ranked, chunk)
-        hits = test.hits_in_rows(chunk, ranked)
-        yield chunk, block, rows, cols, ranked, hits
+        block, ranked, _ = rank_unseen(model, dataset.train, chunk, k)
+        yield chunk, block, ranked, dataset.test.hits_in_rows(chunk, ranked)
 
 
 class Evaluator:
@@ -215,7 +241,7 @@ class Evaluator:
         test = self.dataset.test
         parts: Dict[str, list] = {key: [] for key in self._metric_keys()}
 
-        for chunk, block, rows, cols, ranked, hits in _iter_ranked_chunks(
+        for chunk, block, ranked, hits in _iter_ranked_chunks(
             model, self.dataset, users, max(self.ks), self.chunk_users
         ):
             n_relevant = test.degrees_of(chunk)
@@ -226,7 +252,7 @@ class Evaluator:
                 # Reuse the chunk's block for AUC: flip the train-positive
                 # mask from -inf (bottom of the top-K ranking) to +inf
                 # (past the end of the ascending candidate ranking).
-                block[rows, cols] = np.inf
+                block[train.positives_in_rows(chunk)] = np.inf
                 metrics["auc"] = auc_block(
                     block,
                     train.n_items - train.degrees_of(chunk),

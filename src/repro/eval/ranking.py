@@ -7,10 +7,11 @@ Two families share one set of formulas:
   the user's set of relevant items (test positives), returning a scalar in
   [0, 1] — the reference implementations the tests reason about and
   build the evaluator's per-user oracle from;
-* the **block** kernels (``precision_at_k_block`` …) take a ``(U, W)``
-  boolean hit matrix (row ``r`` = user ``r``'s hit flags down their ranked
-  list, padded ``False`` past the list length) and return a ``(U,)`` array
-  — the vectorized evaluation hot path.
+* the **block** kernels take a ``(U, W)`` boolean hit matrix (row ``r``
+  = user ``r``'s hit flags down their ranked list, padded ``False`` past
+  the list length) and return ``(U,)`` arrays — the vectorized evaluation
+  hot path.  :func:`ranking_metrics_block` computes every hit-derived
+  metric at every cutoff at once; :func:`auc_block` ranks scores instead.
 
 Every sum in both families is accumulated **sequentially in rank order**
 (``np.cumsum``), so for identical hit patterns the scalar value and the
@@ -18,15 +19,11 @@ kernel row are bitwise equal — the invariant the evaluator's oracle parity
 tests pin.  (Summing the hit terms in rank order also keeps the
 classic property that a perfect ranking's DCG equals its ideal DCG exactly,
 making NDCG exactly 1.0 instead of drifting an ulp above it.)
-
-The scalar functions accept an optional precomputed ``hits`` array (aligned
-with ``ranked``) so a caller evaluating several cutoffs per user builds the
-hit flags once instead of once per metric per cutoff.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Sequence, Set
 
 import numpy as np
 
@@ -38,12 +35,6 @@ __all__ = [
     "average_precision_at_k",
     "reciprocal_rank",
     "auc",
-    "hits_against",
-    "precision_at_k_block",
-    "recall_at_k_block",
-    "ndcg_at_k_block",
-    "hit_rate_at_k_block",
-    "average_precision_at_k_block",
     "reciprocal_rank_block",
     "auc_block",
     "ranking_metrics_block",
@@ -67,33 +58,9 @@ def _discounts(n: int) -> np.ndarray:
     return _DISCOUNT_CACHE[:n]
 
 
-def hits_against(ranked: np.ndarray, relevant_items: np.ndarray) -> np.ndarray:
-    """Boolean hit flags of ``ranked`` against a *sorted* relevant-id array.
-
-    One binary search instead of a per-call set materialization; ``-1``
-    padding entries (see :func:`repro.eval.topk.top_k_items_batch`) never
-    match.  A per-user loop computes it once per user and feeds it to
-    every scalar metric via their ``hits=`` parameter.
-    """
-    ranked = np.asarray(ranked, dtype=np.int64).ravel()
-    relevant_items = np.asarray(relevant_items, dtype=np.int64).ravel()
-    if relevant_items.size == 0:
-        return np.zeros(ranked.size, dtype=bool)
-    pos = np.searchsorted(relevant_items, ranked)
-    clipped = np.minimum(pos, relevant_items.size - 1)
-    return (pos < relevant_items.size) & (relevant_items[clipped] == ranked)
-
-
-def _hits(
-    ranked: np.ndarray,
-    relevant: Set[int],
-    k: int,
-    hits: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def _hits(ranked: np.ndarray, relevant: Set[int], k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if hits is not None:
-        return np.asarray(hits, dtype=bool).ravel()[:k]
     head = np.asarray(ranked).ravel()[:k]
     if not relevant:
         return np.zeros(head.size, dtype=bool)
@@ -113,47 +80,29 @@ def _sequential_sum(values: np.ndarray) -> float:
 # ---------------------------------------------------------------------- #
 
 
-def precision_at_k(
-    ranked: np.ndarray,
-    relevant: Set[int],
-    k: int,
-    *,
-    hits: Optional[np.ndarray] = None,
-) -> float:
+def precision_at_k(ranked: np.ndarray, relevant: Set[int], k: int) -> float:
     """Fraction of the top-``k`` recommendations that are relevant.
 
     Follows the paper's convention of dividing by ``k`` even if the user
     has fewer than ``k`` relevant items.
     """
-    return float(_hits(ranked, relevant, k, hits).sum() / k)
+    return float(_hits(ranked, relevant, k).sum() / k)
 
 
-def recall_at_k(
-    ranked: np.ndarray,
-    relevant: Set[int],
-    k: int,
-    *,
-    hits: Optional[np.ndarray] = None,
-) -> float:
+def recall_at_k(ranked: np.ndarray, relevant: Set[int], k: int) -> float:
     """Fraction of the user's relevant items found in the top-``k``."""
     if not relevant:
         return 0.0
-    return float(_hits(ranked, relevant, k, hits).sum() / len(relevant))
+    return float(_hits(ranked, relevant, k).sum() / len(relevant))
 
 
-def ndcg_at_k(
-    ranked: np.ndarray,
-    relevant: Set[int],
-    k: int,
-    *,
-    hits: Optional[np.ndarray] = None,
-) -> float:
+def ndcg_at_k(ranked: np.ndarray, relevant: Set[int], k: int) -> float:
     """Normalized discounted cumulative gain with binary relevance.
 
     ``DCG = Σ_r hit_r / log2(r + 2)`` over ranks ``r = 0..k-1``;
     the ideal DCG places all (up to ``k``) relevant items first.
     """
-    hit_flags = _hits(ranked, relevant, k, hits)
+    hit_flags = _hits(ranked, relevant, k)
     if not relevant:
         return 0.0
     # Sum only the hit terms, in rank order: when every hit sits at the
@@ -167,26 +116,14 @@ def ndcg_at_k(
     return dcg / ideal if ideal > 0 else 0.0
 
 
-def hit_rate_at_k(
-    ranked: np.ndarray,
-    relevant: Set[int],
-    k: int,
-    *,
-    hits: Optional[np.ndarray] = None,
-) -> float:
+def hit_rate_at_k(ranked: np.ndarray, relevant: Set[int], k: int) -> float:
     """1 if any relevant item appears in the top-``k``, else 0."""
-    return float(bool(_hits(ranked, relevant, k, hits).any()))
+    return float(bool(_hits(ranked, relevant, k).any()))
 
 
-def average_precision_at_k(
-    ranked: np.ndarray,
-    relevant: Set[int],
-    k: int,
-    *,
-    hits: Optional[np.ndarray] = None,
-) -> float:
+def average_precision_at_k(ranked: np.ndarray, relevant: Set[int], k: int) -> float:
     """AP@k: precision averaged at each relevant rank, over min(|rel|, k)."""
-    hit_flags = _hits(ranked, relevant, k, hits)
+    hit_flags = _hits(ranked, relevant, k)
     if not relevant:
         return 0.0
     if not hit_flags.any():
@@ -197,21 +134,13 @@ def average_precision_at_k(
     return _sequential_sum(precisions) / min(len(relevant), k)
 
 
-def reciprocal_rank(
-    ranked: np.ndarray,
-    relevant: Set[int],
-    *,
-    hits: Optional[np.ndarray] = None,
-) -> float:
+def reciprocal_rank(ranked: np.ndarray, relevant: Set[int]) -> float:
     """1 / (rank of the first relevant item), 0 when none appears."""
-    if hits is None:
-        ranked = np.asarray(ranked).ravel()
-        if not relevant:
-            return 0.0
-        relevant_arr = np.fromiter(relevant, dtype=np.int64)
-        hits = np.isin(ranked, relevant_arr)
-    else:
-        hits = np.asarray(hits, dtype=bool).ravel()
+    ranked = np.asarray(ranked).ravel()
+    if not relevant:
+        return 0.0
+    relevant_arr = np.fromiter(relevant, dtype=np.int64)
+    hits = np.isin(ranked, relevant_arr)
     positions = np.nonzero(hits)[0]
     if positions.size == 0:
         return 0.0
@@ -265,74 +194,6 @@ def _check_hits_block(hits: np.ndarray, k: int) -> np.ndarray:
     if hits.ndim != 2:
         raise ValueError(f"hit matrix must be 2-D, got {hits.ndim}-D")
     return hits
-
-
-def _hits_at_cutoff(hits: np.ndarray, k: int) -> np.ndarray:
-    """Per-row hit count within the top ``min(k, W)`` ranks, as int64."""
-    width = hits.shape[1]
-    if width == 0:
-        return np.zeros(hits.shape[0], dtype=np.int64)
-    return np.cumsum(hits, axis=1, dtype=np.int64)[:, min(k, width) - 1]
-
-
-def precision_at_k_block(hits: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise :func:`precision_at_k` from a ``(U, W)`` hit matrix."""
-    hits = _check_hits_block(hits, k)
-    return _hits_at_cutoff(hits, k) / k
-
-
-def recall_at_k_block(
-    hits: np.ndarray, n_relevant: np.ndarray, k: int
-) -> np.ndarray:
-    """Row-wise :func:`recall_at_k`; rows with no relevant items score 0."""
-    hits = _check_hits_block(hits, k)
-    n_relevant = np.asarray(n_relevant, dtype=np.int64).ravel()
-    counted = _hits_at_cutoff(hits, k)
-    return np.where(n_relevant > 0, counted / np.maximum(n_relevant, 1), 0.0)
-
-
-def ndcg_at_k_block(
-    hits: np.ndarray, n_relevant: np.ndarray, k: int
-) -> np.ndarray:
-    """Row-wise :func:`ndcg_at_k` (binary relevance)."""
-    hits = _check_hits_block(hits, k)
-    n_relevant = np.asarray(n_relevant, dtype=np.int64).ravel()
-    width = hits.shape[1]
-    if width == 0:
-        dcg = np.zeros(hits.shape[0])
-    else:
-        dcg_cum = np.cumsum(_discounts(width) * hits, axis=1)
-        dcg = dcg_cum[:, min(k, width) - 1]
-    # The ideal list is not truncated by the row's list length: a user with
-    # more relevant items than eligible slots still normalizes by the full
-    # min(|rel|, k)-term ideal, exactly like the scalar function.
-    ideal_cum = np.cumsum(_discounts(k))
-    n_ideal = np.minimum(n_relevant, k)
-    ideal = np.where(n_ideal > 0, ideal_cum[np.maximum(n_ideal, 1) - 1], 0.0)
-    return np.where(ideal > 0, dcg / np.where(ideal > 0, ideal, 1.0), 0.0)
-
-
-def hit_rate_at_k_block(hits: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise :func:`hit_rate_at_k`."""
-    hits = _check_hits_block(hits, k)
-    return (_hits_at_cutoff(hits, k) > 0).astype(np.float64)
-
-
-def average_precision_at_k_block(
-    hits: np.ndarray, n_relevant: np.ndarray, k: int
-) -> np.ndarray:
-    """Row-wise :func:`average_precision_at_k`."""
-    hits = _check_hits_block(hits, k)
-    n_relevant = np.asarray(n_relevant, dtype=np.int64).ravel()
-    width = hits.shape[1]
-    if width == 0:
-        return np.zeros(hits.shape[0])
-    cumulative = np.cumsum(hits, axis=1, dtype=np.int64)
-    ranks = np.arange(1, width + 1)
-    contributions = np.where(hits, cumulative / ranks, 0.0)
-    numerator = np.cumsum(contributions, axis=1)[:, min(k, width) - 1]
-    n_ideal = np.minimum(n_relevant, k)
-    return np.where(n_ideal > 0, numerator / np.maximum(n_ideal, 1), 0.0)
 
 
 def reciprocal_rank_block(hits: np.ndarray) -> np.ndarray:
@@ -421,9 +282,9 @@ def ranking_metrics_block(
 
     The shared cumulative sums (hit counts, DCG terms, AP numerators) are
     computed once and sliced per cutoff, so the per-metric cost beyond
-    them is one ``(U,)`` arithmetic pass; values are bitwise identical to
-    the standalone ``*_block`` kernels (same operations on the same
-    arrays, just hoisted — pinned by the kernel equality tests).
+    them is one ``(U,)`` arithmetic pass.  Each row is bitwise identical
+    to the scalar functions on the same hit pattern (pinned by
+    ``tests/eval/test_ranking_blocks.py``).
     """
     hits = _check_hits_block(hits, min(ks) if ks else 1)
     n_relevant = np.asarray(n_relevant, dtype=np.int64).ravel()
@@ -443,6 +304,9 @@ def ranking_metrics_block(
         else:
             counted = np.zeros(n_rows, dtype=np.int64)
             dcg = np.zeros(n_rows)
+        # The ideal list is not truncated by the row's list length: a user
+        # with more relevant items than eligible slots still normalizes by
+        # the full min(|rel|, k)-term ideal, exactly like ndcg_at_k.
         n_ideal = np.minimum(n_relevant, k)
         ideal_cum = np.cumsum(_discounts(k))
         ideal = np.where(n_ideal > 0, ideal_cum[np.maximum(n_ideal, 1) - 1], 0.0)

@@ -75,7 +75,7 @@ def stratified_recall(
     users = dataset.evaluable_users()
     if max_users is not None:
         users = users[:max_users]
-    for chunk, _, _, _, ranked, hit_matrix in _iter_ranked_chunks(
+    for chunk, _, ranked, hit_matrix in _iter_ranked_chunks(
         model, dataset, users, k, chunk_users
     ):
         _, test_cols = dataset.test.positives_in_rows(chunk)

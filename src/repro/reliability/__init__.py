@@ -12,9 +12,6 @@ repository is built around:
   function of ``(seed, key, attempt)`` through the ``repro.utils.rng``
   seam).  Two runs of the same failing grid sleep the same schedule;
   wallclock never enters a run-key'd decision.
-* :class:`~repro.reliability.policy.Deadline` — a monotonic-clock budget
-  (``perf_counter`` by default, injectable for tests) so waiters fail
-  fast instead of hanging.
 * :class:`~repro.reliability.breaker.CircuitBreaker` — consecutive-
   failure trip wire with half-open probing, used by the serving layer to
   stop hammering a failing scorer.
@@ -41,7 +38,6 @@ from repro.reliability.faults import (
     FaultSpec,
 )
 from repro.reliability.policy import (
-    Deadline,
     DeadlineExceeded,
     RetryPolicy,
     call_with_retry,
@@ -51,7 +47,6 @@ from repro.reliability.report import GridExecutionError, JobFailure, RunReport
 __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
-    "Deadline",
     "DeadlineExceeded",
     "FaultInjected",
     "FaultInjector",

@@ -1,4 +1,4 @@
-"""Retry schedules and deadlines, deterministic by construction.
+"""Retry schedules, deterministic by construction.
 
 The usual retry recipe — ``delay = base * mult**attempt * random()`` —
 draws its jitter from process-global entropy, which would make a failing
@@ -7,10 +7,6 @@ ran.  :class:`RetryPolicy` instead derives jitter from
 ``(policy seed, job key, attempt)`` through a :class:`numpy.random.SeedSequence`,
 so the full backoff schedule for a key is a pure function computable in
 advance — ``tests/reliability/test_policy.py`` pins exact schedules.
-
-Deadlines use an injectable monotonic clock (``time.perf_counter`` by
-default): durations may be measured, wallclock identity never enters any
-decision (the repo's R002 rule).
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import numpy as np
 
 from repro.utils.rng import as_rng
 
-__all__ = ["Deadline", "DeadlineExceeded", "RetryPolicy", "call_with_retry"]
+__all__ = ["DeadlineExceeded", "RetryPolicy", "call_with_retry"]
 
 
 class DeadlineExceeded(TimeoutError):
@@ -139,59 +135,3 @@ def call_with_retry(
             if backoff > 0:
                 sleeper(backoff)
 
-
-class Deadline:
-    """A monotonic time budget: created once, consulted cheaply.
-
-    ``clock`` is any zero-argument callable returning seconds on a
-    monotonic scale (``time.perf_counter`` by default; tests inject a
-    fake).  A ``None`` budget means "no deadline" — every query reports
-    unlimited time, so call sites need no branching.
-    """
-
-    __slots__ = ("seconds", "_clock", "_expires_at")
-
-    def __init__(
-        self,
-        seconds: Optional[float],
-        *,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        if seconds is not None and seconds < 0:
-            raise ValueError(f"deadline must be >= 0 seconds, got {seconds}")
-        self.seconds = seconds
-        self._clock = clock
-        self._expires_at = None if seconds is None else clock() + seconds
-
-    @classmethod
-    def after(
-        cls,
-        seconds: Optional[float],
-        *,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> "Deadline":
-        """Alias constructor reading as prose: ``Deadline.after(0.5)``."""
-        return cls(seconds, clock=clock)
-
-    def remaining(self) -> Optional[float]:
-        """Seconds left (floored at 0), or ``None`` for no deadline."""
-        if self._expires_at is None:
-            return None
-        return max(0.0, self._expires_at - self._clock())
-
-    @property
-    def expired(self) -> bool:
-        remaining = self.remaining()
-        return remaining is not None and remaining <= 0.0
-
-    def check(self, what: str = "operation") -> None:
-        """Raise :class:`DeadlineExceeded` once the budget is spent."""
-        if self.expired:
-            raise DeadlineExceeded(
-                f"{what} exceeded its {self.seconds:.3f}s deadline"
-            )
-
-    def __repr__(self) -> str:
-        if self.seconds is None:
-            return "Deadline(unbounded)"
-        return f"Deadline({self.seconds:.3f}s, remaining={self.remaining():.3f}s)"

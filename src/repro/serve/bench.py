@@ -27,7 +27,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -194,13 +193,11 @@ def run_serve_bench(
     max_wait: float = 0.001,
     n_factors: int = 32,
     seed: int = 0,
-    uncached_requests: Optional[int] = None,
 ) -> ServeBenchResult:
     """Measure the three serving configurations on one request stream.
 
-    ``uncached_requests`` optionally caps the (slow) per-request baseline
-    phase; the default measures ``min(n_requests, 1000)`` and scales qps
-    from that sample.
+    The (slow) per-request baseline phase measures the first
+    ``min(n_requests, 1000)`` requests and scales qps from that sample.
     """
     check_positive(n_requests, "n_requests")
     check_positive(n_clients, "n_clients")
@@ -213,11 +210,7 @@ def run_serve_bench(
     stream = rng.integers(0, data.n_users, size=int(n_requests))
 
     # -- uncached per-request baseline --------------------------------- #
-    baseline_n = (
-        min(int(n_requests), 1000)
-        if uncached_requests is None
-        else int(check_positive(uncached_requests, "uncached_requests"))
-    )
+    baseline_n = min(int(n_requests), 1000)
     uncached = RankingService(model, train, cache_k=0, coalesce=False)
     uncached.top_k(int(stream[0]), k)  # warm BLAS/caches outside the timing
     uncached_elapsed, uncached_lat = _timed_requests(

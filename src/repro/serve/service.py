@@ -1,15 +1,12 @@
 """The online ranking service: checkpoint → top-K answers under load.
 
-:class:`RankingService` is the serving layer over the batched scoring and
-ranking kernels the offline pipeline already trusts:
-
-* scores come from :meth:`~repro.models.base.ScoreModel.scores_batch`
-  (one gemm per batch of users, exactly the evaluator's score source);
-* seen-item filtering is the evaluator's ``positives_in_rows`` scatter;
-* ranking is :func:`repro.eval.topk.top_k_items_batch`, so a served list
-  is **bitwise-identical** to the offline evaluator's list for the same
-  model and interaction matrix — ties included (pinned by
-  ``tests/serve/test_service.py``).
+:class:`RankingService` is the serving layer over the ranking pipeline
+the offline evaluator already trusts: every scored block goes through
+:func:`repro.eval.protocol.rank_unseen` (``scores_batch`` → mask seen
+items → canonical top-K → finiteness check), so a served list is
+**bitwise-identical** to the offline evaluator's list for the same model
+and interaction matrix — ties included (pinned by
+``tests/serve/test_service.py``).
 
 Three performance layers stack on top of that inner loop:
 
@@ -23,20 +20,16 @@ Three performance layers stack on top of that inner loop:
 New interactions enter through :meth:`add_interactions`: the immutable
 :class:`~repro.data.interactions.InteractionMatrix` is swapped for its
 :meth:`~repro.data.interactions.InteractionMatrix.with_appended`
-successor and exactly the touched users' cache entries are invalidated —
-strictly by default, or with bounded staleness when the cache was built
-with ``refresh_every`` (stale lists never contain seen items; see
-:mod:`repro.serve.cache`).  The model itself is checkpoint-frozen:
+successor and exactly the touched users' cache entries are dropped, so
+their next request recomputes.  The model itself is checkpoint-frozen:
 appends change what is *filtered*, not what is *scored* (online model
 updates are the ROADMAP's incremental-training item, not this layer).
 
 Fault tolerance (``tests/serve/test_service.py::TestGracefulDegradation``):
 scoring runs behind a :class:`~repro.reliability.breaker.CircuitBreaker`,
-and when it fails — an exception out of the gemm, a NaN or ``+inf``
-score, an open breaker, a coalescer deadline — the service *degrades*
-instead of erroring: it serves the user's stale cached list if one
-survives (seen-item filtering intact), else a popularity-ranked fallback
-over the user's unseen items.
+and when it fails — an exception out of the gemm, a NaN or infinite
+score, an open breaker — the service *degrades* instead of erroring: it
+serves a popularity-ranked fallback over the user's unseen items.
 Every degraded answer is counted in :class:`ServeStats` and surfaced by
 :meth:`RankingService.health`, so operators see the lie immediately;
 exact bitwise parity with the offline evaluator is guaranteed only for
@@ -53,12 +46,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import kernels
 from repro.data.interactions import InteractionMatrix
-from repro.eval.protocol import check_finite_head
+from repro.eval.protocol import rank_unseen
 from repro.reliability.breaker import CircuitBreaker, CircuitOpenError
 from repro.reliability.faults import FaultInjector
-from repro.reliability.policy import DeadlineExceeded
 from repro.serve.cache import TopKCache
 from repro.serve.coalescer import RequestCoalescer
 from repro.utils.logging import get_logger
@@ -88,13 +79,11 @@ class ServeStats:
     scored_users: int = 0  # users actually sent through scores_batch
     appends: int = 0
     invalidated: int = 0
-    #: Scoring attempts that raised (before any fallback was tried).
+    #: Scoring attempts that raised (before the fallback was served).
     scoring_failures: int = 0
-    #: Requests answered by a fallback instead of fresh scoring, split
-    #: by which fallback produced the list.
+    #: Requests answered by the popularity fallback instead of fresh
+    #: scoring.
     degraded: int = 0
-    degraded_stale: int = 0
-    degraded_popularity: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -111,7 +100,7 @@ class ServiceHealth:
 
     ``status`` is ``"ok"`` while the breaker is closed, ``"degraded"``
     while it is open or probing half-open (requests are being answered
-    from fallbacks), matching what a load balancer health endpoint
+    by the fallback), matching what a load balancer health endpoint
     needs.  ``checkpoint_age_seconds`` is time since this process loaded
     the model (monotonic clock — the serving layer never reads
     wallclock), with the checkpoint path carried for operators.
@@ -145,29 +134,22 @@ class RankingService:
         Width of the per-user cache lists; requests with ``k <= cache_k``
         hit the cache.  ``0`` disables caching entirely (every request
         scores — the baseline the serve benchmark measures against).
-    refresh_every:
-        ``None`` for strict invalidation on append; an integer ``T``
-        tolerates serving invalidated entries for up to ``T`` requests
-        (with fresh interactions always filtered out) before refreshing.
+        Appends drop the touched users' entries.
     coalesce:
         Batch concurrent cache-miss requests into one ``scores_batch``
         call (:class:`~repro.serve.coalescer.RequestCoalescer`).
     max_batch, max_wait:
         Coalescer knobs: largest gemm batch, and the seconds a batch
         leader waits for stragglers (``0``: dispatch immediately).
-    submit_timeout:
-        Seconds a coalesced request waits on its batch leader before
-        failing over to the degraded path (``None``: wait forever, the
-        pre-deadline behavior).
     breaker_threshold, breaker_cooldown:
         Circuit breaker around scoring: after ``breaker_threshold``
         consecutive scoring failures the service stops calling the
-        scorer for ``breaker_cooldown`` seconds and serves fallbacks.
+        scorer for ``breaker_cooldown`` seconds and serves the fallback.
     degraded_serving:
-        When ``True`` (default) scoring failures are answered with the
-        user's stale cached list or a popularity fallback and counted
-        in :class:`ServeStats`; ``False`` re-raises them (callers that
-        prefer errors over inexact lists).
+        When ``True`` (default) scoring failures are answered with a
+        popularity fallback and counted in :class:`ServeStats`;
+        ``False`` re-raises them (callers that prefer errors over
+        inexact lists).
     fault_injector:
         Test/chaos seam: fired on the scoring path per user id (site
         ``"serve.score"``).  Production services pass ``None``.
@@ -179,11 +161,9 @@ class RankingService:
         train: InteractionMatrix,
         *,
         cache_k: int = 100,
-        refresh_every: Optional[int] = None,
         coalesce: bool = True,
         max_batch: int = 256,
         max_wait: float = 0.002,
-        submit_timeout: Optional[float] = None,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
         degraded_serving: bool = True,
@@ -198,15 +178,10 @@ class RankingService:
             raise ValueError(f"cache_k must be >= 0, got {cache_k}")
         self.model = model
         self._train = train
-        self._cache = (
-            TopKCache(cache_k, refresh_every=refresh_every) if cache_k else None
-        )
+        self._cache = TopKCache(cache_k) if cache_k else None
         self._coalescer: Optional[RequestCoalescer] = (
             RequestCoalescer(
-                self._compute_batch,
-                max_batch=max_batch,
-                max_wait=max_wait,
-                default_timeout=submit_timeout,
+                self._compute_batch, max_batch=max_batch, max_wait=max_wait
             )
             if coalesce
             else None
@@ -333,7 +308,6 @@ class RankingService:
         with self._lock:
             self.stats.requests += 1
             if self._cache is not None:
-                self._cache.advance()
                 cached = self._cache.get(user, k)
                 if cached is not None:
                     self.stats.cache_hits += 1
@@ -343,45 +317,8 @@ class RankingService:
             if self._coalescer is not None:
                 return self._coalescer.submit((user, int(k)))
             return self._compute_batch([(user, int(k))])[0]
-        except Exception as error:  # CircuitOpenError, DeadlineExceeded, gemm
+        except Exception as error:  # breaker open, non-finite scores, gemm
             return self._degraded_answer(user, int(k), error)
-
-    def top_k_many(
-        self, users: Sequence[int], k: int = 10
-    ) -> List[np.ndarray]:
-        """Vectorized :meth:`top_k` for an array of users (one gemm for
-        all misses).  Results align with ``users``."""
-        users = np.asarray(users, dtype=np.int64).ravel()
-        check_positive(k, "k")
-        if users.size and (users.min() < 0 or users.max() >= self.model.n_users):
-            raise IndexError(f"user ids out of range [0, {self.model.n_users})")
-        results: List[Optional[np.ndarray]] = [None] * users.size
-        missing: List[Tuple[int, int]] = []
-        with self._lock:
-            for position, user in enumerate(users.tolist()):
-                self.stats.requests += 1
-                if self._cache is not None:
-                    self._cache.advance()
-                    cached = self._cache.get(user, int(k))
-                    if cached is not None:
-                        self.stats.cache_hits += 1
-                        results[position] = cached
-                        continue
-                self.stats.cache_misses += 1
-                missing.append((position, user))
-            if missing:
-                try:
-                    computed = self._compute_batch(
-                        [(user, int(k)) for _, user in missing]
-                    )
-                except Exception as error:
-                    computed = [
-                        self._degraded_answer(user, int(k), error)
-                        for _, user in missing
-                    ]
-                for (position, _), ids in zip(missing, computed):
-                    results[position] = ids
-        return results  # type: ignore[return-value]
 
     def warmup(
         self,
@@ -406,23 +343,6 @@ class RankingService:
                 self.stats.scored_users += int(chunk.size)
         return int(users.size)
 
-    def refresh_stale(self) -> int:
-        """Recompute every invalidated-but-still-served cache entry now.
-
-        The bulk companion of ``refresh_every``: instead of letting stale
-        entries expire into individual misses, refresh them all in
-        chunked blocks (one gemm per chunk).  Returns the number of users
-        refreshed; strict-mode caches always return 0 (nothing is ever
-        stale there).
-        """
-        if self._cache is None:
-            return 0
-        with self._lock:
-            stale = self._cache.stale_users()
-            if stale.size:
-                self.warmup(stale)
-        return int(stale.size)
-
     # ------------------------------------------------------------------ #
     # Online updates
     # ------------------------------------------------------------------ #
@@ -433,9 +353,8 @@ class RankingService:
         """Append observed ``(user, item)`` interactions and invalidate.
 
         Swaps the interaction matrix for its ``with_appended`` successor
-        and invalidates exactly the touched users' cache entries (their
-        new items are hidden from any stale reads).  Returns the number
-        of users invalidated.
+        and drops exactly the touched users' cache entries.  Returns the
+        number of users invalidated.
         """
         users = np.asarray(user_ids, dtype=np.int64).ravel()
         items = np.asarray(item_ids, dtype=np.int64).ravel()
@@ -447,7 +366,7 @@ class RankingService:
             if self._cache is not None:
                 for user in np.unique(users).tolist():
                     if user in self._cache:
-                        self._cache.invalidate(user, items[users == user])
+                        self._cache.invalidate(user)
                         touched += 1
                 self.stats.invalidated += touched
         return touched
@@ -507,25 +426,15 @@ class RankingService:
     def _rank_block(
         self, users: np.ndarray, width: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Score → mask seen items → canonical top-``width`` for a chunk.
+        """Canonical top-``width`` ids and lengths for a chunk of users.
 
-        This is, deliberately, the evaluator's exact pipeline
-        (``scores_batch`` + ``positives_in_rows`` + the canonical top-K +
-        its finiteness check) so served lists and offline metrics can
-        never disagree.  The block keeps the model's dtype policy.  A NaN
-        or ``+inf`` score raises
-        :class:`~repro.eval.protocol.NonFiniteScoresError`, which
+        This is the evaluator's own pipeline,
+        :func:`~repro.eval.protocol.rank_unseen`, so served lists and
+        offline metrics can never disagree.  A NaN or infinite score
+        raises :class:`~repro.eval.protocol.NonFiniteScoresError`, which
         :meth:`_compute_batch` counts as a scoring failure.
         """
-        block = np.asarray(self.model.scores_batch(users))
-        if block.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            block = block.astype(np.float64)
-        if not block.flags.writeable:
-            block = block.copy()
-        rows, cols = self._train.positives_in_rows(users)
-        block[rows, cols] = -np.inf
-        ids, lengths = kernels.topk(block, width)
-        check_finite_head(block, ids, users)
+        _, ids, lengths = rank_unseen(self.model, self._train, users, width)
         return ids, lengths
 
     # ------------------------------------------------------------------ #
@@ -535,12 +444,10 @@ class RankingService:
     def _degraded_answer(
         self, user: int, k: int, error: BaseException
     ) -> np.ndarray:
-        """Best available answer when fresh scoring failed.
+        """Popularity-ranked unseen items when fresh scoring failed.
 
-        Preference order: the user's stale cached list (seen-item
-        filtering intact, just possibly mis-ranked) → popularity-ranked
-        unseen items.  Counted in :class:`ServeStats`; re-raises the
-        scoring error when ``degraded_serving`` is off.
+        Counted in :class:`ServeStats`; re-raises the scoring error when
+        ``degraded_serving`` is off.
         """
         if not self.degraded_serving:
             raise error
@@ -552,12 +459,6 @@ class RankingService:
                 type(error).__name__,
                 error,
             )
-            if self._cache is not None:
-                stale = self._cache.peek(user, k)
-                if stale is not None and stale.size:
-                    self.stats.degraded_stale += 1
-                    return stale
-            self.stats.degraded_popularity += 1
             return self._popularity_fallback(user, k)
 
     def _popularity_fallback(self, user: int, k: int) -> np.ndarray:

@@ -169,12 +169,15 @@ class TestNonFiniteScores:
         with pytest.raises(NonFiniteScoresError, match=f"user {first}$"):
             evaluator.evaluate(model)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_one_bad_score_names_its_user(self, micro_dataset, value):
         # Item 0 is not among user 2's train positives, so it is ranked.
+        # NaN and +inf rank first; -inf sinks to the bottom, so only a
+        # cutoff that reaches all of user 2's unseen items sees it.
         model = PoisonedModel(micro_dataset, user=2, item=0, value=value)
+        k = micro_dataset.n_items if value == -np.inf else 1
         for chunk_users in (1, 256):
-            evaluator = Evaluator(micro_dataset, ks=(1,), chunk_users=chunk_users)
+            evaluator = Evaluator(micro_dataset, ks=(k,), chunk_users=chunk_users)
             with pytest.raises(NonFiniteScoresError, match="user 2$"):
                 evaluator.evaluate(model)
 

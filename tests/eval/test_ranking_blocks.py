@@ -14,19 +14,12 @@ from repro.eval.ranking import (
     auc,
     auc_block,
     average_precision_at_k,
-    average_precision_at_k_block,
     hit_rate_at_k,
-    hit_rate_at_k_block,
-    hits_against,
     ndcg_at_k,
-    ndcg_at_k_block,
     precision_at_k,
-    precision_at_k_block,
     ranking_metrics_block,
     recall_at_k,
-    recall_at_k_block,
     reciprocal_rank,
-    reciprocal_rank_block,
 )
 
 
@@ -57,53 +50,21 @@ KS = [1, 3, 8, 13, 20, 50]
 
 @pytest.mark.parametrize("k", KS)
 def test_kernels_match_scalars_bitwise(k):
+    """Every fused row at cutoff ``k`` equals the scalar functions.
+
+    The block is computed at all of ``KS`` at once, so the cumulative
+    sums it shares across cutoffs are checked too.
+    """
     hits, cases = make_cases()
     n_relevant = np.asarray([len(rel) for _, rel in cases], dtype=np.int64)
-    kernel = {
-        "precision": precision_at_k_block(hits, k),
-        "recall": recall_at_k_block(hits, n_relevant, k),
-        "ndcg": ndcg_at_k_block(hits, n_relevant, k),
-        "hitrate": hit_rate_at_k_block(hits, k),
-        "map": average_precision_at_k_block(hits, n_relevant, k),
-        "mrr": reciprocal_rank_block(hits),
-    }
+    fused = ranking_metrics_block(hits, n_relevant, KS, extra_metrics=True)
     for r, (ranked, relevant) in enumerate(cases):
-        row_hits = hits[r]
-        assert kernel["precision"][r] == precision_at_k(ranked, relevant, k, hits=row_hits)
-        assert kernel["recall"][r] == recall_at_k(ranked, relevant, k, hits=row_hits)
-        assert kernel["ndcg"][r] == ndcg_at_k(ranked, relevant, k, hits=row_hits)
-        assert kernel["hitrate"][r] == hit_rate_at_k(ranked, relevant, k, hits=row_hits)
-        assert kernel["map"][r] == average_precision_at_k(ranked, relevant, k, hits=row_hits)
-        assert kernel["mrr"][r] == reciprocal_rank(ranked, relevant, hits=row_hits)
-
-
-def test_precomputed_hits_path_matches_set_path():
-    """The ``hits=`` fast path must agree with the classic set-based path."""
-    _, cases = make_cases(seed=4)
-    for ranked, relevant in cases:
-        hits = hits_against(ranked, np.asarray(sorted(relevant), dtype=np.int64))
-        for k in (1, 5, 20):
-            assert precision_at_k(ranked, relevant, k) == precision_at_k(
-                ranked, relevant, k, hits=hits
-            )
-            assert recall_at_k(ranked, relevant, k) == recall_at_k(
-                ranked, relevant, k, hits=hits
-            )
-            assert ndcg_at_k(ranked, relevant, k) == ndcg_at_k(
-                ranked, relevant, k, hits=hits
-            )
-            assert average_precision_at_k(ranked, relevant, k) == average_precision_at_k(
-                ranked, relevant, k, hits=hits
-            )
-        assert reciprocal_rank(ranked, relevant) == reciprocal_rank(
-            ranked, relevant, hits=hits
-        )
-
-
-def test_hits_against_ignores_padding():
-    hits = hits_against(np.asarray([4, -1, 2, -1]), np.asarray([2, 4]))
-    assert np.array_equal(hits, [True, False, True, False])
-    assert not hits_against(np.asarray([1, 2]), np.asarray([], dtype=np.int64)).any()
+        assert fused[f"precision@{k}"][r] == precision_at_k(ranked, relevant, k)
+        assert fused[f"recall@{k}"][r] == recall_at_k(ranked, relevant, k)
+        assert fused[f"ndcg@{k}"][r] == ndcg_at_k(ranked, relevant, k)
+        assert fused[f"hitrate@{k}"][r] == hit_rate_at_k(ranked, relevant, k)
+        assert fused[f"map@{k}"][r] == average_precision_at_k(ranked, relevant, k)
+        assert fused["mrr"][r] == reciprocal_rank(ranked, relevant)
 
 
 def test_ndcg_perfect_ranking_is_exactly_one():
@@ -113,29 +74,12 @@ def test_ndcg_perfect_ranking_is_exactly_one():
     for n_hits in range(1, width + 1):
         hits[n_hits - 1, :n_hits] = True
     n_relevant = np.arange(1, width + 1, dtype=np.int64)
-    values = ndcg_at_k_block(hits, n_relevant, width)
+    values = ranking_metrics_block(hits, n_relevant, (width,))[f"ndcg@{width}"]
     assert np.all(values == 1.0)
     for n_hits in range(1, width + 1):
         ranked = np.arange(width)
         relevant = set(range(n_hits))
         assert ndcg_at_k(ranked, relevant, width) == 1.0
-
-
-def test_ranking_metrics_block_matches_kernels_bitwise():
-    """The hoisted-cumsum aggregate equals the standalone kernels exactly."""
-    hits, cases = make_cases(seed=6)
-    n_relevant = np.asarray([len(rel) for _, rel in cases], dtype=np.int64)
-    ks = (1, 8, 13, 50)
-    out = ranking_metrics_block(hits, n_relevant, ks, extra_metrics=True)
-    for k in ks:
-        assert np.array_equal(out[f"precision@{k}"], precision_at_k_block(hits, k))
-        assert np.array_equal(out[f"recall@{k}"], recall_at_k_block(hits, n_relevant, k))
-        assert np.array_equal(out[f"ndcg@{k}"], ndcg_at_k_block(hits, n_relevant, k))
-        assert np.array_equal(out[f"hitrate@{k}"], hit_rate_at_k_block(hits, k))
-        assert np.array_equal(
-            out[f"map@{k}"], average_precision_at_k_block(hits, n_relevant, k)
-        )
-    assert np.array_equal(out["mrr"], reciprocal_rank_block(hits))
 
 
 def test_ranking_metrics_block_key_order():

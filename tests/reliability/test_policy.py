@@ -1,9 +1,8 @@
-"""RetryPolicy, call_with_retry, and Deadline — determinism pinned exact."""
+"""RetryPolicy and call_with_retry — determinism pinned exact."""
 
 import pytest
 
 from repro.reliability.policy import (
-    Deadline,
     DeadlineExceeded,
     RetryPolicy,
     call_with_retry,
@@ -151,44 +150,7 @@ class TestCallWithRetry:
         assert seen == [(1, "fail-1"), (2, "fail-2")]
 
 
-class FakeClock:
-    def __init__(self, start=100.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
-
-
 class TestDeadline:
-    def test_counts_down_on_injected_clock(self):
-        clock = FakeClock()
-        deadline = Deadline(2.0, clock=clock)
-        assert deadline.remaining() == pytest.approx(2.0)
-        clock.now += 1.5
-        assert deadline.remaining() == pytest.approx(0.5)
-        assert not deadline.expired
-        clock.now += 1.0
-        assert deadline.expired
-        assert deadline.remaining() == 0.0
-
-    def test_check_raises_once_spent(self):
-        clock = FakeClock()
-        deadline = Deadline.after(0.5, clock=clock)
-        deadline.check()  # fine
-        clock.now += 1.0
-        with pytest.raises(DeadlineExceeded, match="0.500s"):
-            deadline.check("scoring")
-
-    def test_none_is_unbounded(self):
-        deadline = Deadline(None)
-        assert deadline.remaining() is None
-        assert not deadline.expired
-        deadline.check()
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Deadline(-1.0)
-
     def test_deadline_exceeded_is_a_timeout(self):
         # Callers that already handle TimeoutError keep working.
         assert issubclass(DeadlineExceeded, TimeoutError)

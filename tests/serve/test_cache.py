@@ -68,76 +68,12 @@ class TestStrictInvalidation:
     def test_invalidate_drops_entry(self):
         cache = TopKCache(3)
         cache.put(0, _ids(1, 2, 3))
-        cache.invalidate(0, hidden_items=_ids(2))
+        cache.invalidate(0)
         assert cache.get(0, 3) is None
-        assert not cache.is_stale(0)
+        assert 0 not in cache
 
     def test_invalidate_unknown_user_is_noop(self):
         cache = TopKCache(3)
         cache.invalidate(7)
         assert len(cache) == 0
 
-
-class TestStalenessTolerance:
-    def test_stale_entry_served_within_window(self):
-        cache = TopKCache(3, refresh_every=2)
-        cache.put(0, _ids(1, 2, 3))
-        cache.invalidate(0)
-        assert cache.is_stale(0)
-        assert np.array_equal(cache.get(0, 3), [1, 2, 3])
-        cache.advance()
-        assert np.array_equal(cache.get(0, 3), [1, 2, 3])
-
-    def test_stale_entry_expires_after_window(self):
-        cache = TopKCache(3, refresh_every=2)
-        cache.put(0, _ids(1, 2, 3))
-        cache.invalidate(0)
-        cache.advance()
-        cache.advance()
-        assert cache.get(0, 3) is None  # expired -> miss
-        # The expired entry is retained for degraded peek reads until the
-        # recompute overwrites it — the last known answer outlives its
-        # staleness window so a scorer outage can still serve something.
-        assert 0 in cache
-        assert np.array_equal(cache.peek(0, 3), [1, 2, 3])
-
-    def test_hidden_items_filtered_from_stale_reads(self):
-        # Seen-item filtering stays exact during the staleness window:
-        # the appended item disappears from reads immediately.
-        cache = TopKCache(3, refresh_every=5)
-        cache.put(0, _ids(1, 2, 3))
-        cache.invalidate(0, hidden_items=_ids(2))
-        assert np.array_equal(cache.get(0, 3), [1, 3])
-
-    def test_hidden_items_accumulate_across_invalidations(self):
-        cache = TopKCache(4, refresh_every=10)
-        cache.put(0, _ids(1, 2, 3, 4))
-        cache.invalidate(0, hidden_items=_ids(2))
-        cache.invalidate(0, hidden_items=_ids(4))
-        assert np.array_equal(cache.get(0, 4), [1, 3])
-
-    def test_repeat_invalidation_keeps_first_dirty_stamp(self):
-        cache = TopKCache(3, refresh_every=2)
-        cache.put(0, _ids(1, 2, 3))
-        cache.invalidate(0)
-        cache.advance()
-        cache.invalidate(0)  # must not reset the staleness clock
-        cache.advance()
-        assert cache.get(0, 3) is None
-
-    def test_put_clears_staleness(self):
-        cache = TopKCache(3, refresh_every=2)
-        cache.put(0, _ids(1, 2, 3))
-        cache.invalidate(0, hidden_items=_ids(2))
-        cache.put(0, _ids(5, 6, 7))
-        assert not cache.is_stale(0)
-        assert np.array_equal(cache.get(0, 3), [5, 6, 7])
-
-    def test_stale_users_sorted(self):
-        cache = TopKCache(3, refresh_every=9)
-        for user in (5, 1, 3):
-            cache.put(user, _ids(1, 2, 3))
-        cache.invalidate(5)
-        cache.invalidate(1)
-        assert np.array_equal(cache.stale_users(), [1, 5])
-        assert cache.stale_users().dtype == np.int64
