@@ -134,4 +134,3 @@ def call_with_retry(
             backoff = policy.delay(key, failures)
             if backoff > 0:
                 sleeper(backoff)
-

@@ -76,4 +76,3 @@ class TestStrictInvalidation:
         cache = TopKCache(3)
         cache.invalidate(7)
         assert len(cache) == 0
-
