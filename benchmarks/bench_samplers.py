@@ -169,15 +169,6 @@ def test_batched_vs_scalar_speedup():
                 name, dataset, model, users, pos, repeats
             )
 
-    # Upper bound for uniform sampling: the fully vectorized multi-user
-    # rejection core, which draws in batch-row order and therefore gives
-    # up the RNG-parity contract.  Recording it alongside the parity-bound
-    # RNS path documents exactly what the contract costs.
-    users_1024, _ = _mixed_batch(dataset, batch_rng, 1024)
-    rows_rng = as_rng(0)
-    nonparity_seconds = _best_seconds(
-        lambda: dataset.train.sample_negatives_rows(users_1024, rows_rng), 20
-    )
     bns_speedup = results["bns"]["1024"]["speedup"]
     payload = {
         "dataset": dataset.name,
@@ -185,7 +176,6 @@ def test_batched_vs_scalar_speedup():
         "n_items": dataset.n_items,
         "batch_sizes": BATCH_SIZES,
         "samplers": results,
-        "rns_nonparity_triples_per_s_1024": round(1024 / nonparity_seconds, 1),
         "bns_1024_speedup": bns_speedup,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")

@@ -17,16 +17,15 @@ Batched access is first class: the CSR index is exposed directly
 :meth:`hits_in_rows` for the evaluator's ranked-id blocks), per-user
 positive sets can be scattered into a
 dense ``(batch, n_items)`` block in one shot (:meth:`positives_in_rows`),
-and negative sampling comes in two flavours: the per-user draw core
-:meth:`uniform_negatives` (the draw sequence every sampler's scalar and
-batched paths share) and the fully vectorized multi-user rejection
-:meth:`sample_negatives_rows` (one draw matrix for the whole batch; a
-*different* draw order, for callers that do not need per-user RNG parity).
+and every uniform negative draw goes through one core:
+:meth:`uniform_negatives` for one user and :meth:`uniform_negatives_rows`
+for many, which gives the same draws and generator state as per-row
+calls (the draw sequence every sampler's scalar and batched paths share).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,8 +91,6 @@ class InteractionMatrix:
         self._user_activity = np.asarray(matrix.sum(axis=1), dtype=np.int64).ravel()
         # Lazy caches (the matrix is immutable, so these never go stale).
         self._pair_keys: Optional[np.ndarray] = None
-        self._negatives_cache: Dict[int, np.ndarray] = {}
-        self._negatives_cache_cells = 0
         self._negative_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
@@ -205,42 +202,33 @@ class InteractionMatrix:
         """Sorted array of item ids the user has NOT interacted with.
 
         The complement of :meth:`items_of` — the unlabeled set
-        :math:`I^-_u`.  Cached per user (the matrix is immutable), so
-        repeated queries — every :meth:`uniform_negatives` call, BNS with
-        ``n_candidates=None``, AOBPR's global ranking — pay the O(n_items)
-        materialization once instead of once per call.  Memoization stops
-        once the cache would exceed :attr:`max_cache_cells` (further
-        queries are computed per call), so huge universes degrade to
-        O(n_items) per query instead of OOMing.  The returned array is
-        marked read-only — it aliases shared cache storage.
+        :math:`I^-_u`.  A read-only view of the user's row of
+        :meth:`negative_table`, which is built once on first use (the
+        matrix is immutable), so repeated queries — every
+        :meth:`uniform_negatives` call, BNS with ``n_candidates=None``,
+        AOBPR's global ranking — cost one slice each.  When the table
+        would exceed :attr:`max_cache_cells`, each query computes the
+        complement afresh instead, so huge universes degrade to
+        O(n_items) per query instead of OOMing.
         """
         self._check_user(user)
-        if self._negative_table is not None:
-            # Serve views of the padded table instead of growing a second
-            # near n_users × n_items structure alongside it.
-            table, counts = self._negative_table
-            view = table[user, : counts[user]]
-            view.flags.writeable = False
-            return view
-        cached = self._negatives_cache.get(user)
-        if cached is None:
-            mask = np.ones(self._n_items, dtype=bool)
-            mask[self.items_of(user)] = False
-            cached = np.nonzero(mask)[0]
-            cached.flags.writeable = False
-            if self._negatives_cache_cells + cached.size <= self.max_cache_cells:
-                self._negatives_cache[user] = cached
-                self._negatives_cache_cells += cached.size
-        return cached
+        if not self.supports_negative_table():
+            return np.nonzero(self.negative_mask(user))[0]
+        table, counts = self.negative_table()
+        view = table[user, : counts[user]]
+        view.flags.writeable = False
+        return view
 
     # ------------------------------------------------------------------ #
     # Batched lookups and sampling
     # ------------------------------------------------------------------ #
 
-    #: Cells (int64 entries) above which the dense negatives caches are
-    #: considered unaffordable: :meth:`negative_table` refuses to build and
-    #: :meth:`negative_items` stops memoizing, keeping the batched pipeline
-    #: O(1) extra memory on huge universes instead of hitting an OOM cliff.
+    #: Cells (int64 entries) above which the dense negative table is
+    #: considered unaffordable: :meth:`negative_table` refuses to build,
+    #: :meth:`negative_items` computes per call and
+    #: :meth:`uniform_negatives_rows` draws row by row, keeping the batched
+    #: pipeline O(1) extra memory on huge universes instead of hitting an
+    #: OOM cliff.
     #: 64M cells = 512 MB int64.  Class attribute — override per instance
     #: for experiments that want a different trade-off.
     max_cache_cells: int = 64_000_000
@@ -350,10 +338,10 @@ class InteractionMatrix:
         how candidate sets M_u are formed in the paper's Algorithm 1.
 
         This is the canonical per-user draw sequence: every sampler's
-        scalar *and* batched path routes its uniform candidate generation
-        through this method (one ``rng.random(n)`` call per user), which is
-        what keeps the two paths bit-for-bit identical for a bound seed
-        (see ``repro.samplers.base``).
+        scalar path draws through it, and every batched path through
+        :meth:`uniform_negatives_rows`, whose rows equal calls of this
+        method — which is what keeps the two paths bit-for-bit identical
+        for a bound seed (see ``repro.samplers.base``).
         """
         if n == 0:
             return np.empty(0, dtype=np.int64)
@@ -365,20 +353,52 @@ class InteractionMatrix:
         indices = np.minimum((rng.random(n) * k).astype(np.int64), k - 1)
         return negatives[indices]
 
+    def uniform_negatives_rows(
+        self, users: np.ndarray, m: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """``m`` uniform negatives per row: a ``(len(users), m)`` matrix.
+
+        Row ``b``, and the generator state afterwards, equal per-row
+        ``uniform_negatives(users[b], m, rng)`` calls in row order; users
+        may repeat and come in any order.  When :meth:`negative_table`
+        fits :attr:`max_cache_cells` this is one ``rng.random(len(users) ·
+        m)`` call floor-scaled against each row's negative count and one
+        gather from the table: ``Generator.random`` is split-invariant, so
+        the doubles, and hence the negatives, are the per-row calls' own.
+        Over budget it makes the per-row calls.  Every batched uniform
+        draw — candidate matrices, RNS's in-order epoch, SRNS's memory,
+        the subsampled CDF's reference — goes through here.
+        """
+        users = np.asarray(users, dtype=np.int64).ravel()
+        if users.size and (users.min() < 0 or users.max() >= self._n_users):
+            raise IndexError(f"user ids out of range [0, {self._n_users})")
+        if not self.supports_negative_table():
+            out = np.empty((users.size, m), dtype=np.int64)
+            for row, user in enumerate(users.tolist()):
+                out[row] = self.uniform_negatives(user, m, rng)
+            return out
+        table, counts = self.negative_table()
+        k = counts[users, None]
+        if m and not k.all():
+            bad = users[np.argmin(k)]
+            raise ValueError(f"user {bad} has no un-interacted items to sample")
+        draws = rng.random(users.size * m).reshape(users.size, m)
+        indices = np.minimum((draws * k).astype(np.int64), k - 1)
+        return table[users[:, None], indices]
+
     def negative_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """Padded per-user negatives: ``(table, counts)``.
 
         ``table[u, :counts[u]]`` equals :meth:`negative_items`\\ ``(u)``
         (padding is zeros and must never be indexed — valid draws are
-        always ``< counts[u]``).  This is the epoch-scoped structure behind
-        fully vectorized candidate generation: one fancy gather
-        ``table[users, indices]`` replaces a per-user loop.  Built lazily
-        once (the matrix is immutable) at ``n_users × max_negatives`` int64
-        — near ``n_users × n_items`` for sparse data, a few MB at this
-        reproduction's scales.  Raises ``ValueError`` when the table would
-        exceed :attr:`max_cache_cells`; check :meth:`supports_negative_table`
-        first and fall back to per-user draws (``candidate_matrix_batch``
-        does exactly that).
+        always ``< counts[u]``).  This is the one negative structure behind
+        :meth:`negative_items` and :meth:`uniform_negatives_rows`: one
+        fancy gather ``table[users, indices]`` replaces a per-user loop.
+        Built lazily once (the matrix is immutable) at ``n_users ×
+        max_negatives`` int64 — near ``n_users × n_items`` for sparse data,
+        a few MB at this reproduction's scales.  Raises ``ValueError`` when
+        the table would exceed :attr:`max_cache_cells`; check
+        :meth:`supports_negative_table` first.
         """
         if not self.supports_negative_table():
             cells = self._n_users * max(
@@ -391,27 +411,18 @@ class InteractionMatrix:
             )
         if self._negative_table is None:
             counts = self._n_items - self._user_activity
-            width = int(counts.max()) if counts.size else 0
-            table = np.zeros((self._n_users, width), dtype=np.int64)
-            mask = np.empty(self._n_items, dtype=bool)
+            table = np.zeros(
+                (self._n_users, self._negative_table_width()), dtype=np.int64
+            )
             for user in range(self._n_users):
-                cached = self._negatives_cache.get(user)
-                if cached is None:
-                    mask[:] = True
-                    mask[self.items_of(user)] = False
-                    cached = np.nonzero(mask)[0]
-                table[user, : counts[user]] = cached
+                table[user, : counts[user]] = np.nonzero(self.negative_mask(user))[0]
             self._negative_table = (table, counts)
-            # The table supersedes the per-user cache; free the duplicates
-            # (negative_items serves table views from here on).
-            self._negatives_cache.clear()
-            self._negatives_cache_cells = 0
         return self._negative_table
 
     def supports_negative_table(self) -> bool:
         """Whether the padded negative table fits :attr:`max_cache_cells`.
 
-        Called once per mini-batch on the sampling hot path, so the answer
+        Called on every :meth:`negative_items` query, so the answer
         short-circuits on an already-built table and the width scan runs
         once (the matrix is immutable).
         """
@@ -426,41 +437,6 @@ class InteractionMatrix:
             cached = int(counts.max()) if counts.size else 0
             self._negative_width_cache = cached
         return cached
-
-    def sample_negatives_rows(
-        self, users: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One uniform negative per row of a multi-user batch, vectorized.
-
-        ``users[b]`` is the user of row ``b``; the result's row ``b`` is a
-        uniform draw from that user's un-interacted items.  The whole batch
-        shares one rejection loop: a single draw vector per round and one
-        :meth:`contains_pairs` membership check, so the cost is
-        O(rounds · B log nnz) regardless of how many distinct users appear.
-
-        Note: this consumes the generator in *batch-row* order, not the
-        sorted-per-user order of :meth:`uniform_negatives` — use it where
-        throughput matters and per-user RNG parity with the scalar sampler
-        path does not.
-        """
-        users = np.asarray(users, dtype=np.int64).ravel()
-        if users.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if users.min() < 0 or users.max() >= self._n_users:
-            raise IndexError(f"user ids out of range [0, {self._n_users})")
-        saturated = self._user_activity[users] >= self._n_items
-        if np.any(saturated):
-            bad = int(users[saturated][0])
-            raise ValueError(f"user {bad} has no un-interacted items to sample")
-        out = np.empty(users.size, dtype=np.int64)
-        unfilled = np.arange(users.size)
-        while unfilled.size:
-            draws = rng.integers(self._n_items, size=unfilled.size)
-            rejected = self.contains_pairs(users[unfilled], draws)
-            accepted = ~rejected
-            out[unfilled[accepted]] = draws[accepted]
-            unfilled = unfilled[rejected]
-        return out
 
     # ------------------------------------------------------------------ #
     # Functional updates

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.data.dataset import ImplicitDataset
-from repro.eval.protocol import DEFAULT_EVAL_CHUNK, _iter_ranked_chunks
+from repro.eval.protocol import DEFAULT_EVAL_CHUNK, _cap_users, _iter_ranked_chunks
 
 __all__ = [
     "catalog_coverage",
@@ -36,9 +36,7 @@ def _top_k_lists(
     """Every trainable user's top-``k`` list, concatenated."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    users = dataset.trainable_users()
-    if max_users is not None:
-        users = users[:max_users]
+    users = _cap_users(dataset.trainable_users(), max_users)
     lists = [
         ranked[ranked >= 0]
         for *_, ranked, _ in _iter_ranked_chunks(

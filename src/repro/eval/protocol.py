@@ -158,6 +158,21 @@ def rank_unseen(
     return block, ranked, lengths
 
 
+def _cap_users(users: np.ndarray, max_users: Optional[int]) -> np.ndarray:
+    """The first ``max_users`` of ``users``, or all of them for ``None``.
+
+    Shared by :class:`Evaluator`, :func:`repro.eval.stratified.
+    stratified_recall` and the diversity metrics.  A cap below 1 raises
+    ``ValueError``: as a slice, ``-1`` would silently drop the last user
+    and ``0`` would evaluate nobody.
+    """
+    if max_users is None:
+        return users
+    if max_users < 1:
+        raise ValueError(f"max_users must be >= 1 or None, got {max_users}")
+    return users[:max_users]
+
+
 def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
     """Drive the chunked :func:`rank_unseen` → hit pipeline.
 
@@ -191,8 +206,8 @@ class Evaluator:
         re-ranks each chunk's full score block, roughly doubling
         per-chunk cost and memory.
     max_users:
-        Optional cap: evaluate a reproducible subset of users (ordered ids)
-        — used by fast benchmarks.
+        Optional cap of at least 1: evaluate a reproducible subset of
+        users (the first ``max_users`` ids) — used by fast benchmarks.
     chunk_users:
         Users per score block; bounds peak memory at
         ``chunk_users × n_items`` floats and controls cache residency
@@ -268,9 +283,7 @@ class Evaluator:
 
     def evaluated_users(self) -> np.ndarray:
         """The user ids evaluation iterates, in order."""
-        users = self.dataset.evaluable_users()
-        if self.max_users is not None:
-            users = users[: self.max_users]
+        users = _cap_users(self.dataset.evaluable_users(), self.max_users)
         if users.size == 0:
             raise ValueError("no users with test positives to evaluate")
         return users

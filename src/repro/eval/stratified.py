@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import ImplicitDataset
-from repro.eval.protocol import DEFAULT_EVAL_CHUNK, _iter_ranked_chunks
+from repro.eval.protocol import DEFAULT_EVAL_CHUNK, _cap_users, _iter_ranked_chunks
 
 __all__ = ["popularity_buckets", "stratified_recall"]
 
@@ -72,9 +72,7 @@ def stratified_recall(
 
     hits = np.zeros(n_buckets, dtype=np.int64)
     totals = np.zeros(n_buckets, dtype=np.int64)
-    users = dataset.evaluable_users()
-    if max_users is not None:
-        users = users[:max_users]
+    users = _cap_users(dataset.evaluable_users(), max_users)
     for chunk, _, ranked, hit_matrix in _iter_ranked_chunks(
         model, dataset, users, k, chunk_users
     ):

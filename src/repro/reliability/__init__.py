@@ -37,17 +37,12 @@ from repro.reliability.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.reliability.policy import (
-    DeadlineExceeded,
-    RetryPolicy,
-    call_with_retry,
-)
+from repro.reliability.policy import RetryPolicy, call_with_retry
 from repro.reliability.report import GridExecutionError, JobFailure, RunReport
 
 __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
-    "DeadlineExceeded",
     "FaultInjected",
     "FaultInjector",
     "FaultPlan",

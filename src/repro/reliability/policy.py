@@ -20,11 +20,7 @@ import numpy as np
 
 from repro.utils.rng import as_rng
 
-__all__ = ["DeadlineExceeded", "RetryPolicy", "call_with_retry"]
-
-
-class DeadlineExceeded(TimeoutError):
-    """A bounded wait ran out of budget."""
+__all__ = ["RetryPolicy", "call_with_retry"]
 
 
 def _key_entropy(key: str) -> int:

@@ -26,10 +26,11 @@ user and calling :meth:`NegativeSampler.sample_for_user` per group) must
 produce **bit-identical negatives for a bound seed** when given the same
 score values.  Every built-in batched implementation therefore consumes the
 bound generator in sorted-unique-user order, drawing for each user exactly
-what the scalar path would draw for that user's rows (the draw core lives
-in :meth:`repro.data.interactions.InteractionMatrix.uniform_negatives`);
-only the deterministic math — candidate scoring, empirical CDFs, priors,
-risk — is vectorized across the whole batch.  A property test pins this
+what the scalar path would draw for that user's rows (the one draw core
+is :meth:`repro.data.interactions.InteractionMatrix.uniform_negatives`
+and its many-user form ``uniform_negatives_rows``); only the
+deterministic math — candidate scoring, empirical CDFs, priors, risk —
+is vectorized across the whole batch.  A property test pins this
 equivalence for every registered sampler
 (``tests/property/test_property_sampler_batch.py``).
 
@@ -315,66 +316,21 @@ class NegativeSampler(ABC):
     def candidate_matrix_batch(self, groups: BatchGroups, m: int) -> np.ndarray:
         """A ``(B, m)`` candidate matrix for a grouped mini-batch.
 
-        Fully vectorized: one ``rng.random(B · m)`` draw, one floor-scale
-        against each row's negative count, one gather from the dataset's
-        padded :meth:`~repro.data.interactions.InteractionMatrix.
-        negative_table`, one scatter back to batch order.
-
-        RNG parity holds bit-for-bit because ``Generator.random`` is
-        split-invariant — one ``random(B · m)`` call yields the same
-        doubles as per-user ``random(n_u · m)`` calls consumed in sorted
-        order, which is exactly what the scalar path's
-        :meth:`uniform_negatives` does — and the floor-scale/gather are
-        the same elementwise operations on the same values.
-
-        When the padded table would blow the dataset's ``max_cache_cells``
-        budget (huge universes), the draws fall back to a per-user loop
-        through :meth:`uniform_negatives` — O(1) extra memory and, by the
-        same split-invariance, still bit-identical output.
+        One :meth:`~repro.data.interactions.InteractionMatrix.
+        uniform_negatives_rows` draw over the batch rows in grouped
+        (sorted-unique-user) order, scattered back to batch order.  Its
+        rows equal per-row :meth:`uniform_negatives` calls of ``m``, and
+        by ``Generator.random``'s split-invariance those equal the scalar
+        path's per-user calls of ``n_u · m`` in sorted order — so RNG
+        parity holds bit for bit, within the negative-table budget or
+        over it.
         """
         if m <= 0:
             raise ValueError(f"candidate set size must be positive, got {m}")
-        if not self.dataset.train.supports_negative_table():
-            return self._candidate_matrix_batch_grouped(groups, m)
         sizes = np.diff(groups.boundaries)
-        grouped = self._table_draws(np.repeat(groups.unique_users, sizes), m)
-        out = np.empty_like(grouped)
-        out[groups.order] = grouped
-        return out
-
-    def _table_draws(self, users: np.ndarray, m: int) -> np.ndarray:
-        """``(users.size, m)`` uniform negatives, row ``b`` for ``users[b]``.
-
-        One ``rng.random(users.size · m)`` call floor-scaled against each
-        row's negative count and gathered from the padded
-        :meth:`~repro.data.interactions.InteractionMatrix.negative_table`:
-        by split-invariance, the same values as per-row
-        :meth:`uniform_negatives` calls of ``m`` draws in row order.
-        Callers check ``supports_negative_table()`` first.
-        """
-        table, counts = self.dataset.train.negative_table()
-        k = counts[users]
-        if k.size and k.min() == 0:
-            bad = int(users[np.argmin(k)])
-            raise ValueError(f"user {bad} has no un-interacted items to sample")
-        k = k[:, None]
-        draws = self.rng.random(users.size * m).reshape(-1, m)
-        indices = np.minimum((draws * k).astype(np.int64), k - 1)
-        return table[users[:, None], indices]
-
-    def _candidate_matrix_batch_grouped(
-        self, groups: BatchGroups, m: int
-    ) -> np.ndarray:
-        """Memory-bounded fallback: per-user draws, same stream, same output."""
-        train = self.dataset.train
-        rng = self.rng
-        grouped = np.empty((groups.rows.size, m), dtype=np.int64)
-        boundaries = groups.boundaries
-        for group, user in enumerate(groups.unique_users.tolist()):
-            start, stop = boundaries[group], boundaries[group + 1]
-            grouped[start:stop] = train.uniform_negatives(
-                user, (stop - start) * m, rng
-            ).reshape(-1, m)
+        grouped = self.dataset.train.uniform_negatives_rows(
+            np.repeat(groups.unique_users, sizes), m, self.rng
+        )
         out = np.empty_like(grouped)
         out[groups.order] = grouped
         return out

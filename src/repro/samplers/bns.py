@@ -129,7 +129,7 @@ class _CandidatePosterior:
         candidate_scores, cdf_values = self.cdf.cdf_for_batch(
             sampler, groups, candidates, scores
         )
-        prior_fn = self.prior.fn_prob_batch(users, candidates)
+        prior_fn = self.prior.fn_prob(users, candidates)
         return candidate_scores, cdf_values, unbias(cdf_values, prior_fn)
 
     def _positive_scores_user(

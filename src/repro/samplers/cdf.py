@@ -280,7 +280,8 @@ class SubsampledCDF(CDFEstimator):
     the module docstring quotes.  Draws are with replacement (i.i.d. from
     the empirical negative distribution, exactly what DKW assumes) via the
     same :meth:`~repro.data.interactions.InteractionMatrix.
-    uniform_negatives` draw core the candidate sets use.
+    uniform_negatives_rows` draw core the candidate sets use, one call
+    per dispatch for the scalar and the batched path alike.
     """
 
     score_request = ScoreRequest.SPARSE
@@ -305,51 +306,27 @@ class SubsampledCDF(CDFEstimator):
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         return float(np.sqrt(np.log(2.0 / delta) / (2.0 * self.n_samples)))
 
-    def _subsample_scores(self, sampler, user: int) -> np.ndarray:
-        """Ascending scores of ``s`` uniform draws from ``I⁻_u``."""
-        train = sampler.dataset.train
-        subsample = train.uniform_negatives(user, self.n_samples, self.rng)
-        users = np.full(1, user, dtype=np.int64)
-        scores = sampler.model.score_items_batch(users, subsample[None, :])[0]
-        scores.sort()
-        return scores
+    def _subsample_block(self, sampler, users: np.ndarray) -> np.ndarray:
+        """``(len(users), s)`` ascending subsample scores, one row per user.
 
-    def _subsample_block(self, sampler, groups: BatchGroups) -> np.ndarray:
-        """``(U, s)`` ascending subsample scores, one row per unique user.
-
-        One ``rng.random(U · s)`` draw against the dataset's padded
-        negative table, one ``score_items_batch`` gather, one axis-1 sort
-        — the whole-batch version of :meth:`_subsample_scores`.  By
-        ``Generator.random``'s split-invariance the draws equal per-user
-        ``random(s)`` calls in sorted-unique-user order, which is exactly
-        what the scalar path consumes, so the two paths see identical
-        references (the RNG-parity contract).  Falls back to the per-user
-        loop when the table would blow the dataset's memory budget.
+        One :meth:`~repro.data.interactions.InteractionMatrix.
+        uniform_negatives_rows` draw from the estimator's generator, one
+        ``score_items_batch`` gather, one axis-1 sort.  The scalar path
+        passes its one user and the batched path the sorted unique users,
+        so both consume the generator in sorted-unique-user order and see
+        identical references (the RNG-parity contract).
         """
-        train = sampler.dataset.train
-        if not train.supports_negative_table():
-            return np.stack(
-                [
-                    self._subsample_scores(sampler, int(user))
-                    for user in groups.unique_users
-                ]
-            )
-        table, counts = train.negative_table()
-        k = counts[groups.unique_users]
-        if k.size and k.min() == 0:
-            bad = int(groups.unique_users[np.argmin(k)])
-            raise ValueError(f"user {bad} has no un-interacted items to sample")
-        draws = self.rng.random(groups.n_groups * self.n_samples).reshape(
-            -1, self.n_samples
+        subsample = sampler.dataset.train.uniform_negatives_rows(
+            users, self.n_samples, self.rng
         )
-        indices = np.minimum((draws * k[:, None]).astype(np.int64), k[:, None] - 1)
-        subsample = table[groups.unique_users[:, None], indices]
-        block = sampler.model.score_items_batch(groups.unique_users, subsample)
+        block = sampler.model.score_items_batch(users, subsample)
         block.sort(axis=1)
         return block
 
     def cdf_for_user(self, sampler, user, candidates, scores):
-        reference = self._subsample_scores(sampler, user)
+        reference = self._subsample_block(
+            sampler, np.full(1, user, dtype=np.int64)
+        )[0]
         candidate_scores = self._candidate_scores_user(
             sampler, user, candidates, scores
         )
@@ -360,7 +337,7 @@ class SubsampledCDF(CDFEstimator):
         return candidate_scores, cdf_values
 
     def cdf_for_batch(self, sampler, groups, candidates, scores):
-        references = self._subsample_block(sampler, groups)
+        references = self._subsample_block(sampler, groups.unique_users)
         candidate_scores = self._candidate_scores_batch(
             sampler, groups, candidates, scores
         )

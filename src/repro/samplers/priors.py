@@ -38,7 +38,11 @@ __all__ = [
 
 
 class Prior(ABC):
-    """Interface: after :meth:`bind`, yields ``P_fn`` for (user, items)."""
+    """Interface: after :meth:`bind`, yields ``P_fn`` for (users, items).
+
+    Each prior has one :meth:`fn_prob`, serving the scalar sampler path
+    (one user) and the batched path (one user per row) alike.
+    """
 
     name: str = "prior"
 
@@ -60,36 +64,22 @@ class Prior(ABC):
         return self._dataset
 
     @abstractmethod
-    def fn_prob(self, user: int, items: np.ndarray) -> np.ndarray:
-        """``P_fn(l)`` for each item id in ``items`` (same shape)."""
+    def fn_prob(self, users, items: np.ndarray) -> np.ndarray:
+        """``P_fn(l)`` for each item id in ``items`` (same shape).
 
-    def fn_prob_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """``P_fn`` for a multi-user batch: row ``b`` of ``items`` belongs
-        to ``users[b]``.
-
-        ``users`` has shape ``(B,)`` and ``items`` shape ``(B, ...)``; the
-        result matches ``items``.  This fallback loops unique users over
-        :meth:`fn_prob`; user-independent and vectorizable priors override
-        it with a single array pass.  Values must equal the per-user
-        :meth:`fn_prob` exactly — the sampler parity contract
-        (``repro.samplers.base``) depends on it.
+        ``users`` is one user id for all of ``items``, or one user per
+        row: shape ``(B,)`` against ``items`` of shape ``(B, ...)``.  A
+        one-user call equals the matching row of a per-row call bit for
+        bit — the sampler parity contract (``repro.samplers.base``)
+        depends on it.
         """
-        users = np.asarray(users, dtype=np.int64).ravel()
-        items = np.asarray(items, dtype=np.int64)
-        if items.shape[:1] != users.shape:
-            raise ValueError(
-                f"items must have one row per user, got {items.shape} rows "
-                f"for {users.size} users"
-            )
-        out = np.empty(items.shape, dtype=np.float64)
-        for user in np.unique(users):
-            mask = users == user
-            out[mask] = self.fn_prob(int(user), items[mask])
-        return out
 
-    def tn_prob(self, user: int, items: np.ndarray) -> np.ndarray:
-        """``P_tn(l) = 1 − P_fn(l)``."""
-        return 1.0 - self.fn_prob(user, items)
+
+def _per_row(users, items: np.ndarray) -> np.ndarray:
+    """``users`` shaped to broadcast against ``items``: one id, or one
+    id per row of ``items``."""
+    users = np.asarray(users, dtype=np.int64)
+    return users.reshape(users.shape + (1,) * (items.ndim - users.ndim))
 
 
 class PopularityPrior(Prior):
@@ -107,14 +97,9 @@ class PopularityPrior(Prior):
         n = max(train.n_interactions, 1)
         self._prob = train.item_popularity.astype(np.float64) / n
 
-    def fn_prob(self, user: int, items: np.ndarray) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        return self._prob[items]
-
-    def fn_prob_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        # User-independent: one table gather covers the whole batch.
-        items = np.asarray(items, dtype=np.int64)
-        return self._prob[items]
+    def fn_prob(self, users, items: np.ndarray) -> np.ndarray:
+        # User-independent: one table gather.
+        return self._prob[np.asarray(items, dtype=np.int64)]
 
 
 class UniformPrior(Prior):
@@ -136,13 +121,8 @@ class UniformPrior(Prior):
         else:
             self._resolved = self._value
 
-    def fn_prob(self, user: int, items: np.ndarray) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        return np.full(items.shape, self._resolved)
-
-    def fn_prob_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        return np.full(items.shape, self._resolved)
+    def fn_prob(self, users, items: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(items), self._resolved)
 
 
 class OccupationPrior(Prior):
@@ -183,18 +163,9 @@ class OccupationPrior(Prior):
         self._delta = (counts - mean_per_item) / safe_max
         self._occupations = occupations
 
-    def fn_prob(self, user: int, items: np.ndarray) -> np.ndarray:
+    def fn_prob(self, users, items: np.ndarray) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
-        occupation = self._occupations[user]
-        adjusted = self._base[items] * (1.0 + self._delta[occupation, items])
-        return np.clip(adjusted, 0.0, 1.0)
-
-    def fn_prob_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64).ravel()
-        items = np.asarray(items, dtype=np.int64)
-        occupations = self._occupations[users]
-        # Broadcast each row's occupation across that row's items.
-        occupations = occupations.reshape((-1,) + (1,) * (items.ndim - 1))
+        occupations = self._occupations[_per_row(users, items)]
         adjusted = self._base[items] * (1.0 + self._delta[occupations, items])
         return np.clip(adjusted, 0.0, 1.0)
 
@@ -243,19 +214,9 @@ class ExposurePrior(Prior):
         n = max(train.n_interactions, 1)
         self._base = train.item_popularity.astype(np.float64) / n
 
-    def fn_prob(self, user: int, items: np.ndarray) -> np.ndarray:
+    def fn_prob(self, users, items: np.ndarray) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
-        exposed = self._impressions.contains_pairs(
-            np.full(items.shape, user, dtype=np.int64), items
-        )
-        base = self._base[items]
-        return np.where(exposed, base * self._damping, base)
-
-    def fn_prob_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64).ravel()
-        items = np.asarray(items, dtype=np.int64)
-        broadcast_users = users.reshape((-1,) + (1,) * (items.ndim - 1))
-        exposed = self._impressions.contains_pairs(broadcast_users, items)
+        exposed = self._impressions.contains_pairs(_per_row(users, items), items)
         base = self._base[items]
         return np.where(exposed, base * self._damping, base)
 
@@ -277,14 +238,7 @@ class OraclePrior(Prior):
         self._fn_value = check_probability(fn_value, "fn_value")
         self._tn_value = check_probability(tn_value, "tn_value")
 
-    def fn_prob(self, user: int, items: np.ndarray) -> np.ndarray:
+    def fn_prob(self, users, items: np.ndarray) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
-        fn_mask = self.dataset.false_negative_mask(user)[items]
-        return np.where(fn_mask, self._fn_value, self._tn_value)
-
-    def fn_prob_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64).ravel()
-        items = np.asarray(items, dtype=np.int64)
-        broadcast_users = users.reshape((-1,) + (1,) * (items.ndim - 1))
-        fn_mask = self.dataset.test.contains_pairs(broadcast_users, items)
+        fn_mask = self.dataset.test.contains_pairs(_per_row(users, items), items)
         return np.where(fn_mask, self._fn_value, self._tn_value)

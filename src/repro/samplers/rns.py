@@ -59,15 +59,12 @@ class RandomNegativeSampler(NegativeSampler):
         return self.candidate_matrix_batch(groups, 1)[:, 0]
 
     def sample_in_order(self, users: np.ndarray, pos_items: np.ndarray) -> np.ndarray:
-        """The one-row draws in row order, as one ``rng.random(n)`` call.
+        """The one-row draws in row order, as one ``uniform_negatives_rows``.
 
-        Each one-row ``sample_for_user`` call is one ``random(1)`` draw,
-        and ``Generator.random`` is split-invariant, so one draw of ``n``
-        against the negative table gives the same negatives and leaves
-        the same generator state.  Falls back to the per-row loop when
-        the table does not fit the dataset's cache budget.
+        Each one-row ``sample_for_user`` call is one ``uniform_negatives``
+        draw of 1, which is the matching row of the dataset's
+        ``uniform_negatives_rows(users, 1)`` — same negatives, same
+        generator state after.
         """
-        if not self.dataset.train.supports_negative_table():
-            return super().sample_in_order(users, pos_items)
         users, _ = self._check_batch(users, pos_items)
-        return self._table_draws(users, 1)[:, 0]
+        return self.dataset.train.uniform_negatives_rows(users, 1, self.rng)[:, 0]

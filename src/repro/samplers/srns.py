@@ -86,14 +86,15 @@ class SRNSSampler(NegativeSampler):
     # ------------------------------------------------------------------ #
 
     def _on_bind(self) -> None:
+        train = self.dataset.train
         n_users = self.dataset.n_users
         self._memory = np.zeros((n_users, self.memory_size), dtype=np.int64)
         self._score_history = np.zeros((n_users, self.memory_size, self.history))
         self._filled_epochs = 0
-        for user in range(n_users):
-            if self.dataset.train.degree_of(user) == 0:
-                continue
-            self._memory[user] = self.uniform_negatives(user, self.memory_size)
+        active = np.flatnonzero(train.user_activity)
+        self._memory[active] = train.uniform_negatives_rows(
+            active, self.memory_size, self.rng
+        )
 
     def on_epoch_start(self, epoch: int) -> None:
         """Refresh part of each memory and push current scores into history."""

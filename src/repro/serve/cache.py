@@ -86,9 +86,5 @@ class TopKCache:
         """Drop a user's entry; unknown users are a no-op."""
         self._entries.pop(int(user), None)
 
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()
-
     def __repr__(self) -> str:
         return f"TopKCache(cache_k={self.cache_k}, entries={len(self._entries)})"

@@ -16,9 +16,9 @@ coalescer dead-simple to embed (no lifecycle, nothing to shut down) and
 adds zero latency in the single-client case: a lone request waits
 ``max_wait`` once, or not at all with ``max_wait=0``.
 
-Deadline handling uses ``time.monotonic`` only — wallclock never enters
-any decision (the serving layer sits under the repo's R002 purity rule:
-durations may be measured, identity/keys may not depend on time).
+The leader's fill window uses ``time.monotonic`` only — wallclock never
+enters any decision (the serving layer sits under the repo's R002 purity
+rule: durations may be measured, identity/keys may not depend on time).
 
 Failure semantics (pinned by ``tests/serve/test_coalescer.py``):
 
@@ -28,13 +28,11 @@ Failure semantics (pinned by ``tests/serve/test_coalescer.py``):
   the queue;
 * if the leader thread itself dies outside the compute guard (a bug, a
   ``KeyboardInterrupt`` between rounds), the pending queue is aborted
-  with that error instead of hanging followers forever;
-* ``submit(..., timeout=...)`` bounds a follower's wait: when the
-  leader is stuck (hung compute, lost to a debugger) the follower
-  raises :class:`~repro.reliability.policy.DeadlineExceeded` after
-  ``timeout`` seconds instead of waiting forever.  The leader itself
-  cannot time out — it *is* the compute — which is why the serving
-  layer pairs the coalescer with a circuit breaker.
+  with that error instead of hanging followers forever.
+
+A hung compute holds its followers as long as it holds the leader; the
+serving layer pairs the coalescer with a circuit breaker for failures
+that do return.
 """
 
 from __future__ import annotations
@@ -42,9 +40,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Generic, List, Optional, Sequence, TypeVar
+from typing import Callable, Generic, List, Sequence, TypeVar
 
-from repro.reliability.policy import DeadlineExceeded
 from repro.utils.validation import check_positive
 
 __all__ = ["CoalescerStats", "RequestCoalescer"]
@@ -60,9 +57,6 @@ class CoalescerStats:
     requests: int = 0
     batches: int = 0
     batch_sizes: List[int] = field(default_factory=list)
-    #: Follower waits that hit their deadline (the request was either
-    #: withdrawn from the queue or abandoned in flight).
-    deadline_expired: int = 0
     #: Leader threads that died outside the compute guard, aborting the
     #: queued requests they were responsible for.
     leader_aborts: int = 0
@@ -106,10 +100,6 @@ class RequestCoalescer(Generic[TRequest, TResult]):
         Seconds a leader waits for the batch to fill before dispatching
         whatever has arrived.  ``0`` dispatches immediately — only
         requests already queued at that instant coalesce.
-    default_timeout:
-        Follower-wait bound applied when :meth:`submit` is called
-        without an explicit ``timeout``.  ``None`` (the default) waits
-        indefinitely, matching the pre-deadline behavior.
     """
 
     def __init__(
@@ -118,17 +108,11 @@ class RequestCoalescer(Generic[TRequest, TResult]):
         *,
         max_batch: int = 256,
         max_wait: float = 0.002,
-        default_timeout: Optional[float] = None,
     ) -> None:
         self.max_batch = int(check_positive(max_batch, "max_batch"))
         if max_wait < 0:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-        if default_timeout is not None and default_timeout <= 0:
-            raise ValueError(
-                f"default_timeout must be > 0, got {default_timeout}"
-            )
         self.max_wait = float(max_wait)
-        self.default_timeout = default_timeout
         self._compute = compute
         self._cond = threading.Condition()
         self._queue: List[_Slot] = []
@@ -137,20 +121,12 @@ class RequestCoalescer(Generic[TRequest, TResult]):
 
     # ------------------------------------------------------------------ #
 
-    def submit(
-        self, request: TRequest, *, timeout: Optional[float] = None
-    ) -> TResult:
+    def submit(self, request: TRequest) -> TResult:
         """Block until ``request`` has been computed; return its result.
 
         Exceptions raised by ``compute`` propagate to every caller whose
-        request was in the failing batch.  ``timeout`` (seconds, falling
-        back to ``default_timeout``) bounds a *follower's* wait on the
-        leader: on expiry the request is withdrawn from the queue if
-        still unclaimed and :class:`DeadlineExceeded` is raised — a
-        stuck leader fails its followers fast instead of hanging them.
+        request was in the failing batch.
         """
-        if timeout is None:
-            timeout = self.default_timeout
         slot: _Slot = _Slot(request)
         with self._cond:
             self._queue.append(slot)
@@ -173,19 +149,8 @@ class RequestCoalescer(Generic[TRequest, TResult]):
                 # with no leader.
                 self._abort_pending(error)
                 raise
-        elif not slot.done.wait(timeout):
-            with self._cond:
-                # Withdraw if still queued; when the leader already took
-                # the batch, the slot simply expires unobserved.
-                try:
-                    self._queue.remove(slot)
-                except ValueError:  # repro: noqa[R006] -- slot already claimed by the leader; nothing to withdraw
-                    pass
-                self.stats.deadline_expired += 1
-            raise DeadlineExceeded(
-                f"coalesced request timed out after {timeout:.3f}s waiting "
-                "for the batch leader"
-            )
+        else:
+            slot.done.wait()
         if slot.error is not None:
             raise slot.error
         return slot.result

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.data.interactions import InteractionMatrix
 
@@ -264,32 +266,53 @@ class TestNegativeSampling:
         with pytest.raises(ValueError, match="no un-interacted"):
             full.uniform_negatives(0, 1, np.random.default_rng(0))
 
-    def test_sample_negatives_rows_respects_each_row_user(self, micro_train):
-        rng = np.random.default_rng(3)
-        users = np.array([0, 3, 1, 0, 2, 2, 1, 3] * 25)
-        draws = micro_train.sample_negatives_rows(users, rng)
-        assert draws.shape == users.shape
-        for user, item in zip(users.tolist(), draws.tolist()):
-            assert not micro_train.contains(user, item)
 
-    def test_sample_negatives_rows_covers_negatives(self, micro_train):
-        rng = np.random.default_rng(5)
-        users = np.zeros(2000, dtype=np.int64)
-        draws = micro_train.sample_negatives_rows(users, rng)
-        assert set(draws.tolist()) == set(micro_train.negative_items(0).tolist())
+class TestUniformNegativesRows:
+    """The many-user draw core: each row, and the generator state after,
+    equal per-row ``uniform_negatives`` calls, through the negative table
+    and with the budget forced below it."""
 
-    def test_sample_negatives_rows_saturated_user(self):
+    @pytest.mark.parametrize("budget", [None, 4], ids=["table", "per-row"])
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        users=st.lists(st.integers(0, 3), max_size=12),
+        m=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_row_draws(self, micro_train, budget, users, m, seed):
+        train = InteractionMatrix(*micro_train.shape, *micro_train.pairs())
+        if budget is not None:
+            train.max_cache_cells = budget
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = train.uniform_negatives_rows(np.array(users, dtype=np.int64), m, rng)
+        assert train.supports_negative_table() is (budget is None)
+        assert got.shape == (len(users), m) and got.dtype == np.int64
+        for row, user in enumerate(users):
+            want = train.uniform_negatives(user, m, reference_rng)
+            assert got[row].tolist() == want.tolist()
+        assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["table", "per-row"])
+    def test_user_without_negatives_raises(self, budget):
         train = InteractionMatrix.from_pairs(
             [(0, i) for i in range(4)] + [(1, 0)], 2, 4
         )
+        if budget is not None:
+            train.max_cache_cells = budget
         with pytest.raises(ValueError, match="user 0 has no un-interacted"):
-            train.sample_negatives_rows(np.array([1, 0]), np.random.default_rng(0))
+            train.uniform_negatives_rows(
+                np.array([1, 0, 1]), 2, np.random.default_rng(0)
+            )
 
-    def test_sample_negatives_rows_empty(self, micro_train):
-        out = micro_train.sample_negatives_rows(
-            np.empty(0, dtype=np.int64), np.random.default_rng(0)
-        )
-        assert out.size == 0
+    def test_rejects_out_of_range_users(self, micro_train):
+        with pytest.raises(IndexError, match="out of range"):
+            micro_train.uniform_negatives_rows(
+                np.array([0, 4]), 1, np.random.default_rng(0)
+            )
 
 
 class TestCacheBudget:
@@ -299,14 +322,21 @@ class TestCacheBudget:
         with pytest.raises(ValueError, match="max_cache_cells"):
             micro_train.negative_table()
 
-    def test_negative_items_stops_memoizing_over_budget(self, micro_train):
-        micro_train.max_cache_cells = micro_train.negative_items(0).size
-        assert len(micro_train._negatives_cache) == 1
-        # Further users exceed the budget: computed per call, not cached...
-        second = micro_train.negative_items(1)
-        assert len(micro_train._negatives_cache) == 1
-        # ...but results stay correct.
-        assert np.array_equal(second, np.nonzero(micro_train.negative_mask(1))[0])
+    def test_negative_items_views_the_table_within_budget(self, micro_train):
+        negatives = micro_train.negative_items(1)
+        table, _ = micro_train.negative_table()
+        assert np.shares_memory(negatives, table)
+        assert not negatives.flags.writeable
+        assert np.array_equal(negatives, np.nonzero(micro_train.negative_mask(1))[0])
+
+    def test_negative_items_computes_per_call_over_budget(self, micro_train):
+        micro_train.max_cache_cells = 4
+        for user in range(micro_train.n_users):
+            assert np.array_equal(
+                micro_train.negative_items(user),
+                np.nonzero(micro_train.negative_mask(user))[0],
+            )
+        assert not micro_train.supports_negative_table()
 
     def test_indptr_indices_read_only(self, micro_train):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.eval import NonFiniteScoresError
+from repro.eval.diversity import catalog_coverage
 from repro.eval.protocol import Evaluator
+from repro.eval.stratified import stratified_recall
 from repro.models.mf import MatrixFactorization
 
 
@@ -75,6 +77,23 @@ class TestEvaluator:
 
         Evaluator(micro_dataset, ks=(2,), max_users=2).evaluate(Probe(micro_dataset))
         assert len(set(calls)) == 2
+
+    @pytest.mark.parametrize("max_users", [-1, 0])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda model, data, cap: Evaluator(data, max_users=cap).evaluate(model),
+            lambda model, data, cap: stratified_recall(model, data, max_users=cap),
+            lambda model, data, cap: catalog_coverage(model, data, max_users=cap),
+        ],
+        ids=["evaluator", "stratified", "diversity"],
+    )
+    def test_max_users_below_one_rejected(
+        self, micro_dataset, micro_model, evaluate, max_users
+    ):
+        # As a slice, -1 would drop the last user and 0 evaluate nobody.
+        with pytest.raises(ValueError, match="max_users must be >= 1"):
+            evaluate(micro_model, micro_dataset, max_users)
 
     def test_ks_validated(self, micro_dataset):
         with pytest.raises(ValueError):

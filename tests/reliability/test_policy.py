@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.reliability.policy import (
-    DeadlineExceeded,
-    RetryPolicy,
-    call_with_retry,
-)
+from repro.reliability.policy import RetryPolicy, call_with_retry
 
 
 class TestRetryPolicySchedule:
@@ -148,9 +144,3 @@ class TestCallWithRetry:
             on_retry=lambda attempt, error: seen.append((attempt, str(error))),
         )
         assert seen == [(1, "fail-1"), (2, "fail-2")]
-
-
-class TestDeadline:
-    def test_deadline_exceeded_is_a_timeout(self):
-        # Callers that already handle TimeoutError keep working.
-        assert issubclass(DeadlineExceeded, TimeoutError)

@@ -197,9 +197,10 @@ class TestSortedNegativeBlock:
 
 class TestCandidateMatrixBatchFallback:
     def test_table_and_grouped_paths_bit_identical(self, micro_dataset, micro_model):
-        """The memory-bounded per-user fallback must consume the generator
-        exactly like the table fast path (Generator.random split
-        invariance), so both yield the same candidates for the same seed."""
+        """With the cache budget forced below the negative table, the
+        draws go row by row; they must consume the generator exactly like
+        the table path (Generator.random split invariance), so both yield
+        the same candidates and leave the same state for the same seed."""
         from repro.samplers.base import group_batch_by_user
 
         users = np.array([2, 0, 2, 1, 3, 0, 0])
@@ -210,10 +211,16 @@ class TestCandidateMatrixBatchFallback:
         assert micro_dataset.train.supports_negative_table()
         via_table = fast.candidate_matrix_batch(groups, 4)
 
+        train = micro_dataset.train
+        over_budget = InteractionMatrix(*train.shape, *train.pairs())
+        over_budget.max_cache_cells = 1
         slow = RandomNegativeSampler()
-        slow.bind(micro_dataset, micro_model, seed=11)
-        via_loop = slow._candidate_matrix_batch_grouped(groups, 4)
-        assert np.array_equal(via_table, via_loop)
+        over_budget_dataset = ImplicitDataset(over_budget, micro_dataset.test)
+        slow.bind(over_budget_dataset, micro_model, seed=11)
+        via_rows = slow.candidate_matrix_batch(groups, 4)
+        assert not over_budget.supports_negative_table()
+        assert np.array_equal(via_table, via_rows)
+        assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
 
     def test_score_block_width_rejected(self, micro_dataset, micro_model):
         """A block narrower than n_items must error, not silently clamp

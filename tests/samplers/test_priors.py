@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.data.interactions import InteractionMatrix
 from repro.samplers.priors import (
+    ExposurePrior,
     OccupationPrior,
     OraclePrior,
     PopularityPrior,
@@ -18,6 +20,32 @@ class TestLifecycle:
             _ = prior.dataset
 
 
+PRIORS = {
+    "popularity": PopularityPrior,
+    "uniform": UniformPrior,
+    "occupation": OccupationPrior,
+    "oracle": OraclePrior,
+    # Users 0 and 1 saw items without interacting.
+    "exposure": lambda: ExposurePrior(
+        InteractionMatrix.from_pairs([(0, 3), (0, 4), (1, 0)], 4, 8)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIORS))
+def test_one_user_call_equals_its_row(micro_dataset, name):
+    """``fn_prob(user, items)`` is row ``b`` of ``fn_prob(users, items)``
+    bit for bit — the batched BNS path relies on it."""
+    prior = PRIORS[name]()
+    prior.bind(micro_dataset)
+    users = np.array([3, 0, 1, 0, 2])
+    items = np.tile(np.arange(micro_dataset.n_items), (users.size, 1))
+    block = prior.fn_prob(users, items)
+    assert block.shape == items.shape and block.dtype == np.float64
+    for row, user in enumerate(users.tolist()):
+        assert prior.fn_prob(user, items[row]).tobytes() == block[row].tobytes()
+
+
 class TestPopularityPrior:
     @pytest.fixture
     def bound(self, micro_dataset):
@@ -29,12 +57,6 @@ class TestPopularityPrior:
         items = np.asarray([2, 7])
         expected = micro_dataset.train.item_popularity[items] / 9
         assert np.allclose(bound.fn_prob(0, items), expected)
-
-    def test_tn_prob_complement(self, bound):
-        items = np.asarray([0, 1, 2])
-        assert np.allclose(
-            bound.tn_prob(0, items), 1.0 - bound.fn_prob(0, items)
-        )
 
     def test_user_independent(self, bound):
         items = np.asarray([2, 4])

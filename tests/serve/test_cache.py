@@ -52,13 +52,6 @@ class TestPrefixReads:
         assert 4 in cache
         assert 5 not in cache
 
-    def test_clear(self):
-        cache = TopKCache(3)
-        cache.put(0, _ids(1, 2, 3))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get(0, 3) is None
-
     def test_rejects_nonpositive_cache_k(self):
         with pytest.raises(ValueError):
             TopKCache(0)

@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-from repro.reliability.policy import DeadlineExceeded
 from repro.serve.coalescer import RequestCoalescer
 
 
@@ -44,8 +43,6 @@ class TestSingleCaller:
             RequestCoalescer(_echo_batch, max_batch=0)
         with pytest.raises(ValueError):
             RequestCoalescer(_echo_batch, max_wait=-0.1)
-        with pytest.raises(ValueError):
-            RequestCoalescer(_echo_batch, default_timeout=0.0)
 
 
 class TestConcurrentCallers:
@@ -186,47 +183,3 @@ class TestFailureSemantics:
         # The coalescer recovers: leadership was vacated.
         del coalescer._lead  # restore the real method
         assert coalescer.submit(2) == ("done", 2)
-
-    def test_follower_timeout_raises_deadline_exceeded(self):
-        release = threading.Event()
-        leading = threading.Event()
-
-        def stuck(requests):
-            leading.set()
-            release.wait(10)
-            return [("done", request) for request in requests]
-
-        coalescer = RequestCoalescer(stuck, max_batch=1, max_wait=0.0)
-        leader = threading.Thread(target=lambda: coalescer.submit("lead"))
-        leader.start()
-        assert leading.wait(5)
-        # The leader is wedged in compute with max_batch=1, so this
-        # caller queues as a follower and must time out rather than
-        # wait forever on a leader that will never reach its slot.
-        with pytest.raises(DeadlineExceeded):
-            coalescer.submit("follow", timeout=0.05)
-        assert coalescer.stats.deadline_expired == 1
-        release.set()
-        leader.join(timeout=10)
-        assert not leader.is_alive()
-
-    def test_default_timeout_applies_without_explicit_timeout(self):
-        release = threading.Event()
-        leading = threading.Event()
-
-        def stuck(requests):
-            leading.set()
-            release.wait(10)
-            return [("done", request) for request in requests]
-
-        coalescer = RequestCoalescer(
-            stuck, max_batch=1, max_wait=0.0, default_timeout=0.05
-        )
-        leader = threading.Thread(target=lambda: coalescer.submit("lead"))
-        leader.start()
-        assert leading.wait(5)
-        with pytest.raises(DeadlineExceeded):
-            coalescer.submit("follow")
-        release.set()
-        leader.join(timeout=10)
-        assert not leader.is_alive()
