@@ -80,7 +80,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--save-models",
         action="store_true",
-        help="checkpoint each run's best model into the cache "
+        help="save each run's trained and evaluated model into the cache "
         "(model.npz next to result.json; incompatible with --no-cache)",
     )
     parser.add_argument(

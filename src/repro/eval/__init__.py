@@ -33,12 +33,7 @@ from repro.eval.ranking import (
     reciprocal_rank,
     reciprocal_rank_block,
 )
-from repro.eval.sampling_quality import (
-    SamplingQualityRecorder,
-    false_negative_flags,
-    informativeness_measure,
-    true_negative_rate,
-)
+from repro.eval.sampling_quality import SamplingQualityRecorder, false_negative_flags
 from repro.eval.significance import (
     PairedComparison,
     paired_bootstrap_test,
@@ -62,7 +57,6 @@ __all__ = [
     "hit_rate_at_k",
     "popularity_lift",
     "recommendation_footprint",
-    "informativeness_measure",
     "ndcg_at_k",
     "paired_bootstrap_test",
     "paired_sign_test",
@@ -77,5 +71,4 @@ __all__ = [
     "stratified_recall",
     "top_k_items",
     "top_k_items_batch",
-    "true_negative_rate",
 ]

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.dataset import ImplicitDataset
+from repro.eval.protocol import _cap_users
 from repro.train.callbacks import Callback, EpochStats
 from repro.utils.rng import SeedLike, as_rng
 
@@ -56,10 +57,14 @@ def score_snapshot(
     max_scores_per_class: int = 200_000,
     seed: SeedLike = 0,
 ) -> ScoreSnapshot:
-    """Collect TN/FN scores across (a sample of) users at the current state."""
+    """Collect TN/FN scores across (a sample of) users at the current state.
+
+    ``max_users`` caps the users at a random sample of that size; a cap
+    below 1 raises ``ValueError``, as in the evaluator.
+    """
     rng = as_rng(seed)
     users = dataset.evaluable_users()
-    if max_users is not None and users.size > max_users:
+    if _cap_users(users, max_users).size < users.size:
         users = rng.choice(users, size=max_users, replace=False)
     tn_chunks: List[np.ndarray] = []
     fn_chunks: List[np.ndarray] = []

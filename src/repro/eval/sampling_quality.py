@@ -23,8 +23,6 @@ from repro.train.callbacks import Callback, EpochStats
 
 __all__ = [
     "false_negative_flags",
-    "true_negative_rate",
-    "informativeness_measure",
     "SamplingQualityRecord",
     "SamplingQualityRecorder",
 ]
@@ -48,33 +46,6 @@ def false_negative_flags(
     return flags.astype(bool)
 
 
-def true_negative_rate(
-    dataset: ImplicitDataset, users: np.ndarray, items: np.ndarray
-) -> float:
-    """Eq. 33: proportion of sampled instances that are true negatives."""
-    flags = false_negative_flags(dataset, users, items)
-    if flags.size == 0:
-        raise ValueError("cannot compute TNR over zero sampled instances")
-    return float(1.0 - flags.mean())
-
-
-def informativeness_measure(
-    dataset: ImplicitDataset,
-    users: np.ndarray,
-    items: np.ndarray,
-    info: np.ndarray,
-) -> float:
-    """Eq. 34: signed mean gradient magnitude of the sampled instances."""
-    flags = false_negative_flags(dataset, users, items)
-    info = np.asarray(info, dtype=np.float64).ravel()
-    if info.shape != flags.shape:
-        raise ValueError("info must be parallel to the sampled pairs")
-    if flags.size == 0:
-        raise ValueError("cannot compute INF over zero sampled instances")
-    sgn = np.where(flags, -1.0, 1.0)
-    return float((info * sgn).mean())
-
-
 @dataclass(frozen=True)
 class SamplingQualityRecord:
     """TNR/INF snapshot of one epoch."""
@@ -87,7 +58,10 @@ class SamplingQualityRecord:
 
 
 class SamplingQualityRecorder(Callback):
-    """Per-epoch TNR/INF recorder — regenerates the paper's Fig. 4 series."""
+    """Per-epoch TNR/INF recorder — regenerates the paper's Fig. 4 series.
+
+    An epoch that sampled nothing records TNR 1.0 and INF 0.0.
+    """
 
     def __init__(self, dataset: ImplicitDataset) -> None:
         self.dataset = dataset

@@ -156,10 +156,10 @@ class ExperimentEngine:
     executor:
         Explicit backend instance (any object with ``run(jobs, paths)``).
     save_models:
-        Persist each run's best model through
-        :class:`~repro.train.callbacks.CheckpointCallback` into the store
-        (requires ``store``); the payload's ``checkpoint`` field records
-        the path and :meth:`load_model` restores it.
+        Save each executed run's trained and evaluated model into the
+        store (requires ``store``), once, after its evaluation; the
+        payload's ``checkpoint`` field records the path and
+        :meth:`load_model` restores it.
     retry_policy:
         Per-job retry budget handed to the executor the engine builds
         from ``workers`` (ignored when ``executor`` is given — configure
@@ -243,10 +243,9 @@ class ExperimentEngine:
         if pending:
             checkpoint_paths: Dict[str, str] = {}
             if self.save_models and self.store is not None:
-                for job in pending:
-                    path = self.store.model_path(job.key)
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    checkpoint_paths[job.key] = str(path)
+                checkpoint_paths = {
+                    job.key: str(self.store.model_path(job.key)) for job in pending
+                }
             for key, payload in self.executor.run(pending, checkpoint_paths):
                 if isinstance(payload, JobFailure):
                     quarantined[key] = payload

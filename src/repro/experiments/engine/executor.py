@@ -34,11 +34,13 @@ dataset, however many the grid holds.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import ProcessPoolExecutor as _PoolImpl
 from concurrent.futures import as_completed
+from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -158,34 +160,43 @@ def execute_request(
 ) -> dict:
     """Run one request from scratch and return its jsonable payload.
 
-    ``checkpoint_path`` attaches a loss-tracking
-    :class:`~repro.train.callbacks.CheckpointCallback`, so an interrupted
-    long run leaves its best model on disk (resumable grids).
+    ``checkpoint_path`` saves the trained model there once, after it was
+    evaluated, so the checkpoint is the model behind the payload's
+    metrics.
     """
     from repro.experiments.runner import run_spec
-    from repro.train.callbacks import CheckpointCallback
 
     spec = request.spec
     dataset = load_dataset_cached(spec.dataset, request.resolved_dataset_seed)
-
-    extra_callbacks = []
-    checkpointer: Optional[CheckpointCallback] = None
-    if checkpoint_path is not None:
-        checkpointer = CheckpointCallback(checkpoint_path)
-        extra_callbacks.append(checkpointer)
-
     result = run_spec(
         spec,
         dataset,
         record_sampling_quality=request.record_sampling_quality,
         distribution_epochs=request.distribution_epochs,
-        extra_callbacks=extra_callbacks,
         evaluate=request.evaluate,
     )
     checkpoint = None
-    if checkpointer is not None and checkpointer.n_saves > 0:
+    if checkpoint_path is not None:
         checkpoint = str(checkpoint_path)
+        _save_checkpoint(result.model, Path(checkpoint))
     return payload_from_result(result, checkpoint=checkpoint)
+
+
+def _save_checkpoint(model, path: Path) -> None:
+    """Write ``model`` to ``path`` through a staging file and a rename.
+
+    A crash mid-save never leaves a partial checkpoint at ``path``.  The
+    staging name ends in ``.npz``, so ``np.savez`` writes it as named, and
+    starts with ``staging-``, so ``repro cache gc`` reaps it after a crash.
+    It carries the process id: two processes saving the same run to a
+    shared store each rename a whole file.
+    """
+    from repro.models.persistence import save_model
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    staging = path.with_name(f"staging-{os.getpid()}-{path.name}")
+    save_model(model, staging)
+    staging.replace(path)
 
 
 def _execute_job(

@@ -88,7 +88,6 @@ def run_spec(
     *,
     record_sampling_quality: bool = False,
     distribution_epochs: Sequence[int] = (),
-    extra_callbacks: Sequence[Callback] = (),
     evaluate: bool = True,
 ) -> RunResult:
     """Execute one training run and evaluate it.
@@ -103,8 +102,6 @@ def run_spec(
         Attach a TNR/INF recorder (Fig. 4).
     distribution_epochs:
         Epochs at which to snapshot TN/FN score distributions (Fig. 1).
-    extra_callbacks:
-        Additional observers.
     evaluate:
         Skip final evaluation when only training-side artifacts are needed.
     """
@@ -113,7 +110,7 @@ def run_spec(
     model, optimizer, lr_schedule = build_model(spec, dataset)
     sampler = make_sampler(spec.sampler, **spec.sampler_options)
 
-    callbacks: List[Callback] = list(extra_callbacks)
+    callbacks: List[Callback] = []
     quality: Optional[SamplingQualityRecorder] = None
     if record_sampling_quality:
         quality = SamplingQualityRecorder(dataset)

@@ -7,15 +7,7 @@ epochs, form mini-batches of positive pairs, let the negative sampler pick
 observer-style callback protocol live here as well.
 """
 
-from repro.train.callbacks import (
-    Callback,
-    CheckpointCallback,
-    EpochStats,
-    EvaluationCallback,
-    HistoryRecorder,
-    SampledTripleRecorder,
-)
-from repro.train.early_stopping import EarlyStopping, StopTraining
+from repro.train.callbacks import Callback, EpochStats
 from repro.train.loss import bpr_loss, informativeness, log_sigmoid, sigmoid
 from repro.train.optimizer import SGD, Adam, Optimizer, aggregate_rows
 from repro.train.schedule import ConstantSchedule, Schedule, StepDecay, WarmStartLambda
@@ -24,16 +16,10 @@ from repro.train.trainer import Trainer, TrainingConfig, TrainingDivergedError
 __all__ = [
     "Adam",
     "Callback",
-    "CheckpointCallback",
     "ConstantSchedule",
-    "EarlyStopping",
     "EpochStats",
-    "EvaluationCallback",
-    "HistoryRecorder",
-    "StopTraining",
     "Optimizer",
     "SGD",
-    "SampledTripleRecorder",
     "Schedule",
     "StepDecay",
     "Trainer",

@@ -42,7 +42,6 @@ import numpy as np
 from repro.data.dataset import ImplicitDataset
 from repro.samplers.base import NegativeSampler, ScoreRequest, group_batch_by_user
 from repro.train.callbacks import Callback, EpochStats
-from repro.train.early_stopping import StopTraining
 from repro.train.optimizer import SGD, Optimizer
 from repro.train.schedule import ConstantSchedule, Schedule
 from repro.utils.logging import get_logger
@@ -172,9 +171,6 @@ class Trainer:
             raise ValueError("cannot train on an empty training set")
         lr_schedule = self.config.resolve_lr_schedule()
 
-        for callback in self.callbacks:
-            callback.on_train_start(self)
-
         for epoch in range(self.config.epochs):
             started = time.perf_counter()
             self.optimizer.lr = lr_schedule.value(epoch)
@@ -187,12 +183,8 @@ class Trainer:
                     f"{stats.mean_loss}"
                 )
             self.history.append(stats)
-            try:
-                for callback in self.callbacks:
-                    callback.on_epoch_end(stats, self.model)
-            except StopTraining as signal:
-                _LOGGER.info("early stop after epoch %d: %s", epoch, signal)
-                break
+            for callback in self.callbacks:
+                callback.on_epoch_end(stats, self.model)
             _LOGGER.debug(
                 "epoch %d: loss=%.4f info=%.4f (%.2fs)",
                 epoch,
@@ -200,9 +192,6 @@ class Trainer:
                 stats.mean_info,
                 stats.duration_seconds,
             )
-
-        for callback in self.callbacks:
-            callback.on_train_end(self)
         return self.history
 
     # ------------------------------------------------------------------ #

@@ -50,6 +50,13 @@ class TestScoreSnapshot:
         )
         assert snapshot.fn_scores.size <= 2
 
+    @pytest.mark.parametrize("max_users", [0, -1])
+    def test_max_users_below_one_rejected(self, micro_dataset, max_users):
+        with pytest.raises(ValueError, match="max_users must be >= 1"):
+            score_snapshot(
+                PlantedModel(micro_dataset), micro_dataset, max_users=max_users
+            )
+
     def test_score_cap(self, micro_dataset):
         snapshot = score_snapshot(
             PlantedModel(micro_dataset),
@@ -97,3 +104,11 @@ class TestRecorder:
         series = recorder.separation_series()
         assert [epoch for epoch, _ in series] == [0, 2]
         assert all(value == pytest.approx(1.0) for _, value in series)
+
+    @pytest.mark.parametrize("max_users", [0, -1])
+    def test_max_users_below_one_rejected(self, micro_dataset, max_users):
+        recorder = ScoreDistributionRecorder(
+            micro_dataset, epochs=[0], max_users=max_users
+        )
+        with pytest.raises(ValueError, match="max_users must be >= 1"):
+            recorder.on_epoch_end(self.make_stats(0), PlantedModel(micro_dataset))

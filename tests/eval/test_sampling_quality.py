@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.sampling_quality import (
-    SamplingQualityRecorder,
-    false_negative_flags,
-    informativeness_measure,
-    true_negative_rate,
-)
+from repro.eval.sampling_quality import SamplingQualityRecorder, false_negative_flags
 from repro.train.callbacks import EpochStats
 
 
@@ -25,48 +20,6 @@ class TestFalseNegativeFlags:
             false_negative_flags(micro_dataset, np.asarray([0, 1]), np.asarray([0]))
 
 
-class TestTNR:
-    def test_eq33(self, micro_dataset):
-        users = np.asarray([0, 0, 1, 3])
-        items = np.asarray([5, 4, 0, 2])
-        # 2 TN out of 4 sampled.
-        assert true_negative_rate(micro_dataset, users, items) == 0.5
-
-    def test_all_true_negatives(self, micro_dataset):
-        users = np.asarray([0, 2])
-        items = np.asarray([3, 1])
-        assert true_negative_rate(micro_dataset, users, items) == 1.0
-
-    def test_empty_rejected(self, micro_dataset):
-        with pytest.raises(ValueError, match="zero sampled"):
-            true_negative_rate(micro_dataset, np.asarray([]), np.asarray([]))
-
-
-class TestINF:
-    def test_eq34_signs(self, micro_dataset):
-        users = np.asarray([0, 0])
-        items = np.asarray([5, 4])  # FN, TN
-        info = np.asarray([0.8, 0.6])
-        # INF = (0.6·1 + 0.8·(−1)) / 2
-        expected = (0.6 - 0.8) / 2
-        assert informativeness_measure(micro_dataset, users, items, info) == (
-            pytest.approx(expected)
-        )
-
-    def test_pure_tn_positive(self, micro_dataset):
-        users = np.asarray([0])
-        items = np.asarray([4])
-        assert informativeness_measure(
-            micro_dataset, users, items, np.asarray([0.5])
-        ) == pytest.approx(0.5)
-
-    def test_info_parallel_validation(self, micro_dataset):
-        with pytest.raises(ValueError, match="parallel"):
-            informativeness_measure(
-                micro_dataset, np.asarray([0]), np.asarray([4]), np.asarray([0.1, 0.2])
-            )
-
-
 class TestRecorder:
     def make_stats(self, epoch, users, items, info):
         n = len(users)
@@ -80,6 +33,31 @@ class TestRecorder:
             lr=0.01,
             duration_seconds=0.0,
         )
+
+    def record(self, dataset, users, items, info):
+        recorder = SamplingQualityRecorder(dataset)
+        recorder.on_epoch_end(self.make_stats(0, users, items, info), model=None)
+        return recorder.records[0]
+
+    def test_eq33(self, micro_dataset):
+        # (0,5) and (1,0) are test positives: 2 TN out of 4 sampled.
+        record = self.record(micro_dataset, [0, 0, 1, 3], [5, 4, 0, 2], [0.5] * 4)
+        assert record.tnr == 0.5
+        assert (record.n_sampled, record.n_false_negatives) == (4, 2)
+
+    def test_all_true_negatives(self, micro_dataset):
+        record = self.record(micro_dataset, [0, 2], [3, 1], [0.5, 0.5])
+        assert record.tnr == 1.0
+
+    def test_eq34_signs(self, micro_dataset):
+        # An FN (0,5) with info 0.8 and a TN (0,4) with info 0.6:
+        # INF = (0.6·1 + 0.8·(−1)) / 2
+        record = self.record(micro_dataset, [0, 0], [5, 4], [0.8, 0.6])
+        assert record.inf == pytest.approx((0.6 - 0.8) / 2)
+
+    def test_empty_epoch(self, micro_dataset):
+        record = self.record(micro_dataset, [], [], [])
+        assert (record.tnr, record.inf, record.n_sampled) == (1.0, 0.0, 0)
 
     def test_records_per_epoch(self, micro_dataset):
         recorder = SamplingQualityRecorder(micro_dataset)

@@ -116,6 +116,49 @@ class TestCheckpoints:
         model = engine.load_model(result)
         assert model.user_factors.shape[1] == SPEC.n_factors
 
+    def test_checkpoint_is_the_evaluated_model(self, tmp_path):
+        """The saved model reproduces the payload's metrics exactly.
+
+        On this run the lowest-loss epoch is not the last, so a
+        checkpoint of any earlier epoch scores differently.
+        """
+        from repro.data.registry import load_dataset
+        from repro.eval.protocol import Evaluator
+
+        spec = RunSpec(
+            dataset="tiny", model="mf", sampler="rns", epochs=30,
+            batch_size=16, lr=0.05, seed=3,
+        )
+        store = ArtifactStore(tmp_path)
+        engine = ExperimentEngine(store, save_models=True)
+        result = engine.run(EngineRequest(spec))
+        assert result.checkpoint == str(store.model_path(result.key))
+        model = engine.load_model(result)
+        dataset = load_dataset(spec.dataset, seed=spec.seed)
+        assert Evaluator(dataset, ks=spec.ks).evaluate(model) == result.metrics
+        # The staging file was renamed into place, not left behind.
+        entry = sorted(path.name for path in store.entry_dir(result.key).iterdir())
+        assert entry == ["model.npz", "request.json", "result.json"]
+
+    def test_crashed_checkpoint_write_leaves_only_reapable_staging(
+        self, tmp_path, monkeypatch
+    ):
+        from pathlib import Path
+
+        from repro.experiments.engine import execute_request
+
+        def crash(self, target):
+            raise OSError("crash before the rename")
+
+        path = tmp_path / "entry" / "model.npz"
+        monkeypatch.setattr(Path, "replace", crash)
+        with pytest.raises(OSError, match="crash before the rename"):
+            execute_request(EngineRequest(SPEC), checkpoint_path=str(path))
+        monkeypatch.undo()
+        assert not path.exists()
+        assert ArtifactStore(tmp_path).gc_staging(min_age_seconds=0) == 1
+        assert list(path.parent.iterdir()) == []
+
     def test_save_models_requires_store(self):
         with pytest.raises(ValueError, match="store"):
             ExperimentEngine(save_models=True)

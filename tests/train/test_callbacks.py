@@ -1,15 +1,8 @@
 """Tests for repro.train.callbacks."""
 
 import numpy as np
-import pytest
 
-from repro.train.callbacks import (
-    EpochStats,
-    EvaluationCallback,
-    HistoryRecorder,
-    LambdaCallback,
-    SampledTripleRecorder,
-)
+from repro.train.callbacks import EpochStats
 
 
 def make_stats(epoch=0, n=4, info_value=0.5):
@@ -34,215 +27,3 @@ class TestEpochStats:
 
     def test_mean_info_empty(self):
         assert make_stats(n=0).mean_info == 0.0
-
-
-class TestHistoryRecorder:
-    def test_records_curves(self):
-        recorder = HistoryRecorder()
-        for epoch in range(3):
-            recorder.on_epoch_end(make_stats(epoch=epoch), model=None)
-        assert recorder.epochs == [0, 1, 2]
-        assert recorder.loss == [0.7] * 3
-
-    def test_as_dict(self):
-        recorder = HistoryRecorder()
-        recorder.on_epoch_end(make_stats(), model=None)
-        data = recorder.as_dict()
-        assert set(data) == {"epochs", "loss", "mean_info", "lr", "duration_seconds"}
-
-
-class TestSampledTripleRecorder:
-    def test_every_filter(self):
-        recorder = SampledTripleRecorder(every=2)
-        for epoch in range(5):
-            recorder.on_epoch_end(make_stats(epoch=epoch), model=None)
-        assert [r.epoch for r in recorder.records] == [0, 2, 4]
-
-    def test_epoch_set_filter(self):
-        recorder = SampledTripleRecorder(epochs={1, 3})
-        for epoch in range(5):
-            recorder.on_epoch_end(make_stats(epoch=epoch), model=None)
-        assert [r.epoch for r in recorder.records] == [1, 3]
-
-    def test_invalid_every(self):
-        with pytest.raises(ValueError):
-            SampledTripleRecorder(every=0)
-
-
-class TestEvaluationCallback:
-    class FakeTrainer:
-        def __init__(self, epochs, model="model"):
-            from repro.train.trainer import TrainingConfig
-
-            self.config = TrainingConfig(epochs=epochs, batch_size=1)
-            self.model = model
-
-    def test_snapshots_every_n(self):
-        calls = []
-
-        def evaluate(model):
-            calls.append(1)
-            return {"metric": len(calls)}
-
-        callback = EvaluationCallback(evaluate, every=2)
-        for epoch in range(4):
-            callback.on_epoch_end(make_stats(epoch=epoch), model=None)
-        # epochs 1 and 3 trigger ((epoch+1) % 2 == 0)
-        assert [epoch for epoch, _ in callback.snapshots] == [1, 3]
-
-    def test_final_evaluation_added_on_train_end(self):
-        callback = EvaluationCallback(lambda model: {"m": 1.0}, every=100)
-        callback.on_train_end(self.FakeTrainer(epochs=7))
-        assert callback.snapshots[-1][0] == 6
-
-    def test_no_duplicate_final(self):
-        callback = EvaluationCallback(lambda model: {"m": 1.0}, every=1)
-        callback.on_epoch_end(make_stats(epoch=0), model=None)
-        trainer = self.FakeTrainer(epochs=1)
-        callback.on_train_end(trainer)
-        assert len(callback.snapshots) == 1
-
-    def test_final_metrics_property(self):
-        callback = EvaluationCallback(lambda model: {"m": 2.0}, every=1)
-        with pytest.raises(RuntimeError):
-            _ = callback.final_metrics
-        callback.on_epoch_end(make_stats(epoch=0), model=None)
-        assert callback.final_metrics == {"m": 2.0}
-
-
-class TestLambdaCallback:
-    def test_hooks_invoked(self):
-        seen = []
-        callback = LambdaCallback(
-            on_epoch_end=lambda stats, model: seen.append(("epoch", stats.epoch)),
-            on_train_start=lambda trainer: seen.append(("start", None)),
-            on_train_end=lambda trainer: seen.append(("end", None)),
-        )
-        callback.on_train_start(None)
-        callback.on_epoch_end(make_stats(epoch=3), model=None)
-        callback.on_train_end(None)
-        assert seen == [("start", None), ("epoch", 3), ("end", None)]
-
-    def test_missing_hooks_noop(self):
-        LambdaCallback().on_epoch_end(make_stats(), model=None)
-
-
-class TestCheckpointCallback:
-    @staticmethod
-    def make_model():
-        from repro.models.mf import MatrixFactorization
-
-        return MatrixFactorization(4, 8, n_factors=3, seed=0)
-
-    @staticmethod
-    def make_loss_stats(epoch, loss):
-        stats = make_stats(epoch=epoch)
-        return EpochStats(
-            epoch=stats.epoch,
-            users=stats.users,
-            pos_items=stats.pos_items,
-            neg_items=stats.neg_items,
-            info=stats.info,
-            mean_loss=loss,
-            lr=stats.lr,
-            duration_seconds=stats.duration_seconds,
-        )
-
-    def test_saves_on_loss_improvement(self, tmp_path):
-        from repro.models.persistence import load_model
-        from repro.train.callbacks import CheckpointCallback
-
-        model = self.make_model()
-        callback = CheckpointCallback(tmp_path / "best.npz")
-        callback.on_epoch_end(self.make_loss_stats(0, 0.9), model)
-        assert callback.n_saves == 1 and callback.best_epoch == 0
-
-        marker = model.user_factors.copy()
-        callback.on_epoch_end(self.make_loss_stats(1, 0.5), model)
-        assert callback.n_saves == 2 and callback.best_epoch == 1
-        assert callback.best_value == pytest.approx(0.5)
-
-        # worse loss: no save, checkpoint still holds the epoch-1 model
-        model.user_factors[:] += 1.0
-        callback.on_epoch_end(self.make_loss_stats(2, 0.8), model)
-        assert callback.n_saves == 2
-        restored = load_model(tmp_path / "best.npz")
-        np.testing.assert_array_equal(restored.user_factors, marker)
-
-    def test_metric_mode_with_evaluator(self, tmp_path):
-        from repro.train.callbacks import CheckpointCallback
-
-        values = iter([0.3, 0.6, 0.4])
-        callback = CheckpointCallback(
-            tmp_path / "best.npz",
-            evaluate=lambda model: {"ndcg@20": next(values)},
-            metric="ndcg@20",
-        )
-        model = self.make_model()
-        for epoch in range(3):
-            callback.on_epoch_end(self.make_loss_stats(epoch, 1.0), model)
-        assert callback.best_epoch == 1
-        assert callback.best_value == pytest.approx(0.6)
-        assert callback.n_saves == 2
-
-    def test_missing_metric_raises(self, tmp_path):
-        from repro.train.callbacks import CheckpointCallback
-
-        callback = CheckpointCallback(
-            tmp_path / "best.npz", evaluate=lambda model: {"other": 1.0}
-        )
-        with pytest.raises(KeyError, match="not in evaluation result"):
-            callback.on_epoch_end(self.make_loss_stats(0, 1.0), self.make_model())
-
-    def test_every_skips_epochs(self, tmp_path):
-        from repro.train.callbacks import CheckpointCallback
-
-        callback = CheckpointCallback(tmp_path / "best.npz", every=2)
-        model = self.make_model()
-        callback.on_epoch_end(self.make_loss_stats(0, 0.9), model)  # skipped
-        assert callback.n_saves == 0
-        callback.on_epoch_end(self.make_loss_stats(1, 0.9), model)  # epoch 2
-        assert callback.n_saves == 1
-
-    def test_validation(self, tmp_path):
-        from repro.train.callbacks import CheckpointCallback
-
-        with pytest.raises(ValueError, match="every"):
-            CheckpointCallback(tmp_path / "x.npz", every=0)
-        with pytest.raises(ValueError, match="mode"):
-            CheckpointCallback(tmp_path / "x.npz", mode="sideways")
-        with pytest.raises(TypeError, match="evaluate"):
-            CheckpointCallback(tmp_path / "x.npz", evaluate=object())
-
-    def test_works_inside_trainer(self, tmp_path, tiny_dataset):
-        from repro.models.mf import MatrixFactorization
-        from repro.models.persistence import load_model
-        from repro.samplers.variants import make_sampler
-        from repro.train.callbacks import CheckpointCallback
-        from repro.train.trainer import Trainer, TrainingConfig
-
-        model = MatrixFactorization(
-            tiny_dataset.n_users, tiny_dataset.n_items, n_factors=4, seed=0
-        )
-        callback = CheckpointCallback(tmp_path / "ckpt.npz")
-        Trainer(
-            model,
-            tiny_dataset,
-            make_sampler("rns"),
-            TrainingConfig(epochs=3, batch_size=16, seed=0),
-            callbacks=[callback],
-        ).fit()
-        assert callback.n_saves >= 1
-        restored = load_model(tmp_path / "ckpt.npz")
-        assert restored.user_factors.shape == model.user_factors.shape
-
-    def test_nan_never_becomes_or_blocks_best(self, tmp_path):
-        from repro.train.callbacks import CheckpointCallback
-
-        callback = CheckpointCallback(tmp_path / "best.npz")
-        model = self.make_model()
-        callback.on_epoch_end(self.make_loss_stats(0, float("nan")), model)
-        assert callback.n_saves == 0 and callback.best_value is None
-        callback.on_epoch_end(self.make_loss_stats(1, 0.5), model)
-        assert callback.n_saves == 1
-        assert callback.best_value == pytest.approx(0.5)

@@ -6,7 +6,7 @@ import pytest
 from repro.models.mf import MatrixFactorization
 from repro.samplers.rns import RandomNegativeSampler
 from repro.samplers.dns import DynamicNegativeSampler
-from repro.train.callbacks import Callback, HistoryRecorder
+from repro.train.callbacks import Callback
 from repro.train.schedule import StepDecay
 from repro.train.trainer import Trainer, TrainingConfig, TrainingDivergedError
 
@@ -126,14 +126,8 @@ class TestTrainerCallbacks:
         events = []
 
         class Probe(Callback):
-            def on_train_start(self, trainer):
-                events.append("start")
-
             def on_epoch_end(self, stats, model):
                 events.append(f"epoch{stats.epoch}")
-
-            def on_train_end(self, trainer):
-                events.append("end")
 
         model = MatrixFactorization(
             micro_dataset.n_users, micro_dataset.n_items, n_factors=4, seed=0
@@ -146,10 +140,9 @@ class TestTrainerCallbacks:
             callbacks=[Probe()],
         )
         trainer.fit()
-        assert events == ["start", "epoch0", "epoch1", "end"]
+        assert events == ["epoch0", "epoch1"]
 
     def test_history_recorder_integration(self, micro_dataset):
-        recorder = HistoryRecorder()
         model = MatrixFactorization(
             micro_dataset.n_users, micro_dataset.n_items, n_factors=4, seed=0
         )
@@ -158,11 +151,10 @@ class TestTrainerCallbacks:
             micro_dataset,
             RandomNegativeSampler(),
             TrainingConfig(epochs=3, batch_size=4, seed=0),
-            callbacks=[recorder],
         )
-        trainer.fit()
-        assert recorder.epochs == [0, 1, 2]
-        assert all(loss > 0 for loss in recorder.loss)
+        assert trainer.fit() is trainer.history
+        assert [stats.epoch for stats in trainer.history] == [0, 1, 2]
+        assert all(stats.mean_loss > 0 for stats in trainer.history)
 
     def test_sampler_epoch_hook_called(self, micro_dataset):
         epochs_seen = []
@@ -328,20 +320,25 @@ class TestDivergence:
         model = MatrixFactorization(
             tiny_dataset.n_users, tiny_dataset.n_items, n_factors=8, seed=1
         )
-        recorder = HistoryRecorder()
+        seen = []
+
+        class Probe(Callback):
+            def on_epoch_end(self, stats, model):
+                seen.append(stats.epoch)
+
         trainer = Trainer(
             model,
             tiny_dataset,
             make_sampler("bns"),
             TrainingConfig(epochs=5, batch_size=4, lr=1e6, seed=1),
-            callbacks=[recorder],
+            callbacks=[Probe()],
         )
         with pytest.raises(TrainingDivergedError, match="epoch 0") as caught:
             trainer.fit()
         assert isinstance(caught.value, FloatingPointError)
         # The diverged epoch reaches neither the history nor a callback.
         assert trainer.history == []
-        assert recorder.epochs == []
+        assert seen == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_run_spec_does_not_report_a_diverged_run(self):
