@@ -55,6 +55,11 @@ class TestRecorder:
         record = self.record(micro_dataset, [0, 0], [5, 4], [0.8, 0.6])
         assert record.inf == pytest.approx((0.6 - 0.8) / 2)
 
+    def test_pure_tn_positive(self, micro_dataset):
+        # A lone TN (0,4) contributes +info.
+        record = self.record(micro_dataset, [0], [4], [0.5])
+        assert record.inf == pytest.approx(0.5)
+
     def test_empty_epoch(self, micro_dataset):
         record = self.record(micro_dataset, [], [], [])
         assert (record.tnr, record.inf, record.n_sampled) == (1.0, 0.0, 0)
