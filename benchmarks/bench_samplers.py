@@ -13,6 +13,16 @@ Two suites:
   (one ``scores_batch`` + one ``sample_batch``) on mixed-user batches, and
   record triples/sec for both in ``BENCH_samplers.json`` at the repo root
   so the perf trajectory is tracked across PRs.
+
+Run it with one BLAS thread, as CI does and as ``perfbench/run.py``
+pins::
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        PYTHONPATH=src python -m pytest -q -s \
+        benchmarks/bench_samplers.py::test_batched_vs_scalar_speedup
+
+Without the pin, the process's first AOBPR B=128 measurement sometimes
+read 0.21-0.24x (5 of 14 runs; 0 of 4 with it).
 """
 
 import json

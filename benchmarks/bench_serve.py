@@ -9,6 +9,14 @@ The acceptance bar for the serving tentpole: the warm-cache path must
 sustain >= 10x the requests/sec of uncached per-request scoring on the
 default (~1.3k users x ~2.3k items) bench universe.
 
+Run it with one BLAS thread, as CI does and as ``perfbench/run.py``
+pins, so the coalesced leg's client threads do not contend with a BLAS
+pool::
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        PYTHONPATH=src python -m pytest -q -s \
+        benchmarks/bench_serve.py::test_warm_cache_vs_uncached_serving
+
 Environment knobs (for CI smoke runs on shared, noisy runners):
 
 * ``REPRO_SERVE_BENCH_DATASET`` — a registry dataset name (e.g.

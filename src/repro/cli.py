@@ -212,13 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent client threads in the coalescing phase",
     )
     serve_bench.add_argument("--max-batch", type=int, default=64, metavar="N")
-    serve_bench.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=1.0,
-        metavar="MS",
-        help="coalescer fill window in milliseconds",
-    )
     serve_bench.add_argument("--seed", type=int, default=0)
     serve_bench.add_argument(
         "--json",
@@ -463,7 +456,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         cache_k=args.cache_k,
         n_clients=args.clients,
         max_batch=args.max_batch,
-        max_wait=args.max_wait_ms / 1e3,
         seed=args.seed,
     )
     print(result.format())

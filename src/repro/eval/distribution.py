@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.dataset import ImplicitDataset
-from repro.eval.protocol import _cap_users
+from repro.eval.protocol import _cap_users, _check_max_users
 from repro.train.callbacks import Callback, EpochStats
 from repro.utils.rng import SeedLike, as_rng
 
@@ -88,7 +88,11 @@ def _subsample(
 
 
 class ScoreDistributionRecorder(Callback):
-    """Snapshot TN/FN score distributions at the given epochs (0-based)."""
+    """Snapshot TN/FN score distributions at the given epochs (0-based).
+
+    ``max_users`` is checked here, so a cap below 1 raises ``ValueError``
+    before any training runs, not at the first snapshot epoch.
+    """
 
     def __init__(
         self,
@@ -101,7 +105,7 @@ class ScoreDistributionRecorder(Callback):
     ) -> None:
         self.dataset = dataset
         self.epochs = frozenset(int(e) for e in epochs)
-        self.max_users = max_users
+        self.max_users = _check_max_users(max_users)
         self.max_scores_per_class = max_scores_per_class
         self._seed = seed
         self.snapshots: Dict[int, ScoreSnapshot] = {}

@@ -158,6 +158,13 @@ def rank_unseen(
     return block, ranked, lengths
 
 
+def _check_max_users(max_users: Optional[int]) -> Optional[int]:
+    """``max_users`` unchanged; a cap below 1 raises ``ValueError``."""
+    if max_users is not None and max_users < 1:
+        raise ValueError(f"max_users must be >= 1 or None, got {max_users}")
+    return max_users
+
+
 def _cap_users(users: np.ndarray, max_users: Optional[int]) -> np.ndarray:
     """The first ``max_users`` of ``users``, or all of them for ``None``.
 
@@ -166,10 +173,8 @@ def _cap_users(users: np.ndarray, max_users: Optional[int]) -> np.ndarray:
     ``ValueError``: as a slice, ``-1`` would silently drop the last user
     and ``0`` would evaluate nobody.
     """
-    if max_users is None:
+    if _check_max_users(max_users) is None:
         return users
-    if max_users < 1:
-        raise ValueError(f"max_users must be >= 1 or None, got {max_users}")
     return users[:max_users]
 
 

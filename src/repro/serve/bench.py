@@ -13,8 +13,9 @@ stream:
   requests/sec.
 * **coalesced** — caching off, ``n_clients`` concurrent threads pushing
   their shares of the stream through the
-  :class:`~repro.serve.coalescer.RequestCoalescer`, so concurrent misses
-  fold into shared gemms (reported: qps and achieved batch sizes).
+  :class:`~repro.serve.coalescer.RequestCoalescer`, so misses that queue
+  behind a running batch fold into the next gemm (reported: qps and
+  achieved batch sizes).
 
 Latency percentiles are computed from per-request ``perf_counter``
 spans.  The model is freshly initialized (not trained) — serving cost
@@ -57,7 +58,6 @@ class ServeBenchResult:
     cache_k: int
     n_clients: int
     max_batch: int
-    max_wait_ms: float
     warmup_seconds: float
     uncached_qps: float
     uncached_p50_ms: float
@@ -82,7 +82,6 @@ class ServeBenchResult:
             "cache_k": self.cache_k,
             "n_clients": self.n_clients,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
             "warmup_seconds": round(self.warmup_seconds, 4),
             "uncached": {
                 "qps": round(self.uncached_qps, 1),
@@ -190,7 +189,6 @@ def run_serve_bench(
     cache_k: int = 100,
     n_clients: int = 8,
     max_batch: int = 64,
-    max_wait: float = 0.001,
     n_factors: int = 32,
     seed: int = 0,
 ) -> ServeBenchResult:
@@ -228,12 +226,7 @@ def run_serve_bench(
 
     # -- coalesced concurrent misses ------------------------------------ #
     coalesced = RankingService(
-        model,
-        train,
-        cache_k=0,
-        coalesce=True,
-        max_batch=max_batch,
-        max_wait=max_wait,
+        model, train, cache_k=0, coalesce=True, max_batch=max_batch
     )
     coalesced_elapsed = _concurrent_requests(coalesced, stream, k, n_clients)
     co_stats = coalesced.coalescer_stats
@@ -247,7 +240,6 @@ def run_serve_bench(
         cache_k=int(cache_k),
         n_clients=int(n_clients),
         max_batch=int(max_batch),
-        max_wait_ms=float(max_wait) * 1e3,
         warmup_seconds=warmup_seconds,
         uncached_qps=uncached_qps,
         uncached_p50_ms=float(np.percentile(uncached_lat, 50)),

@@ -5,20 +5,17 @@ Python/numpy call overhead.  Under concurrent load those misses arrive
 together, and ``B`` of them answered as one ``(B, n_items)``
 ``scores_batch`` gemm cost far less than ``B`` gemv dispatches.
 :class:`RequestCoalescer` is the generic queue that realizes this: callers
-block in :meth:`submit` while a *leader* thread collects up to
-``max_batch`` concurrent requests (waiting at most ``max_wait`` seconds
-for stragglers), executes the whole batch through one user-supplied
-``compute`` callable, and distributes the per-request results.
+block in :meth:`submit` while a *leader* thread dispatches up to
+``max_batch`` queued requests through one user-supplied ``compute``
+callable and distributes the per-request results.
 
 The leader/follower scheme needs no dedicated dispatcher thread — the
 first thread to find no leader active becomes one, which keeps the
-coalescer dead-simple to embed (no lifecycle, nothing to shut down) and
-adds zero latency in the single-client case: a lone request waits
-``max_wait`` once, or not at all with ``max_wait=0``.
-
-The leader's fill window uses ``time.monotonic`` only — wallclock never
-enters any decision (the serving layer sits under the repo's R002 purity
-rule: durations may be measured, identity/keys may not depend on time).
+coalescer dead-simple to embed (no lifecycle, nothing to shut down).  The
+leader never waits for batch partners: it dispatches whatever is queued
+as soon as it takes leadership, so a lone request is computed at once.
+Requests that arrive while a batch is computing queue up and share the
+leader's next round, so concurrent misses still fold into one gemm.
 
 Failure semantics (pinned by ``tests/serve/test_coalescer.py``):
 
@@ -38,7 +35,6 @@ that do return.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Generic, List, Sequence, TypeVar
 
@@ -96,10 +92,6 @@ class RequestCoalescer(Generic[TRequest, TResult]):
         to itself (the service serializes scoring under its own lock).
     max_batch:
         Largest batch handed to one ``compute`` call.
-    max_wait:
-        Seconds a leader waits for the batch to fill before dispatching
-        whatever has arrived.  ``0`` dispatches immediately — only
-        requests already queued at that instant coalesce.
     """
 
     def __init__(
@@ -107,14 +99,10 @@ class RequestCoalescer(Generic[TRequest, TResult]):
         compute: Callable[[Sequence[TRequest]], Sequence[TResult]],
         *,
         max_batch: int = 256,
-        max_wait: float = 0.002,
     ) -> None:
         self.max_batch = int(check_positive(max_batch, "max_batch"))
-        if max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-        self.max_wait = float(max_wait)
         self._compute = compute
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._queue: List[_Slot] = []
         self._leader_active = False
         self.stats = CoalescerStats()
@@ -128,17 +116,12 @@ class RequestCoalescer(Generic[TRequest, TResult]):
         request was in the failing batch.
         """
         slot: _Slot = _Slot(request)
-        with self._cond:
+        with self._lock:
             self._queue.append(slot)
             self.stats.requests += 1
-            if self._leader_active:
-                # A leader is collecting: wake it (the batch may now be
-                # full) and wait for our result as a follower.
-                self._cond.notify_all()
-                is_leader = False
-            else:
-                self._leader_active = True
-                is_leader = True
+            # With a leader active, wait for its next round as a follower.
+            is_leader = not self._leader_active
+            self._leader_active = True
         if is_leader:
             try:
                 self._lead()
@@ -160,24 +143,15 @@ class RequestCoalescer(Generic[TRequest, TResult]):
     def _lead(self) -> None:
         """Run dispatch rounds until the queue is drained, then step down.
 
-        The first round waits up to ``max_wait`` for the batch to fill;
-        backlog rounds (requests that arrived while a batch was
-        computing) dispatch immediately — they have already waited.
+        Each round takes up to ``max_batch`` queued requests at once: the
+        first holds the leader's own request, later ones the backlog that
+        queued while the previous batch was computing.
         """
-        first_round = True
         while True:
-            with self._cond:
+            with self._lock:
                 if not self._queue:
                     self._leader_active = False
                     return
-                if first_round and self.max_wait > 0:
-                    deadline = time.monotonic() + self.max_wait
-                    while len(self._queue) < self.max_batch:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
-                first_round = False
                 batch = self._queue[: self.max_batch]
                 del self._queue[: self.max_batch]
                 self.stats.batches += 1
@@ -206,7 +180,7 @@ class RequestCoalescer(Generic[TRequest, TResult]):
         the queued followers would otherwise wait on a leader that no
         longer exists.
         """
-        with self._cond:
+        with self._lock:
             orphans = list(self._queue)
             self._queue.clear()
             self._leader_active = False

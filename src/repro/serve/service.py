@@ -12,8 +12,9 @@ Three performance layers stack on top of that inner loop:
 
 1. the per-user :class:`~repro.serve.cache.TopKCache` (prefix reads for
    ``k <= cache_k``), bulk-warmed in chunked ``scores_batch`` blocks;
-2. the :class:`~repro.serve.coalescer.RequestCoalescer`, which folds the
-   cache misses of concurrent callers into one gemm;
+2. the :class:`~repro.serve.coalescer.RequestCoalescer`, which scores a
+   lone cache miss at once and folds the misses that queue behind a
+   running batch into the next gemm;
 3. the argpartition partial-sort ranking kernel shared with the
    evaluator.
 
@@ -137,10 +138,11 @@ class RankingService:
         Appends drop the touched users' entries.
     coalesce:
         Batch concurrent cache-miss requests into one ``scores_batch``
-        call (:class:`~repro.serve.coalescer.RequestCoalescer`).
-    max_batch, max_wait:
-        Coalescer knobs: largest gemm batch, and the seconds a batch
-        leader waits for stragglers (``0``: dispatch immediately).
+        call (:class:`~repro.serve.coalescer.RequestCoalescer`).  A lone
+        miss is scored at once; misses that arrive while a batch is
+        computing share the next one.
+    max_batch:
+        The coalescer's largest gemm batch.
     breaker_threshold, breaker_cooldown:
         Circuit breaker around scoring: after ``breaker_threshold``
         consecutive scoring failures the service stops calling the
@@ -163,7 +165,6 @@ class RankingService:
         cache_k: int = 100,
         coalesce: bool = True,
         max_batch: int = 256,
-        max_wait: float = 0.002,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
         degraded_serving: bool = True,
@@ -180,9 +181,7 @@ class RankingService:
         self._train = train
         self._cache = TopKCache(cache_k) if cache_k else None
         self._coalescer: Optional[RequestCoalescer] = (
-            RequestCoalescer(
-                self._compute_batch, max_batch=max_batch, max_wait=max_wait
-            )
+            RequestCoalescer(self._compute_batch, max_batch=max_batch)
             if coalesce
             else None
         )

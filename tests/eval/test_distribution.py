@@ -107,8 +107,7 @@ class TestRecorder:
 
     @pytest.mark.parametrize("max_users", [0, -1])
     def test_max_users_below_one_rejected(self, micro_dataset, max_users):
-        recorder = ScoreDistributionRecorder(
-            micro_dataset, epochs=[0], max_users=max_users
-        )
         with pytest.raises(ValueError, match="max_users must be >= 1"):
-            recorder.on_epoch_end(self.make_stats(0), PlantedModel(micro_dataset))
+            ScoreDistributionRecorder(
+                micro_dataset, epochs=[0], max_users=max_users
+            )

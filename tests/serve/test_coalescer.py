@@ -1,6 +1,7 @@
 """Tests for repro.serve.coalescer."""
 
 import threading
+import time
 
 import pytest
 
@@ -13,14 +14,14 @@ def _echo_batch(requests):
 
 class TestSingleCaller:
     def test_single_request_round_trips(self):
-        coalescer = RequestCoalescer(_echo_batch, max_wait=0.0)
+        coalescer = RequestCoalescer(_echo_batch)
         assert coalescer.submit(42) == ("done", 42)
         assert coalescer.stats.requests == 1
         assert coalescer.stats.batches == 1
         assert coalescer.stats.batch_sizes == [1]
 
     def test_sequential_requests_each_get_own_batch(self):
-        coalescer = RequestCoalescer(_echo_batch, max_wait=0.0)
+        coalescer = RequestCoalescer(_echo_batch)
         for value in range(5):
             assert coalescer.submit(value) == ("done", value)
         assert coalescer.stats.batches == 5
@@ -29,20 +30,33 @@ class TestSingleCaller:
         def boom(requests):
             raise RuntimeError("scoring failed")
 
-        coalescer = RequestCoalescer(boom, max_wait=0.0)
+        coalescer = RequestCoalescer(boom)
         with pytest.raises(RuntimeError, match="scoring failed"):
             coalescer.submit(1)
 
     def test_result_count_mismatch_is_an_error(self):
-        coalescer = RequestCoalescer(lambda requests: [], max_wait=0.0)
+        coalescer = RequestCoalescer(lambda requests: [])
         with pytest.raises(RuntimeError, match="0 results for 1 requests"):
             coalescer.submit(1)
 
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             RequestCoalescer(_echo_batch, max_batch=0)
-        with pytest.raises(ValueError):
-            RequestCoalescer(_echo_batch, max_wait=-0.1)
+
+    def test_lone_submit_makes_no_timed_wait(self, monkeypatch):
+        # A lone caller has no batch partners to wait for: no condition
+        # variable (an Event's included) may be waited on.
+        waits = []
+
+        class CountingCondition(threading.Condition):
+            def wait(self, timeout=None):
+                waits.append(timeout)
+                return super().wait(timeout)
+
+        monkeypatch.setattr(threading, "Condition", CountingCondition)
+        coalescer = RequestCoalescer(_echo_batch)
+        assert coalescer.submit(42) == ("done", 42)
+        assert waits == []
 
 
 class TestConcurrentCallers:
@@ -77,7 +91,7 @@ class TestConcurrentCallers:
             calls.append(len(requests))
             return [request * 10 for request in requests]
 
-        coalescer = RequestCoalescer(compute, max_batch=8, max_wait=0.05)
+        coalescer = RequestCoalescer(compute, max_batch=8)
         results, errors = self._run_clients(coalescer, 8)
         assert not errors
         assert results == [value * 10 for value in range(8)]
@@ -85,37 +99,66 @@ class TestConcurrentCallers:
         assert sum(calls) == 8
         assert coalescer.stats.requests == 8
 
-    def test_batches_actually_coalesce(self):
-        started = threading.Event()
+    def _backlog_batches(self, max_batch, n_followers):
+        """Block the first compute, queue ``n_followers`` behind it, then
+        release it; returns the batches ``compute`` received."""
+        entered, release = threading.Event(), threading.Event()
+        batches = []
 
         def compute(requests):
-            started.set()
-            return list(requests)
+            batches.append(list(requests))
+            if len(batches) == 1:
+                entered.set()
+                assert release.wait(timeout=10)
+            return [request * 10 for request in requests]
 
-        coalescer = RequestCoalescer(compute, max_batch=16, max_wait=0.2)
-        results, errors = self._run_clients(coalescer, 8)
+        coalescer = RequestCoalescer(compute, max_batch=max_batch)
+        results, errors = {}, []
+
+        def client(value):
+            try:
+                results[value] = coalescer.submit(value)
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        threads = [threading.Thread(target=client, args=(0,), daemon=True)]
+        threads[0].start()
+        assert entered.wait(timeout=10)
+        for value in range(1, n_followers + 1):
+            threads.append(
+                threading.Thread(target=client, args=(value,), daemon=True)
+            )
+            threads[-1].start()
+        # Hang guard only: every follower has queued once the counter
+        # reaches them, whatever the timing.
+        deadline = time.monotonic() + 10
+        while coalescer.stats.requests < n_followers + 1:
+            assert time.monotonic() < deadline, "followers never queued"
+            time.sleep(0.001)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        assert sorted(results) == list(range(8))
-        # With a generous fill window and simultaneous arrival, at least
-        # one multi-request batch must have formed.
-        assert coalescer.stats.max_batch_size >= 2
+        assert results == {value: value * 10 for value in range(n_followers + 1)}
+        assert coalescer.stats.batch_sizes == [len(b) for b in batches]
+        return batches
+
+    def test_batches_actually_coalesce(self):
+        # Seven misses queued behind a running batch share one gemm.
+        batches = self._backlog_batches(max_batch=16, n_followers=7)
+        assert batches[0] == [0]
+        assert [sorted(batch) for batch in batches[1:]] == [list(range(1, 8))]
 
     def test_max_batch_respected(self):
-        def compute(requests):
-            return list(requests)
-
-        coalescer = RequestCoalescer(compute, max_batch=3, max_wait=0.05)
-        results, errors = self._run_clients(coalescer, 10)
-        assert not errors
-        assert sorted(results) == list(range(10))
-        assert coalescer.stats.max_batch_size <= 3
-        assert sum(coalescer.stats.batch_sizes) == 10
+        batches = self._backlog_batches(max_batch=3, n_followers=7)
+        assert [len(batch) for batch in batches] == [1, 3, 3, 1]
 
     def test_error_reaches_every_batch_member(self):
         def boom(requests):
             raise ValueError("batch failed")
 
-        coalescer = RequestCoalescer(boom, max_batch=8, max_wait=0.05)
+        coalescer = RequestCoalescer(boom, max_batch=8)
         results, errors = self._run_clients(coalescer, 4)
         assert results == [None] * 4
         assert len(errors) == 4
@@ -124,7 +167,7 @@ class TestConcurrentCallers:
 
 class TestFailureSemantics:
     """Leader failure must never wedge the queue (the reliability-layer
-    regression fix), and follower waits can be deadline-bounded."""
+    regression fix)."""
 
     def test_failed_batch_does_not_wedge_the_queue(self):
         calls = {"n": 0}
@@ -135,7 +178,7 @@ class TestFailureSemantics:
                 raise RuntimeError("first batch dies")
             return list(requests)
 
-        coalescer = RequestCoalescer(flaky, max_wait=0.0)
+        coalescer = RequestCoalescer(flaky)
         with pytest.raises(RuntimeError):
             coalescer.submit(1)
         # The next submit elects a fresh leader and succeeds.
@@ -147,7 +190,7 @@ class TestFailureSemantics:
         def boom(requests):
             raise ValueError("batch failed")
 
-        coalescer = RequestCoalescer(boom, max_batch=8, max_wait=0.2)
+        coalescer = RequestCoalescer(boom, max_batch=8)
         barrier = threading.Barrier(4)
 
         def client(value):
@@ -168,7 +211,7 @@ class TestFailureSemantics:
         assert sorted(value for value, _ in delivered) == [0, 1, 2, 3]
 
     def test_leader_death_outside_compute_aborts_followers(self):
-        coalescer = RequestCoalescer(_echo_batch, max_wait=0.0)
+        coalescer = RequestCoalescer(_echo_batch)
 
         # Simulate the leader thread dying between rounds (a bug, a
         # KeyboardInterrupt): followers queued behind it must be failed,

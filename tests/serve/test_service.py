@@ -141,9 +141,7 @@ class TestCacheBehaviour:
 
 class TestBatchAndConcurrency:
     def test_concurrent_coalesced_requests_are_exact(self, tiny, model):
-        service = RankingService(
-            model, tiny.train, cache_k=0, coalesce=True, max_wait=0.05
-        )
+        service = RankingService(model, tiny.train, cache_k=0, coalesce=True)
         ids, lengths = offline_top_k(model, tiny.train, 10)
         users = list(range(tiny.n_users)) * 2
         results = {}
@@ -356,7 +354,6 @@ class TestGracefulDegradation:
         service = RankingService(
             model,
             tiny.train,
-            max_wait=0.0,
             breaker_threshold=10,
             fault_injector=_score_fault(0),
         )

@@ -282,7 +282,6 @@ class TestServeBench:
         assert args.dataset is None
         assert args.requests == 4000
         assert args.cache_k == 100
-        assert args.max_wait_ms == 1.0
 
     def test_run_all_replicates_flag(self):
         args = build_parser().parse_args(["run-all", "--replicates", "10"])
