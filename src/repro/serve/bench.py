@@ -13,9 +13,9 @@ stream:
   requests/sec.
 * **coalesced** — caching off, ``n_clients`` concurrent threads pushing
   their shares of the stream through the
-  :class:`~repro.serve.coalescer.RequestCoalescer`, so misses that queue
-  behind a running batch fold into the next gemm (reported: qps and
-  achieved batch sizes).
+  :class:`~repro.serve.coalescer.RequestCoalescer`, so misses that
+  reach its queue together share one gemm (reported: qps and achieved
+  batch sizes).
 
 Latency percentiles are computed from per-request ``perf_counter``
 spans.  The model is freshly initialized (not trained) — serving cost

@@ -13,8 +13,11 @@ Three performance layers stack on top of that inner loop:
 1. the per-user :class:`~repro.serve.cache.TopKCache` (prefix reads for
    ``k <= cache_k``), bulk-warmed in chunked ``scores_batch`` blocks;
 2. the :class:`~repro.serve.coalescer.RequestCoalescer`, which scores a
-   lone cache miss at once and folds the misses that queue behind a
-   running batch into the next gemm;
+   lone cache miss at once and answers the misses waiting in its queue
+   with one gemm.  Scoring holds the service lock, so a request that
+   arrives during a gemm waits at that lock, not in the queue; it
+   shares the next gemm only if it queues before the leader looks
+   again;
 3. the argpartition partial-sort ranking kernel shared with the
    evaluator.
 
@@ -139,8 +142,8 @@ class RankingService:
     coalesce:
         Batch concurrent cache-miss requests into one ``scores_batch``
         call (:class:`~repro.serve.coalescer.RequestCoalescer`).  A lone
-        miss is scored at once; misses that arrive while a batch is
-        computing share the next one.
+        miss is scored at once; misses that reach the queue together
+        share one gemm.
     max_batch:
         The coalescer's largest gemm batch.
     breaker_threshold, breaker_cooldown:

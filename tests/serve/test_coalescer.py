@@ -12,6 +12,58 @@ def _echo_batch(requests):
     return [("done", request) for request in requests]
 
 
+def _times_ten(requests):
+    return [request * 10 for request in requests]
+
+
+def _backlog(compute, *, max_batch, n_followers):
+    """Block the first ``compute`` call on request 0 until ``n_followers``
+    more requests (1..n_followers) have queued behind it, then release it.
+
+    Returns the coalescer, the batches ``compute`` received, and each
+    caller's outcomes as ``value -> [("ok", result) | ("error", error)]``.
+    """
+    entered, release = threading.Event(), threading.Event()
+    batches = []
+
+    def blocking_compute(requests):
+        batches.append(list(requests))
+        if len(batches) == 1:
+            entered.set()
+            assert release.wait(timeout=10)
+        return compute(requests)
+
+    coalescer = RequestCoalescer(blocking_compute, max_batch=max_batch)
+    outcomes = {value: [] for value in range(n_followers + 1)}
+
+    def client(value):
+        try:
+            result = coalescer.submit(value)
+        except Exception as error:  # noqa: BLE001
+            outcomes[value].append(("error", error))
+        else:
+            outcomes[value].append(("ok", result))
+
+    threads = [threading.Thread(target=client, args=(0,), daemon=True)]
+    threads[0].start()
+    assert entered.wait(timeout=10)
+    for value in range(1, n_followers + 1):
+        threads.append(threading.Thread(target=client, args=(value,), daemon=True))
+        threads[-1].start()
+    # Hang guard only: every follower has queued once the counter
+    # reaches them, whatever the timing.
+    deadline = time.monotonic() + 10
+    while coalescer.stats.requests < n_followers + 1:
+        assert time.monotonic() < deadline, "followers never queued"
+        time.sleep(0.001)
+    release.set()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert coalescer.stats.batch_sizes == [len(batch) for batch in batches]
+    return coalescer, batches, outcomes
+
+
 class TestSingleCaller:
     def test_single_request_round_trips(self):
         coalescer = RequestCoalescer(_echo_batch)
@@ -99,70 +151,39 @@ class TestConcurrentCallers:
         assert sum(calls) == 8
         assert coalescer.stats.requests == 8
 
-    def _backlog_batches(self, max_batch, n_followers):
-        """Block the first compute, queue ``n_followers`` behind it, then
-        release it; returns the batches ``compute`` received."""
-        entered, release = threading.Event(), threading.Event()
-        batches = []
-
-        def compute(requests):
-            batches.append(list(requests))
-            if len(batches) == 1:
-                entered.set()
-                assert release.wait(timeout=10)
-            return [request * 10 for request in requests]
-
-        coalescer = RequestCoalescer(compute, max_batch=max_batch)
-        results, errors = {}, []
-
-        def client(value):
-            try:
-                results[value] = coalescer.submit(value)
-            except BaseException as error:  # noqa: BLE001
-                errors.append(error)
-
-        threads = [threading.Thread(target=client, args=(0,), daemon=True)]
-        threads[0].start()
-        assert entered.wait(timeout=10)
-        for value in range(1, n_followers + 1):
-            threads.append(
-                threading.Thread(target=client, args=(value,), daemon=True)
-            )
-            threads[-1].start()
-        # Hang guard only: every follower has queued once the counter
-        # reaches them, whatever the timing.
-        deadline = time.monotonic() + 10
-        while coalescer.stats.requests < n_followers + 1:
-            assert time.monotonic() < deadline, "followers never queued"
-            time.sleep(0.001)
-        release.set()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert results == {value: value * 10 for value in range(n_followers + 1)}
-        assert coalescer.stats.batch_sizes == [len(b) for b in batches]
-        return batches
-
     def test_batches_actually_coalesce(self):
         # Seven misses queued behind a running batch share one gemm.
-        batches = self._backlog_batches(max_batch=16, n_followers=7)
+        _, batches, outcomes = _backlog(_times_ten, max_batch=16, n_followers=7)
         assert batches[0] == [0]
         assert [sorted(batch) for batch in batches[1:]] == [list(range(1, 8))]
+        assert outcomes == {value: [("ok", value * 10)] for value in range(8)}
 
     def test_max_batch_respected(self):
-        batches = self._backlog_batches(max_batch=3, n_followers=7)
+        _, batches, outcomes = _backlog(_times_ten, max_batch=3, n_followers=7)
         assert [len(batch) for batch in batches] == [1, 3, 3, 1]
+        assert outcomes == {value: [("ok", value * 10)] for value in range(8)}
 
     def test_error_reaches_every_batch_member(self):
-        def boom(requests):
-            raise ValueError("batch failed")
+        # Only the backlog batch fails: each of its four members gets
+        # that very error, and the leader's own request, computed in the
+        # batch before, still gets its result.
+        failure = ValueError("batch failed")
 
-        coalescer = RequestCoalescer(boom, max_batch=8)
-        results, errors = self._run_clients(coalescer, 4)
-        assert results == [None] * 4
-        assert len(errors) == 4
-        assert all(isinstance(error, ValueError) for error in errors)
+        def fail_backlog(requests):
+            if requests != [0]:
+                raise failure
+            return _times_ten(requests)
+
+        coalescer, batches, outcomes = _backlog(
+            fail_backlog, max_batch=8, n_followers=4
+        )
+        assert coalescer.stats.batch_sizes == [1, 4]
+        assert sorted(batches[1]) == [1, 2, 3, 4]
+        assert outcomes[0] == [("ok", 0)]
+        for value in (1, 2, 3, 4):
+            assert len(outcomes[value]) == 1
+            kind, error = outcomes[value][0]
+            assert kind == "error" and error is failure
 
 
 class TestFailureSemantics:
@@ -185,30 +206,24 @@ class TestFailureSemantics:
         assert coalescer.submit(2) == 2
 
     def test_error_delivered_exactly_once_per_caller(self):
-        delivered = []
-
+        # Every batch fails, the leader's lone one and the backlog of
+        # four behind it: each caller hears of its own batch's error
+        # exactly once, and the leader does not stop at its own failure.
         def boom(requests):
-            raise ValueError("batch failed")
+            raise ValueError(f"batch of {len(requests)} failed")
 
-        coalescer = RequestCoalescer(boom, max_batch=8)
-        barrier = threading.Barrier(4)
-
-        def client(value):
-            barrier.wait()
-            try:
-                coalescer.submit(value)
-            except ValueError as error:
-                delivered.append((value, error))
-
-        threads = [
-            threading.Thread(target=client, args=(v,)) for v in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(value for value, _ in delivered) == [0, 1, 2, 3]
+        coalescer, _, outcomes = _backlog(boom, max_batch=8, n_followers=4)
+        assert coalescer.stats.batch_sizes == [1, 4]
+        assert [len(outcomes[value]) for value in range(5)] == [1] * 5
+        messages = {
+            value: str(error)
+            for value, [(kind, error)] in outcomes.items()
+            if kind == "error"
+        }
+        assert messages == {
+            0: "batch of 1 failed",
+            **{value: "batch of 4 failed" for value in (1, 2, 3, 4)},
+        }
 
     def test_leader_death_outside_compute_aborts_followers(self):
         coalescer = RequestCoalescer(_echo_batch)

@@ -6,6 +6,7 @@ included, both before and after an interaction-append invalidation.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -141,34 +142,60 @@ class TestCacheBehaviour:
 
 class TestBatchAndConcurrency:
     def test_concurrent_coalesced_requests_are_exact(self, tiny, model):
-        service = RankingService(model, tiny.train, cache_k=0, coalesce=True)
-        ids, lengths = offline_top_k(model, tiny.train, 10)
-        users = list(range(tiny.n_users)) * 2
-        results = {}
-        errors = []
-        barrier = threading.Barrier(8)
+        # The first miss is held before it scores until the backlog has
+        # queued behind it, so the backlog reaches the service's scoring
+        # as one batch: duplicate users share a score row, every request
+        # gets its own prefix of the shared width, and the cache is
+        # refreshed from the same rows.
+        service = RankingService(model, tiny.train, cache_k=4, coalesce=True)
+        requests = [(3, 10), (0, 10), (1, 3), (1, 12), (2, 10), (2, 10), (5, 1), (0, 3)]
+        coalescer = service._coalescer
+        compute = coalescer._compute
+        entered, release = threading.Event(), threading.Event()
 
-        def client(worker, share):
-            barrier.wait()
+        def held_first_compute(batch):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=10)
+            return compute(batch)
+
+        coalescer._compute = held_first_compute
+        served, errors = {}, []
+
+        def client(position, user, k):
             try:
-                for user in share:
-                    results[(worker, user)] = service.top_k(user, 10)
+                served[position] = service.top_k(user, k)
             except BaseException as error:  # noqa: BLE001
                 errors.append(error)
 
-        shares = [users[i::8] for i in range(8)]
-        threads = [
-            threading.Thread(target=client, args=(worker, share))
-            for worker, share in enumerate(shares)
-        ]
-        for thread in threads:
-            thread.start()
+        threads = []
+        for position, (user, k) in enumerate(requests):
+            threads.append(
+                threading.Thread(target=client, args=(position, user, k), daemon=True)
+            )
+            threads[-1].start()
+            if position == 0:
+                assert entered.wait(timeout=10)
+        # Hang guard only: the backlog has queued once the counter says so.
+        deadline = time.monotonic() + 10
+        while service.coalescer_stats.requests < len(requests):
+            assert time.monotonic() < deadline, "backlog never queued"
+            time.sleep(0.001)
+        release.set()
         for thread in threads:
             thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        for (_, user), got in results.items():
-            assert np.array_equal(got, ids[user, : lengths[user]])
-        assert service.coalescer_stats.requests == len(users)
+        assert service.stats.degraded == 0
+        assert service.coalescer_stats.batch_sizes == [1, len(requests) - 1]
+        assert service.coalescer_stats.max_batch_size > 1
+        for position, (user, k) in enumerate(requests):
+            ids, lengths = offline_top_k(model, tiny.train, k)
+            assert np.array_equal(served[position], ids[user, : lengths[user]])
+        # One score row per distinct user: 3 alone, then 0, 1, 2 and 5.
+        assert service.stats.scored_users == 5
+        assert service.n_cached_users == 5
+        assert_serves_offline_lists(service, model, k=4)
 
 
 class TestValidationAndCheckpoints:
