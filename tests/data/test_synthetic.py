@@ -1,9 +1,12 @@
 """Tests for repro.data.synthetic."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.data.popularity import fit_zipf_exponent, gini_coefficient
+from repro.data.registry import load_dataset
 from repro.data.synthetic import (
     PRESETS,
     CalibrationPreset,
@@ -161,3 +164,59 @@ class TestDegreeCalibration:
         degrees = np.asarray([1, 1], dtype=np.int64)
         with pytest.raises(RuntimeError, match="calibrate"):
             LatentFactorGenerator._match_total(degrees, 1, cap=1, rng=rng)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutput:
+    """The generator's exact output, pinned by sha256.
+
+    Run keys, goldens and cached results all assume a preset and a seed
+    always give the same log, so any change to the generator's draws or
+    their order fails here first.  Re-pin only in a commit of its own that
+    says why the data changed.
+    """
+
+    @pytest.mark.parametrize(
+        "name, train_sha, test_sha",
+        [
+            (
+                "tiny",
+                "afdb874d618a4a85a6ca4c1048baa7a0a348211014ded834a33f6cf08c37ae33",
+                "8e419fd1d09cac35f5090a479a391d5f23ed351f08fa389eb003cd927617e718",
+            ),
+            (
+                "ml-100k-small",
+                "9268fd8c03083f25b0c814fe01f02d4f7f8fec8cc33bab40d2808aecd84cabf3",
+                "04c05afd363a22b2620769f94c6369b0d96eb0c939899a5eac9cd16f58659d3f",
+            ),
+            (
+                "yahoo-r3-small",
+                "e350a29baa826c7849a34dc66ae08982da04186e91bbec074fbaeab58a946d84",
+                "9433e411941cf361f99eb3d345374159d38d4f6b64c6f6adce0e9c55624db332",
+            ),
+        ],
+    )
+    def test_preset_split_pairs(self, name, train_sha, test_sha):
+        dataset = load_dataset(name, seed=0)
+        assert _digest(*dataset.train.pairs()) == train_sha
+        assert _digest(*dataset.test.pairs()) == test_sha
+
+    def test_catalog16k_shaped_log(self):
+        """The shape of perfbench's catalog16k workload (no dense affinity)."""
+        preset = CalibrationPreset(
+            name="catalog16k",
+            n_users=400,
+            n_items=16_000,
+            n_interactions=6_000,
+            n_factors=16,
+        )
+        log = LatentFactorGenerator(preset, seed=0).generate()
+        assert _digest(
+            log.user_ids, log.item_ids, log.ratings, log.user_occupations
+        ) == "5aab93ad05e38c165dd18f863f3c3487379fc35442b812830cc9cf4a4f257373"
