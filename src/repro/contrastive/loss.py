@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.utils.validation import check_positive
 
-__all__ = ["info_nce_loss", "info_nce_gradients", "negative_weights"]
+__all__ = ["info_nce_loss", "info_nce_gradients"]
 
 
 def _similarities(
@@ -68,19 +68,6 @@ def info_nce_loss(
     logits = np.concatenate([[s_pos], s_neg])
     max_logit = logits.max()
     return float(-s_pos + max_logit + np.log(np.exp(logits - max_logit).sum()))
-
-
-def negative_weights(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negatives: np.ndarray,
-    temperature: float = 0.5,
-) -> np.ndarray:
-    """Per-negative softmax weights — the contrastive ``info(j)`` measure."""
-    check_positive(temperature, "temperature")
-    s_pos, s_neg = _similarities(anchor, positive, negatives, temperature)
-    _, w_neg = _softmax_weights(s_pos, s_neg)
-    return w_neg
 
 
 def info_nce_gradients(

@@ -21,28 +21,25 @@ Pipeline (paper §III):
 """
 
 from repro.core.classifier import BayesianNegativeClassifier, posterior_fn, posterior_tn
-from repro.core.empirical import empirical_cdf, empirical_cdf_at, ks_distance
-from repro.core.informativeness import informativeness
+from repro.core.empirical import empirical_cdf_at, ks_distance
 from repro.core.order_statistics import (
     false_negative_density,
     true_negative_density,
     verify_density_normalization,
 )
 from repro.core.risk import (
-    bayesian_sampling_scores,
     conditional_sampling_risk,
     empirical_sampling_risk,
     optimal_sample_index,
 )
 from repro.core.theory import TheoreticalDistribution, named_distribution
 from repro.core.unbiasedness import unbias, unbias_from_components
+from repro.train.loss import informativeness
 
 __all__ = [
     "BayesianNegativeClassifier",
     "TheoreticalDistribution",
-    "bayesian_sampling_scores",
     "conditional_sampling_risk",
-    "empirical_cdf",
     "empirical_cdf_at",
     "empirical_sampling_risk",
     "false_negative_density",

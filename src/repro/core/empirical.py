@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["empirical_cdf", "empirical_cdf_at", "ks_distance", "EmpiricalCdf"]
+__all__ = ["empirical_cdf_at", "ks_distance", "EmpiricalCdf"]
 
 
 class EmpiricalCdf:
@@ -47,11 +47,6 @@ class EmpiricalCdf:
         """``F_n(x)`` — fraction of the sample ``<= x`` (right-continuous)."""
         x = np.asarray(x, dtype=np.float64)
         return np.searchsorted(self._sorted, x, side="right") / self._n
-
-
-def empirical_cdf(sample: np.ndarray) -> EmpiricalCdf:
-    """Build an :class:`EmpiricalCdf` from a sample."""
-    return EmpiricalCdf(sample)
 
 
 def empirical_cdf_at(sample: np.ndarray, points: np.ndarray) -> np.ndarray:

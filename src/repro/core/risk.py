@@ -21,7 +21,6 @@ from repro.utils.validation import check_non_negative
 
 __all__ = [
     "conditional_sampling_risk",
-    "bayesian_sampling_scores",
     "optimal_sample_index",
     "empirical_sampling_risk",
 ]
@@ -43,13 +42,6 @@ def conditional_sampling_risk(
             f"info shape {info.shape} != unbias shape {unbias_values.shape}"
         )
     return info * (1.0 - (1.0 + weight) * unbias_values)
-
-
-def bayesian_sampling_scores(
-    info: np.ndarray, unbias_values: np.ndarray, weight: float
-) -> np.ndarray:
-    """Alias of :func:`conditional_sampling_risk` named as Eq. 32's criterion."""
-    return conditional_sampling_risk(info, unbias_values, weight)
 
 
 def optimal_sample_index(

@@ -15,7 +15,7 @@ from repro.data.dataset import DatasetStatistics, ImplicitDataset
 from repro.data.interactions import InteractionMatrix
 from repro.data.ratings import RatingLog
 from repro.data.registry import available_datasets, load_dataset
-from repro.data.splits import leave_one_out_split, per_user_holdout_split, random_holdout_split
+from repro.data.splits import random_holdout_split
 from repro.data.synthetic import CalibrationPreset, LatentFactorGenerator
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "LatentFactorGenerator",
     "RatingLog",
     "available_datasets",
-    "leave_one_out_split",
     "load_dataset",
-    "per_user_holdout_split",
     "random_holdout_split",
 ]

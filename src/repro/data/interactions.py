@@ -25,7 +25,7 @@ calls (the draw sequence every sampler's scalar and batched paths share).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,12 +121,6 @@ class InteractionMatrix:
         users, items = np.nonzero(dense)
         return cls(dense.shape[0], dense.shape[1], users, items)
 
-    @classmethod
-    def from_csr(cls, matrix: sp.spmatrix) -> "InteractionMatrix":
-        """Build from any scipy sparse matrix (nonzeros become interactions)."""
-        coo = matrix.tocoo()
-        return cls(matrix.shape[0], matrix.shape[1], coo.row, coo.col)
-
     # ------------------------------------------------------------------ #
     # Shape and counts
     # ------------------------------------------------------------------ #
@@ -168,14 +162,6 @@ class InteractionMatrix:
         self._check_user(user)
         start, stop = self._csr.indptr[user], self._csr.indptr[user + 1]
         return self._csr.indices[start:stop]
-
-    def users_of(self, item: int) -> np.ndarray:
-        """Sorted array of user ids that interacted with the item."""
-        if not 0 <= item < self._n_items:
-            raise IndexError(f"item {item} out of range [0, {self._n_items})")
-        csc = self._csc()
-        start, stop = csc.indptr[item], csc.indptr[item + 1]
-        return csc.indices[start:stop]
 
     def contains(self, user: int, item: int) -> bool:
         """Membership test: did ``user`` interact with ``item``?"""
@@ -493,12 +479,6 @@ class InteractionMatrix:
         coo = self._csr.tocoo()
         return coo.row.astype(np.int64), coo.col.astype(np.int64)
 
-    def iter_pairs(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over ``(user, item)`` interaction tuples."""
-        users, items = self.pairs()
-        for u, i in zip(users.tolist(), items.tolist()):
-            yield u, i
-
     def tocsr(self) -> sp.csr_matrix:
         """A copy of the underlying CSR matrix."""
         return self._csr.copy()
@@ -565,14 +545,6 @@ class InteractionMatrix:
             )
             self._pair_keys = row_of_nnz * self._n_items + self._csr.indices
         return self._pair_keys
-
-    def _csc(self) -> sp.csc_matrix:
-        cached = getattr(self, "_csc_cache", None)
-        if cached is None:
-            cached = self._csr.tocsc()
-            cached.sort_indices()
-            self._csc_cache = cached
-        return cached
 
     def _check_user(self, user: int) -> None:
         if not 0 <= user < self._n_users:

@@ -103,23 +103,3 @@ class RatingLog:
         """
         return InteractionMatrix(self.n_users, self.n_items, self.user_ids, self.item_ids)
 
-    def filter_min_ratings(self, min_user_events: int = 1) -> "RatingLog":
-        """Drop events of users with fewer than ``min_user_events`` events.
-
-        Ids are *not* re-indexed; sparse users simply end up with empty rows,
-        matching how the paper keeps the published universe sizes fixed.
-        """
-        if min_user_events <= 1:
-            return self
-        counts = np.bincount(self.user_ids, minlength=self.n_users)
-        keep = counts[self.user_ids] >= min_user_events
-        return RatingLog(
-            n_users=self.n_users,
-            n_items=self.n_items,
-            user_ids=self.user_ids[keep],
-            item_ids=self.item_ids[keep],
-            ratings=None if self.ratings is None else self.ratings[keep],
-            user_occupations=self.user_occupations,
-            occupation_names=self.occupation_names,
-            name=self.name,
-        )

@@ -76,7 +76,6 @@ def load_dataset(
     *,
     test_fraction: float = 0.2,
     data_dir: Optional[PathLike] = None,
-    force_synthetic: bool = False,
 ) -> ImplicitDataset:
     """Resolve a dataset by name.
 
@@ -91,9 +90,6 @@ def load_dataset(
     data_dir:
         Directory containing real dataset subdirectories (``ml-100k/``,
         ``ml-1m/``, ``yahoo-r3/``).  Defaults to ``$REPRO_DATA_DIR``.
-    force_synthetic:
-        Skip the real-file probe even if files exist (used to make
-        experiments environment-independent).
     """
     presets = _presets()
     if name not in presets:
@@ -102,9 +98,7 @@ def load_dataset(
         )
     rng = as_rng(seed)
 
-    log: Optional[RatingLog] = None
-    if not force_synthetic:
-        log = _try_load_real(name, data_dir)
+    log = _try_load_real(name, data_dir)
     if log is None:
         preset = presets[name]
         _LOGGER.info("generating synthetic dataset for %s", name)

@@ -1,18 +1,11 @@
-"""Train/test splits for implicit feedback.
+"""The train/test split for implicit feedback.
 
 The paper's protocol (§IV-A1) is "for each dataset, we randomly select 20%
-as test data, and the rest 80% as training data".  We implement that as
-:func:`random_holdout_split` plus two common alternatives used by the
-follow-up ablations:
-
-* :func:`per_user_holdout_split` — hold out a fraction of *each user's*
-  interactions, guaranteeing every active user appears in both sides;
-* :func:`leave_one_out_split` — one held-out item per user.
-
-All splits guarantee train/test disjointness and preserve the matrix shape,
-which the evaluation protocol relies on (test positives are the *false
-negatives* of the training phase — the ground truth behind Fig. 1 and the
-TNR metric).
+as test data, and the rest 80% as training data":
+:func:`random_holdout_split`.  The split keeps train and test disjoint and
+preserves the matrix shape, which the evaluation protocol relies on (test
+positives are the *false negatives* of the training phase — the ground
+truth behind Fig. 1 and the TNR metric).
 """
 
 from __future__ import annotations
@@ -24,11 +17,7 @@ import numpy as np
 from repro.data.interactions import InteractionMatrix
 from repro.utils.rng import SeedLike, as_rng
 
-__all__ = [
-    "random_holdout_split",
-    "per_user_holdout_split",
-    "leave_one_out_split",
-]
+__all__ = ["random_holdout_split"]
 
 
 def random_holdout_split(
@@ -69,69 +58,6 @@ def random_holdout_split(
     return train, test
 
 
-def per_user_holdout_split(
-    interactions: InteractionMatrix,
-    test_fraction: float = 0.2,
-    seed: SeedLike = None,
-    *,
-    min_train_per_user: int = 1,
-) -> Tuple[InteractionMatrix, InteractionMatrix]:
-    """Stratified split: hold out ``test_fraction`` of every user's items.
-
-    A user with ``k`` interactions contributes ``floor(k * test_fraction)``
-    test items, but never so many that fewer than ``min_train_per_user``
-    remain for training.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = as_rng(seed)
-    train_users, train_items, test_users, test_items = [], [], [], []
-    for user in range(interactions.n_users):
-        positives = interactions.items_of(user)
-        k = positives.size
-        if k == 0:
-            continue
-        n_test = int(np.floor(k * test_fraction))
-        n_test = min(n_test, max(k - min_train_per_user, 0))
-        order = rng.permutation(k)
-        test_part = positives[order[:n_test]]
-        train_part = positives[order[n_test:]]
-        train_users.append(np.full(train_part.size, user, dtype=np.int64))
-        train_items.append(train_part)
-        test_users.append(np.full(test_part.size, user, dtype=np.int64))
-        test_items.append(test_part)
-    return (
-        _build(interactions, train_users, train_items),
-        _build(interactions, test_users, test_items),
-    )
-
-
-def leave_one_out_split(
-    interactions: InteractionMatrix,
-    seed: SeedLike = None,
-) -> Tuple[InteractionMatrix, InteractionMatrix]:
-    """Hold out exactly one random interaction per user with >= 2 interactions."""
-    rng = as_rng(seed)
-    train_users, train_items, test_users, test_items = [], [], [], []
-    for user in range(interactions.n_users):
-        positives = interactions.items_of(user)
-        if positives.size < 2:
-            train_users.append(np.full(positives.size, user, dtype=np.int64))
-            train_items.append(positives.copy())
-            continue
-        held = int(rng.integers(positives.size))
-        mask = np.ones(positives.size, dtype=bool)
-        mask[held] = False
-        train_users.append(np.full(positives.size - 1, user, dtype=np.int64))
-        train_items.append(positives[mask])
-        test_users.append(np.asarray([user], dtype=np.int64))
-        test_items.append(positives[held : held + 1])
-    return (
-        _build(interactions, train_users, train_items),
-        _build(interactions, test_users, test_items),
-    )
-
-
 def _pin_train_minimum(
     users: np.ndarray,
     in_test: np.ndarray,
@@ -149,13 +75,3 @@ def _pin_train_minimum(
             continue
         flip = rng.choice(owned, size=min(needed, owned.size), replace=False)
         in_test[flip] = False
-
-
-def _build(
-    reference: InteractionMatrix,
-    user_chunks: list,
-    item_chunks: list,
-) -> InteractionMatrix:
-    users = np.concatenate(user_chunks) if user_chunks else np.empty(0, dtype=np.int64)
-    items = np.concatenate(item_chunks) if item_chunks else np.empty(0, dtype=np.int64)
-    return InteractionMatrix(reference.n_users, reference.n_items, users, items)

@@ -122,19 +122,12 @@ class GroundTruth:
     affinity:
         Dense ``(n_users, n_items)`` affinity used for sampling; only
         retained for small universes (``None`` otherwise).
-    shown_users, shown_items:
-        Parallel arrays of *impression* events: items that entered the
-        user's consideration set but were not interacted ("viewed but
-        non-clicked").  This is the side signal exposure-based priors
-        consume (paper §III-C / refs [33], [49]).
     """
 
     user_factors: np.ndarray
     item_factors: np.ndarray
     exposure_weights: np.ndarray
     affinity: Optional[np.ndarray]
-    shown_users: np.ndarray
-    shown_items: np.ndarray
 
 
 #: Presets calibrated to the paper's Table I.  Yahoo!-R3's train/test counts
@@ -211,8 +204,6 @@ class LatentFactorGenerator:
         users_out = np.empty(int(degrees.sum()), dtype=np.int64)
         items_out = np.empty(int(degrees.sum()), dtype=np.int64)
         affinity_out = np.empty(int(degrees.sum()))
-        shown_users_chunks = []
-        shown_items_chunks = []
         cursor = 0
         for user in range(p.n_users):
             affinity = item_factors @ user_factors[user]
@@ -222,20 +213,18 @@ class LatentFactorGenerator:
             # Gumbel-top-k == weighted sampling without replacement.
             keys = logits + rng.gumbel(size=p.n_items)
             n_u = int(degrees[user])
-            # The consideration set is the top 2·n_u keys; the user clicks
-            # the top n_u of it and the rest become impression-only events.
+            # The user clicks the top n_u keys, taken from a stable sort of
+            # the top 2·n_u.  That window and sort fix the order of tied
+            # keys, so both stay: every generated log is pinned bit for bit.
             n_shown = min(2 * n_u, p.n_items)
             consideration = np.argpartition(keys, p.n_items - n_shown)[
                 p.n_items - n_shown :
             ]
             order = consideration[np.argsort(-keys[consideration], kind="stable")]
             chosen = order[:n_u]
-            shown_only = order[n_u:]
             users_out[cursor : cursor + n_u] = user
             items_out[cursor : cursor + n_u] = chosen
             affinity_out[cursor : cursor + n_u] = affinity[chosen]
-            shown_users_chunks.append(np.full(shown_only.size, user, dtype=np.int64))
-            shown_items_chunks.append(shown_only.astype(np.int64))
             cursor += n_u
 
         ratings = self._quantize_ratings(affinity_out)
@@ -254,28 +243,8 @@ class LatentFactorGenerator:
             item_factors=item_factors,
             exposure_weights=exposure,
             affinity=affinity_dense,
-            shown_users=np.concatenate(shown_users_chunks),
-            shown_items=np.concatenate(shown_items_chunks),
         )
         return log, truth
-
-    def generate_with_impressions(self):
-        """Generate ``(rating log, impression matrix)``.
-
-        The impression matrix marks "viewed but non-clicked" pairs — items
-        the user's consideration set contained without an interaction.
-        These feed :class:`repro.samplers.priors.ExposurePrior`.
-        """
-        from repro.data.interactions import InteractionMatrix
-
-        log, truth = self.generate_with_truth()
-        impressions = InteractionMatrix(
-            self.preset.n_users,
-            self.preset.n_items,
-            truth.shown_users,
-            truth.shown_items,
-        )
-        return log, impressions
 
     # ------------------------------------------------------------------ #
 

@@ -14,12 +14,7 @@ Two families, matching the paper's §IV-A4:
 """
 
 from repro.eval.distribution import ScoreDistributionRecorder, score_snapshot
-from repro.eval.diversity import (
-    average_recommendation_popularity,
-    catalog_coverage,
-    popularity_lift,
-    recommendation_footprint,
-)
+from repro.eval.diversity import recommendation_footprint
 from repro.eval.protocol import Evaluator, NonFiniteScoresError, score_block
 from repro.eval.ranking import (
     auc,
@@ -39,7 +34,6 @@ from repro.eval.significance import (
     paired_bootstrap_test,
     paired_sign_test,
 )
-from repro.eval.stratified import popularity_buckets, stratified_recall
 from repro.eval.topk import top_k_items, top_k_items_batch
 
 __all__ = [
@@ -51,16 +45,12 @@ __all__ = [
     "auc",
     "auc_block",
     "average_precision_at_k",
-    "average_recommendation_popularity",
-    "catalog_coverage",
     "false_negative_flags",
     "hit_rate_at_k",
-    "popularity_lift",
     "recommendation_footprint",
     "ndcg_at_k",
     "paired_bootstrap_test",
     "paired_sign_test",
-    "popularity_buckets",
     "precision_at_k",
     "ranking_metrics_block",
     "recall_at_k",
@@ -68,7 +58,6 @@ __all__ = [
     "reciprocal_rank_block",
     "score_block",
     "score_snapshot",
-    "stratified_recall",
     "top_k_items",
     "top_k_items_batch",
 ]

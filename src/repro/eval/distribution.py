@@ -30,16 +30,6 @@ class ScoreSnapshot:
     tn_scores: np.ndarray
     fn_scores: np.ndarray
 
-    def histograms(
-        self, bins: int = 50
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(bin_edges, tn_density, fn_density)`` over a shared range."""
-        combined = np.concatenate([self.tn_scores, self.fn_scores])
-        edges = np.histogram_bin_edges(combined, bins=bins)
-        tn_density, _ = np.histogram(self.tn_scores, bins=edges, density=True)
-        fn_density, _ = np.histogram(self.fn_scores, bins=edges, density=True)
-        return edges, tn_density, fn_density
-
     @property
     def separation(self) -> float:
         """``mean(FN scores) − mean(TN scores)`` — Fig. 1's growing gap."""

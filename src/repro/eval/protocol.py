@@ -168,10 +168,10 @@ def _check_max_users(max_users: Optional[int]) -> Optional[int]:
 def _cap_users(users: np.ndarray, max_users: Optional[int]) -> np.ndarray:
     """The first ``max_users`` of ``users``, or all of them for ``None``.
 
-    Shared by :class:`Evaluator`, :func:`repro.eval.stratified.
-    stratified_recall` and the diversity metrics.  A cap below 1 raises
-    ``ValueError``: as a slice, ``-1`` would silently drop the last user
-    and ``0`` would evaluate nobody.
+    Shared by :class:`Evaluator` and
+    :func:`repro.eval.diversity.recommendation_footprint`.  A cap below 1
+    raises ``ValueError``: as a slice, ``-1`` would silently drop the last
+    user and ``0`` would evaluate nobody.
     """
     if _check_max_users(max_users) is None:
         return users
@@ -184,8 +184,7 @@ def _iter_ranked_chunks(model, dataset, users, k, chunk_users):
     Yields ``(chunk, block, ranked, hits)`` per chunk of ``users``: the
     chunk's score block (train positives masked to ``-inf``), its
     ranked-id matrix at cutoff ``k``, and the boolean hit matrix against
-    the test split.  Shared by :class:`Evaluator`,
-    :func:`repro.eval.stratified.stratified_recall` and
+    the test split.  Shared by :class:`Evaluator` and
     :func:`repro.eval.diversity.recommendation_footprint`.  Raises
     :class:`NonFiniteScoresError` through :func:`rank_unseen`.
     """

@@ -29,7 +29,6 @@ from repro.experiments.engine import (
     ExperimentEngine,
     run_key,
 )
-from repro.experiments.export import export_json, to_jsonable
 from repro.experiments.fig1 import Fig1Result, fig1_requests, run_fig1
 from repro.experiments.fig2 import Fig2Result, run_fig2
 from repro.experiments.fig3 import Fig3Result, run_fig3
@@ -68,7 +67,6 @@ __all__ = [
     "Table2Result",
     "Table3Result",
     "Table4Result",
-    "export_json",
     "fig1_requests",
     "fig4_requests",
     "fig5_requests",
@@ -92,5 +90,4 @@ __all__ = [
     "table2_requests",
     "table3_requests",
     "table4_requests",
-    "to_jsonable",
 ]

@@ -8,7 +8,7 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.backend import DTYPE_NAMES
@@ -115,22 +115,6 @@ class RunSpec:
         if self.cdf is not None:
             options["cdf"] = self.cdf
         return options
-
-    def with_sampler(self, sampler: str, **kwargs) -> "RunSpec":
-        """A copy of this spec with a different sampler configuration.
-
-        The sampler configuration is replaced *wholesale*: ``cdf`` is
-        reset along with ``sampler_kwargs`` (a CDF estimator chosen for a
-        BNS spec must not leak into the baselines of a sweep — non-BNS
-        samplers reject it).  Pass ``cdf=...`` in ``kwargs`` to give the
-        new sampler its own estimator.
-        """
-        return replace(
-            self,
-            sampler=sampler,
-            sampler_kwargs=tuple(sorted(kwargs.items())),
-            cdf=None,
-        )
 
     def label(self) -> str:
         """Short human-readable tag for tables and logs."""

@@ -125,28 +125,6 @@ class ScoreModel(ABC):
             raise IndexError(f"item ids out of range [0, {self.n_items})")
         return users, items
 
-    def iter_score_blocks(
-        self,
-        users: Optional[np.ndarray] = None,
-        *,
-        chunk_size: int = DEFAULT_SCORE_CHUNK,
-    ):
-        """Stream ``(user_chunk, score_block)`` pairs over the given users.
-
-        The memory-bounded access pattern behind large-scale evaluation:
-        each yielded block is one :meth:`scores_batch` call for
-        ``chunk_size`` users, so peak footprint stays at one
-        ``chunk_size × n_items`` matrix however many users are scored.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if users is None:
-            users = np.arange(self.n_users)
-        users = np.asarray(users, dtype=np.int64).ravel()
-        for start in range(0, users.size, chunk_size):
-            chunk = users[start : start + chunk_size]
-            yield chunk, self.scores_batch(chunk)
-
     def score_matrix(
         self,
         users: Optional[np.ndarray] = None,
@@ -155,14 +133,21 @@ class ScoreModel(ABC):
     ) -> np.ndarray:
         """Dense score block for the given users (default: all users).
 
-        Chunks through :meth:`iter_score_blocks` — ``chunk_size`` users per
-        :meth:`scores_batch` call (default :data:`DEFAULT_SCORE_CHUNK`) —
-        so large universes cost a handful of matmuls instead of one
-        Python-level ``scores`` call per user.  Still materializes the full
-        ``(U, n_items)`` result; callers that only stream over it (the
-        evaluator) should iterate :meth:`iter_score_blocks` instead.
+        One :meth:`scores_batch` call per ``chunk_size`` users (default
+        :data:`DEFAULT_SCORE_CHUNK`), so large universes cost a handful of
+        matmuls instead of one Python-level ``scores`` call per user.
+        Materializes the full ``(U, n_items)`` result; the evaluator
+        streams its own chunks instead.
         """
-        blocks = [block for _, block in self.iter_score_blocks(users, chunk_size=chunk_size)]
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        if users is None:
+            users = np.arange(self.n_users)
+        users = np.asarray(users, dtype=np.int64).ravel()
+        blocks = [
+            self.scores_batch(users[start : start + chunk_size])
+            for start in range(0, users.size, chunk_size)
+        ]
         if len(blocks) == 1:
             return blocks[0]
         if not blocks:

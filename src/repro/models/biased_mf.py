@@ -38,7 +38,6 @@ class BiasedMatrixFactorization(ScoreModel):
         n_items: int,
         n_factors: int = 32,
         *,
-        init_scale: float = 0.1,
         bias_reg_scale: float = 1.0,
         seed: SeedLike = None,
         dtype="float64",
@@ -52,10 +51,10 @@ class BiasedMatrixFactorization(ScoreModel):
         self.dtype = resolve_dtype(dtype)
         rng = as_rng(seed)
         self._user_factors = normal_init(
-            self.n_users, self.n_factors, init_scale, rng
+            self.n_users, self.n_factors, seed=rng
         ).astype(self.dtype, copy=False)
         self._item_factors = normal_init(
-            self.n_items, self.n_factors, init_scale, rng
+            self.n_items, self.n_factors, seed=rng
         ).astype(self.dtype, copy=False)
         self._item_bias = np.zeros(self.n_items, dtype=self.dtype)
 

@@ -36,10 +36,8 @@ class MatrixFactorization(ScoreModel):
         Universe sizes.
     n_factors:
         Embedding dimensionality (paper: 32).
-    init_scale:
-        Standard deviation of the Gaussian initialization.
     seed:
-        Initialization randomness.
+        Initialization randomness (Gaussian, standard deviation 0.1).
     dtype:
         Parameter dtype policy (see :func:`repro.backend.resolve_dtype`).
         Init draws stay at float64 and are cast to ``dtype``, so a
@@ -54,7 +52,6 @@ class MatrixFactorization(ScoreModel):
         n_items: int,
         n_factors: int = 32,
         *,
-        init_scale: float = 0.1,
         seed: SeedLike = None,
         dtype="float64",
     ) -> None:
@@ -64,10 +61,10 @@ class MatrixFactorization(ScoreModel):
         self.dtype = resolve_dtype(dtype)
         rng = as_rng(seed)
         self._user_factors = normal_init(
-            self.n_users, self.n_factors, init_scale, rng
+            self.n_users, self.n_factors, seed=rng
         ).astype(self.dtype, copy=False)
         self._item_factors = normal_init(
-            self.n_items, self.n_factors, init_scale, rng
+            self.n_items, self.n_factors, seed=rng
         ).astype(self.dtype, copy=False)
 
     # ------------------------------------------------------------------ #

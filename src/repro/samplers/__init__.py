@@ -53,7 +53,6 @@ from repro.samplers.cdf import (
 from repro.samplers.dns import DynamicNegativeSampler
 from repro.samplers.pns import PopularityNegativeSampler
 from repro.samplers.priors import (
-    ExposurePrior,
     OccupationPrior,
     OraclePrior,
     PopularityPrior,
@@ -79,7 +78,6 @@ __all__ = [
     "CachedCDF",
     "DynamicNegativeSampler",
     "ExactCDF",
-    "ExposurePrior",
     "NegativeSampler",
     "OccupationPrior",
     "OraclePrior",

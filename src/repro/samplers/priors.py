@@ -10,11 +10,7 @@ The Bayesian posterior (Eq. 15) combines the model's sample information
   the user's occupation group over/under-consumes the item (BNS-4);
 * :class:`OraclePrior` — §IV-C3's ideal prior ``P_fn = (label − 0.2)²``
   (0.64 for actual false negatives, 0.04 otherwise), used to exhibit the
-  asymptotically optimal sampler (Table IV);
-* :class:`ExposurePrior` — the "viewed but non-clicked" signal the paper
-  cites as the canonical exposure-based prior (§III-C, refs [33], [49]):
-  an item the user demonstrably saw without interacting is strong
-  evidence of a *true* negative, so its FN prior is damped.
+  asymptotically optimal sampler (Table IV).
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ __all__ = [
     "UniformPrior",
     "OccupationPrior",
     "OraclePrior",
-    "ExposurePrior",
 ]
 
 
@@ -168,57 +163,6 @@ class OccupationPrior(Prior):
         occupations = self._occupations[_per_row(users, items)]
         adjusted = self._base[items] * (1.0 + self._delta[occupations, items])
         return np.clip(adjusted, 0.0, 1.0)
-
-
-class ExposurePrior(Prior):
-    """Popularity prior damped on "viewed but non-clicked" items.
-
-    ``P_fn(l | u) = (pop_l / N) · damping`` when the impression log shows
-    user ``u`` was exposed to ``l`` without interacting, and plain
-    ``pop_l / N`` otherwise.  ``damping < 1`` encodes that a consciously
-    skipped item is very likely a true negative.
-
-    Parameters
-    ----------
-    impressions:
-        Impression matrix over the same ``(n_users, n_items)`` universe,
-        marking exposed-but-not-interacted pairs (e.g. from
-        :meth:`repro.data.synthetic.LatentFactorGenerator.generate_with_impressions`
-        or a production exposure log).
-    damping:
-        Multiplier applied to the FN prior of exposed pairs, in [0, 1].
-    """
-
-    name = "exposure"
-
-    def __init__(self, impressions, damping: float = 0.2) -> None:
-        super().__init__()
-        from repro.data.interactions import InteractionMatrix
-
-        if not isinstance(impressions, InteractionMatrix):
-            raise TypeError(
-                "impressions must be an InteractionMatrix, got "
-                f"{type(impressions).__name__}"
-            )
-        self._impressions = impressions
-        self._damping = check_probability(damping, "damping")
-
-    def _on_bind(self) -> None:
-        dataset = self.dataset
-        if self._impressions.shape != (dataset.n_users, dataset.n_items):
-            raise ValueError(
-                f"impression matrix shape {self._impressions.shape} does not "
-                f"match the dataset universe {(dataset.n_users, dataset.n_items)}"
-            )
-        train = dataset.train
-        n = max(train.n_interactions, 1)
-        self._base = train.item_popularity.astype(np.float64) / n
-
-    def fn_prob(self, users, items: np.ndarray) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        exposed = self._impressions.contains_pairs(_per_row(users, items), items)
-        base = self._base[items]
-        return np.where(exposed, base * self._damping, base)
 
 
 class OraclePrior(Prior):

@@ -146,10 +146,11 @@ class RankingService:
         share one gemm.
     max_batch:
         The coalescer's largest gemm batch.
-    breaker_threshold, breaker_cooldown:
+    breaker_threshold:
         Circuit breaker around scoring: after ``breaker_threshold``
         consecutive scoring failures the service stops calling the
-        scorer for ``breaker_cooldown`` seconds and serves the fallback.
+        scorer for the breaker's default cooldown (30 s) and serves the
+        fallback.
     degraded_serving:
         When ``True`` (default) scoring failures are answered with a
         popularity fallback and counted in :class:`ServeStats`;
@@ -169,7 +170,6 @@ class RankingService:
         coalesce: bool = True,
         max_batch: int = 256,
         breaker_threshold: int = 5,
-        breaker_cooldown: float = 30.0,
         degraded_serving: bool = True,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
@@ -195,7 +195,7 @@ class RankingService:
         # concurrency) is where the batching win lives.
         self._lock = threading.RLock()
         self.stats = ServeStats()
-        self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown)
+        self.breaker = CircuitBreaker(breaker_threshold)
         self.degraded_serving = bool(degraded_serving)
         self._faults = fault_injector
         self.checkpoint_path: Optional[str] = None

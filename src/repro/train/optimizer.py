@@ -159,9 +159,3 @@ class Adam(Optimizer):
         m_hat = m / (1.0 - self.beta1**t)
         v_hat = v / (1.0 - self.beta2**t)
         param -= self._lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def reset(self) -> None:
-        """Drop all moment state (used between sweep repetitions)."""
-        self._m.clear()
-        self._v.clear()
-        self._steps.clear()

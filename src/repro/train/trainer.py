@@ -106,7 +106,6 @@ class TrainingConfig:
     reg: float = 0.01
     seed: Optional[int] = 0
     lr_schedule: Optional[Schedule] = None
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         check_positive(self.epochs, "epochs")
@@ -204,10 +203,7 @@ class Trainer:
         started: float,
     ) -> EpochStats:
         n = users_all.size
-        if self.config.shuffle:
-            order = self._rng.permutation(n)
-        else:
-            order = np.arange(n)
+        order = self._rng.permutation(n)
         batch_size = self.config.batch_size
 
         # The epoch's pairs in execution order, gathered once: every batch

@@ -9,12 +9,11 @@ value so they can be used inline::
 
 from __future__ import annotations
 
-from typing import Any, Tuple, Type, Union
+from typing import Any, Union
 
 import numpy as np
 
 __all__ = [
-    "check_type",
     "check_positive",
     "check_non_negative",
     "check_probability",
@@ -22,17 +21,6 @@ __all__ = [
 ]
 
 Number = Union[int, float, np.integer, np.floating]
-
-
-def check_type(value: Any, types: Union[Type, Tuple[Type, ...]], name: str) -> Any:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``types``."""
-    if not isinstance(value, types):
-        if isinstance(types, tuple):
-            expected = ", ".join(t.__name__ for t in types)
-        else:
-            expected = types.__name__
-        raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")
-    return value
 
 
 def _check_real(value: Any, name: str) -> float:

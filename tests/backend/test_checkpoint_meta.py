@@ -10,12 +10,11 @@ from repro.models.lightgcn import LightGCN
 from repro.models.mf import MatrixFactorization
 from repro.models.persistence import load_model, save_model
 from repro.serve.service import RankingService
-from repro.utils.rng import make_rng
 
 
 @pytest.fixture()
 def interactions():
-    rng = make_rng(5)
+    rng = np.random.default_rng(5)
     return InteractionMatrix(
         12, 30, rng.integers(12, size=80), rng.integers(30, size=80)
     )

@@ -25,7 +25,6 @@ from repro.experiments.runner import run_spec
 from repro.models.biased_mf import BiasedMatrixFactorization
 from repro.models.lightgcn import LightGCN
 from repro.models.mf import MatrixFactorization
-from repro.utils.rng import make_rng
 
 GOLDEN_PATH = Path(__file__).parent / "golden_numpy_f64.json"
 
@@ -41,7 +40,7 @@ def golden():
 @pytest.fixture(scope="module")
 def probes():
     """The exact fixture the goldens were captured with (seeded draws)."""
-    rng = make_rng(1234)
+    rng = np.random.default_rng(1234)
     users = rng.integers(N_USERS, size=400)
     items = rng.integers(N_ITEMS, size=400)
     interactions = InteractionMatrix(N_USERS, N_ITEMS, users, items)

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.contrastive.loss import (
-    info_nce_gradients,
-    info_nce_loss,
-    negative_weights,
-)
+from repro.contrastive.loss import info_nce_gradients, info_nce_loss
 
 
 @pytest.fixture
@@ -50,20 +46,6 @@ class TestLossValue:
         negatives = np.asarray([[1000.0, 1.0]])
         value = info_nce_loss(anchor, positive, negatives, temperature=0.1)
         assert np.isfinite(value)
-
-
-class TestNegativeWeights:
-    def test_sum_below_one(self, case):
-        weights = negative_weights(*case)
-        assert weights.shape == (4,)
-        assert 0.0 < weights.sum() < 1.0
-
-    def test_hardest_negative_heaviest(self, case):
-        anchor, positive, negatives = case
-        negatives = negatives.copy()
-        negatives[2] = anchor  # identical to anchor
-        weights = negative_weights(anchor, positive, negatives)
-        assert np.argmax(weights) == 2
 
 
 class TestGradients:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.core.empirical import EmpiricalCdf, empirical_cdf, empirical_cdf_at, ks_distance
+from repro.core.empirical import EmpiricalCdf, empirical_cdf_at, ks_distance
 
 
 class TestEmpiricalCdf:
@@ -47,9 +47,6 @@ class TestEmpiricalCdf:
 
 
 class TestHelpers:
-    def test_empirical_cdf_factory(self):
-        assert isinstance(empirical_cdf([1.0]), EmpiricalCdf)
-
     def test_empirical_cdf_at_eq16(self):
         """Eq. 16: percentage of reference scores <= the query score."""
         reference = np.asarray([0.1, 0.2, 0.3, 0.4, 0.5])

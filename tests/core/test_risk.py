@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.risk import (
-    bayesian_sampling_scores,
     conditional_sampling_risk,
     empirical_sampling_risk,
     optimal_sample_index,
@@ -57,12 +56,6 @@ class TestConditionalRisk:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             conditional_sampling_risk(np.ones(2), np.ones(2), -1.0)
-
-    def test_alias(self):
-        info, unbias = np.asarray([0.4]), np.asarray([0.6])
-        assert bayesian_sampling_scores(info, unbias, 2.0) == pytest.approx(
-            conditional_sampling_risk(info, unbias, 2.0)
-        )
 
 
 class TestOptimalIndex:

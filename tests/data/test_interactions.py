@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -65,13 +64,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="2-D"):
             InteractionMatrix.from_dense(np.ones(3))
 
-    def test_from_csr(self):
-        csr = sp.csr_matrix(np.array([[0, 2], [3, 0]]))
-        matrix = InteractionMatrix.from_csr(csr)
-        assert matrix.contains(0, 1)
-        assert matrix.contains(1, 0)
-        assert not matrix.contains(0, 0)
-
 
 class TestLookups:
     def test_items_of_sorted(self, micro_train):
@@ -83,14 +75,6 @@ class TestLookups:
             micro_train.items_of(4)
         with pytest.raises(IndexError):
             micro_train.items_of(-1)
-
-    def test_users_of(self, micro_train):
-        assert np.array_equal(micro_train.users_of(2), [0, 1])
-        assert np.array_equal(micro_train.users_of(7), [3])
-
-    def test_users_of_out_of_range(self, micro_train):
-        with pytest.raises(IndexError):
-            micro_train.users_of(8)
 
     def test_contains(self, micro_train):
         assert micro_train.contains(0, 2)
@@ -129,11 +113,6 @@ class TestAggregates:
         users, items = micro_train.pairs()
         rebuilt = InteractionMatrix(4, 8, users, items)
         assert rebuilt == micro_train
-
-    def test_iter_pairs(self, micro_train):
-        pairs = set(micro_train.iter_pairs())
-        assert (0, 0) in pairs and (3, 7) in pairs
-        assert len(pairs) == 9
 
     def test_tocsr_is_copy(self, micro_train):
         csr = micro_train.tocsr()

@@ -73,23 +73,3 @@ class TestProperties:
         high = make_log(ratings=[5.0, 5.0, 5.0, 5.0]).to_implicit()
         assert low == high
 
-
-class TestFilterMinRatings:
-    def test_noop_at_one(self):
-        log = make_log()
-        assert log.filter_min_ratings(1) is log
-
-    def test_drops_sparse_users(self):
-        filtered = make_log().filter_min_ratings(2)
-        # Users 1 and 2 have one event each; only user 0's events remain.
-        assert set(filtered.user_ids.tolist()) == {0}
-        assert filtered.n_events == 2
-
-    def test_keeps_universe_size(self):
-        filtered = make_log().filter_min_ratings(2)
-        assert filtered.n_users == 3
-        assert filtered.n_items == 4
-
-    def test_filters_ratings_in_parallel(self):
-        filtered = make_log().filter_min_ratings(2)
-        assert np.array_equal(filtered.ratings, [5.0, 3.0])

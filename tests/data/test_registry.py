@@ -69,14 +69,13 @@ class TestLoadDataset:
         assert dataset.name == "ml-100k"  # not synthetic:
         assert dataset.n_users == 943
 
-    def test_force_synthetic_overrides_real(self, tmp_path):
+    def test_small_variant_stays_synthetic_beside_real_files(self, tmp_path):
         data = tmp_path / "ml-100k"
         data.mkdir()
         (data / "u.data").write_text("1\t1\t4\t0\n2\t2\t3\t0\n")
-        dataset = load_dataset(
-            "ml-100k-small", seed=0, data_dir=tmp_path, force_synthetic=True
-        )
+        dataset = load_dataset("ml-100k-small", seed=0, data_dir=tmp_path)
         assert dataset.name.startswith("synthetic:")
+        assert dataset.train == load_dataset("ml-100k-small", seed=0).train
 
     def test_env_data_dir(self, tmp_path, monkeypatch):
         data = tmp_path / "ml-100k"

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.interactions import InteractionMatrix
-from repro.data.splits import (
-    leave_one_out_split,
-    per_user_holdout_split,
-    random_holdout_split,
-)
+from repro.data.splits import random_holdout_split
 
 
 @pytest.fixture
@@ -70,50 +66,3 @@ class TestRandomHoldout:
         train, _ = random_holdout_split(matrix, 0.99, seed=0)
         assert train.degree_of(1) == 1
 
-
-class TestPerUserHoldout:
-    def test_disjoint_and_complete(self, dense_interactions):
-        train, test = per_user_holdout_split(dense_interactions, 0.2, seed=0)
-        assert not train.intersects(test)
-        assert train.union(test) == dense_interactions
-
-    def test_every_user_contributes_proportionally(self, dense_interactions):
-        _, test = per_user_holdout_split(dense_interactions, 0.25, seed=0)
-        for user in range(dense_interactions.n_users):
-            k = dense_interactions.degree_of(user)
-            expected = int(np.floor(k * 0.25))
-            assert test.degree_of(user) == expected
-
-    def test_min_train_respected(self):
-        matrix = InteractionMatrix(1, 6, [0] * 3, [0, 1, 2])
-        train, _ = per_user_holdout_split(matrix, 0.9, seed=1, min_train_per_user=2)
-        assert train.degree_of(0) >= 2
-
-    def test_invalid_fraction(self, dense_interactions):
-        with pytest.raises(ValueError, match="test_fraction"):
-            per_user_holdout_split(dense_interactions, 0.0)
-
-    def test_skips_empty_users(self):
-        matrix = InteractionMatrix(3, 4, [0, 0, 2, 2], [0, 1, 2, 3])
-        train, test = per_user_holdout_split(matrix, 0.5, seed=0)
-        assert train.degree_of(1) == 0
-        assert test.degree_of(1) == 0
-
-
-class TestLeaveOneOut:
-    def test_one_test_item_for_multi_interaction_users(self, dense_interactions):
-        _, test = leave_one_out_split(dense_interactions, seed=0)
-        active = dense_interactions.user_activity >= 2
-        assert np.all(test.user_activity[active] == 1)
-
-    def test_single_interaction_users_kept_in_train(self):
-        matrix = InteractionMatrix(2, 4, [0, 1, 1], [0, 1, 2])
-        train, test = leave_one_out_split(matrix, seed=0)
-        assert train.degree_of(0) == 1
-        assert test.degree_of(0) == 0
-        assert test.degree_of(1) == 1
-
-    def test_disjoint_and_complete(self, dense_interactions):
-        train, test = leave_one_out_split(dense_interactions, seed=5)
-        assert not train.intersects(test)
-        assert train.union(test) == dense_interactions

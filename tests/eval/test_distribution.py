@@ -66,15 +66,6 @@ class TestScoreSnapshot:
         )
         assert snapshot.tn_scores.size == 3
 
-    def test_histograms_shared_edges(self, micro_dataset):
-        snapshot = score_snapshot(PlantedModel(micro_dataset), micro_dataset)
-        edges, tn_density, fn_density = snapshot.histograms(bins=10)
-        assert edges.size == 11
-        assert tn_density.size == fn_density.size == 10
-        # Densities integrate to ~1 over the bins.
-        widths = np.diff(edges)
-        assert (tn_density * widths).sum() == pytest.approx(1.0)
-
 
 class TestRecorder:
     def make_stats(self, epoch):

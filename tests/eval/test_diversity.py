@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.eval import NonFiniteScoresError
-from repro.eval.diversity import (
-    average_recommendation_popularity,
-    catalog_coverage,
-    popularity_lift,
-    recommendation_footprint,
-)
+from repro.eval.diversity import recommendation_footprint
+from repro.eval.topk import top_k_items
+
+
+def footprint_metric(metric, model, dataset, k, **kwargs):
+    """One of the footprint's three values, e.g. ``"coverage"`` at ``k``."""
+    return recommendation_footprint(model, dataset, k, **kwargs)[f"{metric}@{k}"]
 
 
 class ConstantModel:
@@ -37,32 +38,36 @@ class PersonalModel:
 class TestCatalogCoverage:
     def test_constant_model_low_coverage(self, micro_dataset):
         model = ConstantModel(micro_dataset.n_items)
-        coverage = catalog_coverage(model, micro_dataset, k=2)
+        coverage = footprint_metric("coverage", model, micro_dataset, k=2)
         # Everyone gets roughly the same head (positives masked per user),
         # so coverage stays far below 1.
         assert coverage <= 0.75
 
     def test_personal_model_higher_coverage(self, micro_dataset):
-        constant = catalog_coverage(ConstantModel(micro_dataset.n_items),
-                                    micro_dataset, k=1)
-        personal = catalog_coverage(PersonalModel(micro_dataset.n_items),
-                                    micro_dataset, k=1)
+        constant = footprint_metric(
+            "coverage", ConstantModel(micro_dataset.n_items), micro_dataset, k=1
+        )
+        personal = footprint_metric(
+            "coverage", PersonalModel(micro_dataset.n_items), micro_dataset, k=1
+        )
         assert personal >= constant
 
     def test_k_validated(self, micro_dataset):
         with pytest.raises(ValueError):
-            catalog_coverage(ConstantModel(8), micro_dataset, k=0)
+            recommendation_footprint(ConstantModel(8), micro_dataset, k=0)
 
     def test_full_coverage_upper_bound(self, micro_dataset):
         model = PersonalModel(micro_dataset.n_items)
-        coverage = catalog_coverage(model, micro_dataset, k=micro_dataset.n_items)
+        coverage = footprint_metric(
+            "coverage", model, micro_dataset, k=micro_dataset.n_items
+        )
         assert coverage == 1.0
 
 
 class TestPopularityMetrics:
     def test_arp_matches_hand_computation(self, micro_dataset):
         model = ConstantModel(micro_dataset.n_items)
-        arp = average_recommendation_popularity(model, micro_dataset, k=1)
+        arp = footprint_metric("arp", model, micro_dataset, k=1)
         # Each user gets the lowest-indexed non-train item.
         popularity = micro_dataset.train.item_popularity
         expected = []
@@ -75,8 +80,9 @@ class TestPopularityMetrics:
         """A model recommending every item equally often has lift ≈ weighted
         mean over recommended slots; the sanity check is positivity and
         finiteness."""
-        lift = popularity_lift(PersonalModel(micro_dataset.n_items),
-                               micro_dataset, k=3)
+        lift = footprint_metric(
+            "popularity_lift", PersonalModel(micro_dataset.n_items), micro_dataset, k=3
+        )
         assert lift > 0
         assert np.isfinite(lift)
 
@@ -93,15 +99,27 @@ class TestPopularityMetrics:
             def scores(self, user):
                 return -popularity
 
-        high = popularity_lift(PopularityModel(), micro_dataset, k=2)
-        low = popularity_lift(AntiPopularityModel(), micro_dataset, k=2)
+        high = footprint_metric(
+            "popularity_lift", PopularityModel(), micro_dataset, k=2
+        )
+        low = footprint_metric(
+            "popularity_lift", AntiPopularityModel(), micro_dataset, k=2
+        )
         assert high > low
 
     def test_max_users_restricts(self, micro_dataset):
         model = ConstantModel(micro_dataset.n_items)
-        value = average_recommendation_popularity(
-            model, micro_dataset, k=2, max_users=1
+        calls = []
+
+        class CountingModel:
+            def scores(self, user):
+                calls.append(user)
+                return model.scores(user)
+
+        value = footprint_metric(
+            "arp", CountingModel(), micro_dataset, k=2, max_users=1
         )
+        assert calls == micro_dataset.trainable_users()[:1].tolist()
         assert np.isfinite(value)
 
 
@@ -113,8 +131,8 @@ class TestFootprint:
         assert set(footprint) == {"coverage@3", "arp@3", "popularity_lift@3"}
 
     def test_ranks_each_user_once(self, micro_dataset):
-        """One ranking pass serves all three metrics, with the values the
-        separate functions compute."""
+        """One ranking pass serves all three metrics, with the values
+        computed from each user's :func:`top_k_items` list."""
         model = PersonalModel(micro_dataset.n_items)
         calls = []
 
@@ -125,11 +143,18 @@ class TestFootprint:
 
         footprint = recommendation_footprint(CountingModel(), micro_dataset, k=3)
         assert sorted(calls) == micro_dataset.trainable_users().tolist()
-        assert footprint == {
-            "coverage@3": catalog_coverage(model, micro_dataset, k=3),
-            "arp@3": average_recommendation_popularity(model, micro_dataset, k=3),
-            "popularity_lift@3": popularity_lift(model, micro_dataset, k=3),
-        }
+        train = micro_dataset.train
+        recommended = np.concatenate([
+            top_k_items(model.scores(user), train.items_of(user), 3)
+            for user in micro_dataset.trainable_users().tolist()
+        ])
+        popularity = train.item_popularity
+        arp = popularity[recommended].mean()
+        assert footprint == pytest.approx({
+            "coverage@3": np.unique(recommended).size / micro_dataset.n_items,
+            "arp@3": arp,
+            "popularity_lift@3": arp / popularity.mean(),
+        })
 
     def test_non_finite_scores_raise(self, micro_dataset):
         model = PersonalModel(micro_dataset.n_items)

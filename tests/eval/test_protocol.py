@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.eval import NonFiniteScoresError
-from repro.eval.diversity import catalog_coverage
+from repro.eval.diversity import recommendation_footprint
 from repro.eval.protocol import Evaluator
-from repro.eval.stratified import stratified_recall
 from repro.models.mf import MatrixFactorization
 
 
@@ -83,10 +82,11 @@ class TestEvaluator:
         "evaluate",
         [
             lambda model, data, cap: Evaluator(data, max_users=cap).evaluate(model),
-            lambda model, data, cap: stratified_recall(model, data, max_users=cap),
-            lambda model, data, cap: catalog_coverage(model, data, max_users=cap),
+            lambda model, data, cap: recommendation_footprint(
+                model, data, max_users=cap
+            ),
         ],
-        ids=["evaluator", "stratified", "diversity"],
+        ids=["evaluator", "diversity"],
     )
     def test_max_users_below_one_rejected(
         self, micro_dataset, micro_model, evaluate, max_users

@@ -41,12 +41,6 @@ class TestRunSpec:
         spec = RunSpec(sampler_kwargs=(("n_candidates", 7),))
         assert spec.sampler_options == {"n_candidates": 7}
 
-    def test_with_sampler(self):
-        spec = RunSpec().with_sampler("dns", n_candidates=3)
-        assert spec.sampler == "dns"
-        assert spec.sampler_options == {"n_candidates": 3}
-        assert spec.epochs == RunSpec().epochs
-
     def test_label(self):
         assert RunSpec().label() == "ml-100k-small/mf/bns"
 
@@ -65,13 +59,3 @@ class TestSublinearKnobs:
     def test_defaults_leave_options_untouched(self):
         assert RunSpec().sampler_options == {}
         assert RunSpec().cdf is None
-
-    def test_with_sampler_resets_cdf(self):
-        """Sweeping a BNS spec against baselines must not leak the BNS
-        estimator into samplers that reject it."""
-        spec = RunSpec(sampler="bns", cdf="subsampled:64")
-        swapped = spec.with_sampler("rns")
-        assert swapped.cdf is None
-        assert swapped.sampler_options == {}
-        rebound = spec.with_sampler("bns-posterior", cdf="cached:5")
-        assert rebound.sampler_options == {"cdf": "cached:5"}

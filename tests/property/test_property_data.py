@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.interactions import InteractionMatrix
-from repro.data.splits import per_user_holdout_split, random_holdout_split
+from repro.data.splits import random_holdout_split
 
 
 @st.composite
@@ -61,12 +61,6 @@ class TestInteractionMatrixInvariants:
     def test_union_idempotent(self, matrix):
         assert matrix.union(matrix) == matrix
 
-    @given(interaction_matrices())
-    def test_users_of_transpose_consistency(self, matrix):
-        for item in range(matrix.n_items):
-            for user in matrix.users_of(item).tolist():
-                assert matrix.contains(user, item)
-
 
 class TestSplitInvariants:
     @given(
@@ -93,14 +87,3 @@ class TestSplitInvariants:
         )
         active = matrix.user_activity > 0
         assert np.all(train.user_activity[active] >= 1)
-
-    @given(
-        interaction_matrices(),
-        st.floats(min_value=0.05, max_value=0.95),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=40)
-    def test_per_user_split_partition(self, matrix, fraction, seed):
-        train, test = per_user_holdout_split(matrix, fraction, seed=seed)
-        assert not train.intersects(test)
-        assert train.union(test) == matrix

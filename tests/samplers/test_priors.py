@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.interactions import InteractionMatrix
 from repro.samplers.priors import (
-    ExposurePrior,
     OccupationPrior,
     OraclePrior,
     PopularityPrior,
@@ -25,10 +23,6 @@ PRIORS = {
     "uniform": UniformPrior,
     "occupation": OccupationPrior,
     "oracle": OraclePrior,
-    # Users 0 and 1 saw items without interacting.
-    "exposure": lambda: ExposurePrior(
-        InteractionMatrix.from_pairs([(0, 3), (0, 4), (1, 0)], 4, 8)
-    ),
 }
 
 

@@ -183,12 +183,6 @@ class TestAdam:
         with pytest.raises(ValueError, match="changed shape"):
             opt.update_dense("p", np.zeros((3, 2)), np.ones((3, 2)))
 
-    def test_reset_clears_state(self):
-        opt = Adam()
-        opt.update_dense("p", np.zeros((2, 2)), np.ones((2, 2)))
-        opt.reset()
-        assert not opt._m
-
     def test_hyperparameters_validated(self):
         with pytest.raises(ValueError):
             Adam(beta1=1.0)

@@ -113,13 +113,6 @@ class TestTrainerLoop:
         with pytest.raises(ValueError, match="empty"):
             trainer.fit()
 
-    def test_no_shuffle_keeps_order(self, micro_dataset):
-        trainer = make_trainer(micro_dataset, epochs=1, shuffle=False)
-        stats = trainer.fit()[0]
-        users, pos = micro_dataset.train.pairs()
-        assert np.array_equal(stats.users, users)
-        assert np.array_equal(stats.pos_items, pos)
-
 
 class TestTrainerCallbacks:
     def test_callbacks_invoked_in_order(self, micro_dataset):

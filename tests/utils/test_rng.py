@@ -3,29 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngMixin, as_rng, make_rng, spawn_rngs
-
-
-class TestMakeRng:
-    def test_same_seed_same_stream(self):
-        a, b = make_rng(42), make_rng(42)
-        assert np.array_equal(a.random(10), b.random(10))
-
-    def test_different_seeds_differ(self):
-        a, b = make_rng(1), make_rng(2)
-        assert not np.array_equal(a.random(10), b.random(10))
-
-    def test_none_seed_allowed(self):
-        assert isinstance(make_rng(None), np.random.Generator)
+from repro.utils.rng import as_rng, spawn_rngs
 
 
 class TestAsRng:
     def test_passes_generator_through_unchanged(self):
-        gen = make_rng(0)
+        gen = np.random.default_rng(0)
         assert as_rng(gen) is gen
 
     def test_int_seed(self):
-        assert np.array_equal(as_rng(5).random(3), make_rng(5).random(3))
+        assert np.array_equal(as_rng(5).random(3), as_rng(5).random(3))
+        assert np.array_equal(
+            as_rng(5).random(3), np.random.default_rng(5).random(3)
+        )
+
+    def test_different_seeds_differ(self):
+        assert not np.array_equal(as_rng(1).random(10), as_rng(2).random(10))
+
+    def test_none_seed_allowed(self):
+        assert isinstance(as_rng(None), np.random.Generator)
 
     def test_seed_sequence(self):
         seq = np.random.SeedSequence(7)
@@ -67,28 +63,6 @@ class TestSpawnRngs:
             assert np.array_equal(a, b)
 
     def test_spawn_from_generator(self):
-        children = spawn_rngs(make_rng(11), 2)
+        children = spawn_rngs(np.random.default_rng(11), 2)
         assert len(children) == 2
 
-
-class TestRngMixin:
-    class Widget(RngMixin):
-        def __init__(self, seed):
-            self._init_rng(seed)
-
-    def test_rng_property(self):
-        widget = self.Widget(4)
-        assert isinstance(widget.rng, np.random.Generator)
-
-    def test_uninitialized_raises(self):
-        class Bad(RngMixin):
-            pass
-
-        with pytest.raises(AttributeError, match="_init_rng"):
-            _ = Bad().rng
-
-    def test_reseed_changes_stream(self):
-        widget = self.Widget(4)
-        first = widget.rng.random(5)
-        widget.reseed(4)
-        assert np.array_equal(widget.rng.random(5), first)

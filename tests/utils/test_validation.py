@@ -8,24 +8,7 @@ from repro.utils.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
-
-
-class TestCheckType:
-    def test_accepts_matching(self):
-        assert check_type(3, int, "x") == 3
-
-    def test_accepts_tuple_of_types(self):
-        assert check_type(3.5, (int, float), "x") == 3.5
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(TypeError, match="x must be int"):
-            check_type("3", int, "x")
-
-    def test_error_lists_tuple_types(self):
-        with pytest.raises(TypeError, match="int, float"):
-            check_type("3", (int, float), "x")
 
 
 class TestCheckPositive:
