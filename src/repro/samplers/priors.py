@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.data.dataset import ImplicitDataset
+from repro.data.popularity import interaction_ratio
 from repro.utils.validation import check_probability
 
 __all__ = [
@@ -88,9 +89,7 @@ class PopularityPrior(Prior):
     name = "popularity"
 
     def _on_bind(self) -> None:
-        train = self.dataset.train
-        n = max(train.n_interactions, 1)
-        self._prob = train.item_popularity.astype(np.float64) / n
+        self._prob = interaction_ratio(self.dataset.train)
 
     def fn_prob(self, users, items: np.ndarray) -> np.ndarray:
         # User-independent: one table gather.
@@ -144,8 +143,7 @@ class OccupationPrior(Prior):
                 "(dataset.has_occupations is False)"
             )
         train = dataset.train
-        n = max(train.n_interactions, 1)
-        self._base = train.item_popularity.astype(np.float64) / n
+        self._base = interaction_ratio(train)
 
         n_occupations = int(occupations.max()) + 1
         counts = np.zeros((n_occupations, dataset.n_items), dtype=np.float64)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.popularity import interaction_ratio
 from repro.samplers.priors import (
     OccupationPrior,
     OraclePrior,
@@ -51,6 +52,17 @@ class TestPopularityPrior:
         items = np.asarray([2, 7])
         expected = micro_dataset.train.item_popularity[items] / 9
         assert np.allclose(bound.fn_prob(0, items), expected)
+
+    @pytest.mark.parametrize("dataset", ["micro_dataset", "tiny_dataset"])
+    def test_fn_prob_is_interaction_ratio_bitwise(self, request, dataset):
+        """Eq. 17 has one implementation: the prior is
+        :func:`repro.data.popularity.interaction_ratio`, bit for bit."""
+        data = request.getfixturevalue(dataset)
+        prior = PopularityPrior()
+        prior.bind(data)
+        items = np.arange(data.n_items)
+        expected = interaction_ratio(data.train)
+        assert prior.fn_prob(0, items).tobytes() == expected.tobytes()
 
     def test_user_independent(self, bound):
         items = np.asarray([2, 4])
