@@ -287,6 +287,8 @@ def _make_engine(args: argparse.Namespace):
 
     if args.save_models and args.no_cache:
         raise SystemExit("--save-models needs the cache; drop --no-cache")
+    if args.workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     retry_policy = None
     if args.retries is not None:
         from repro.reliability import RetryPolicy

@@ -152,7 +152,8 @@ class ExperimentEngine:
         memo (the default for library use and unit tests).
     workers:
         Convenience: ``1`` selects the sequential backend, ``>1`` a
-        process pool of that size.  Ignored when ``executor`` is given.
+        process pool of that size (ignored when ``executor`` is given).
+        A value below 1 raises ``ValueError``.
     executor:
         Explicit backend instance (any object with ``run(jobs, paths)``).
     save_models:
@@ -175,6 +176,8 @@ class ExperimentEngine:
         save_models: bool = False,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         if executor is None:
             executor = (
                 SequentialExecutor(retry_policy=retry_policy)

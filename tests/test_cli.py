@@ -177,6 +177,18 @@ class TestEngineCommands:
         assert main(["cache", "ls", "--cache-dir", str(cache)]) == 0
         assert "tiny/mf/bns" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["experiment", "run-all"])
+    def test_workers_below_one_rejected(self, tmp_path, command, workers):
+        # Before, both ran sequentially without a word.
+        argv = {
+            "experiment": ["experiment", "table3", "--datasets", "tiny"],
+            "run-all": ["run-all", "--output-dir", str(tmp_path / "out")],
+        }[command]
+        with pytest.raises(SystemExit, match=f"--workers must be >= 1, got {workers}"):
+            main(argv + ["--scale", "unit", "--no-cache", "--workers", workers])
+        assert not (tmp_path / "out").exists()
+
     def test_cache_gc_rejects_negative_age(self, tmp_path):
         with pytest.raises(SystemExit, match=">= 0"):
             main(["cache", "gc", "--cache-dir", str(tmp_path),
