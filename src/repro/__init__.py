@@ -84,34 +84,40 @@ def quick_train(
 
     Loads (or synthesizes) the named dataset, trains the chosen model with
     the chosen negative sampler, and returns the final ranking metrics.
+    The model and its optimizer come from
+    :func:`repro.experiments.runner.build_model`, as in every experiment:
+    MF with SGD, LightGCN with Adam and the paper's step-decayed LR.
     ``dtype`` selects the precision policy (``"float32"`` is the fast
     mode; metrics become statistically, not bitwise, equivalent — see
     README "Precision & pool datasets").
     """
-    dataset = load_dataset(dataset_name, seed=seed)
-    if model == "mf":
-        score_model = MatrixFactorization(
-            dataset.n_users,
-            dataset.n_items,
-            n_factors=n_factors,
-            seed=seed,
-            dtype=dtype,
-        )
-        optimizer = SGD(lr)
-    elif model == "lightgcn":
-        score_model = LightGCN(
-            dataset.train,
-            n_factors=n_factors,
-            seed=seed,
-            dtype=dtype,
-        )
-        optimizer = Adam(lr)
-    else:
+    if model not in ("mf", "lightgcn"):
         raise KeyError(f"unknown model {model!r}; use 'mf' or 'lightgcn'")
+    from repro.experiments.config import RunSpec
+    from repro.experiments.runner import build_model
 
+    dataset = load_dataset(dataset_name, seed=seed)
+    spec = RunSpec(
+        dataset=dataset_name,
+        model=model,
+        sampler=sampler,
+        epochs=epochs,
+        batch_size=batch_size,
+        lr=lr,
+        reg=reg,
+        n_factors=n_factors,
+        seed=seed,  # type: ignore[arg-type]  # None seeds the init from the OS
+        dtype=dtype,
+    )
+    score_model, optimizer, lr_schedule = build_model(spec, dataset)
     sampler_obj = make_sampler(sampler)
     config = TrainingConfig(
-        epochs=epochs, batch_size=batch_size, lr=lr, reg=reg, seed=seed
+        epochs=epochs,
+        batch_size=batch_size,
+        lr=lr,
+        reg=reg,
+        seed=seed,
+        lr_schedule=lr_schedule,
     )
     trainer = Trainer(
         score_model, dataset, sampler_obj, config, optimizer=optimizer

@@ -7,6 +7,8 @@ from repro import quick_train
 from repro.data.registry import load_dataset
 from repro.eval.protocol import Evaluator
 from repro.eval.sampling_quality import SamplingQualityRecorder
+from repro.experiments.config import RunSpec
+from repro.experiments.runner import run_spec
 from repro.models.lightgcn import LightGCN
 from repro.models.mf import MatrixFactorization
 from repro.samplers.variants import make_sampler
@@ -30,6 +32,16 @@ class TestQuickTrain:
     def test_unknown_model(self):
         with pytest.raises(KeyError, match="unknown model"):
             quick_train("tiny", model="ncf", epochs=2)
+
+    @pytest.mark.parametrize("model", ["mf", "lightgcn"])
+    def test_trains_what_run_spec_trains(self, model):
+        """Both build through ``build_model``; 21 epochs reach LightGCN's
+        first step decay of the LR (epoch 20, §IV-B1b)."""
+        kwargs = dict(model=model, sampler="dns", epochs=21, batch_size=64, seed=3)
+        quick = quick_train("tiny", **kwargs)
+        run = run_spec(RunSpec(dataset="tiny", **kwargs))
+        assert quick.loss_curve == run.loss_curve
+        assert quick.metrics == run.metrics
 
 
 @pytest.mark.parametrize(
