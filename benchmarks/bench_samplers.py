@@ -100,15 +100,26 @@ def _mixed_batch(dataset, rng, size):
     return users, pos
 
 
-def _best_seconds(fn, repeats):
-    """Best-of-N wall time — the standard load-robust microbench estimator."""
-    fn()  # warm caches (negative table, prior bind, BLAS)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return float(min(times))
+def _best_seconds(fns, repeats):
+    """Best-of-N wall time of each of ``fns``, timed in interleaved rounds.
+
+    Best-of-N is the standard load-robust microbench estimator.  Each
+    round runs every function once, in an order that alternates from
+    round to round, so a slow stretch of the host slows all of them
+    alike.  Timed in a block each, one block could land in a slow
+    stretch: BNS at B=1024 read 4.22x against its usual ~6x in 1 of 12
+    runs, with 100 rounds as with 20.
+    """
+    for fn in fns:
+        fn()  # warm caches (negative table, prior bind, BLAS)
+    times = [[] for _ in fns]
+    for round_ in range(repeats):
+        order = range(len(fns)) if round_ % 2 == 0 else reversed(range(len(fns)))
+        for index in order:
+            start = time.perf_counter()
+            fns[index]()
+            times[index].append(time.perf_counter() - start)
+    return [float(min(each)) for each in times]
 
 
 def _measure(name, dataset, model, users, pos, repeats):
@@ -149,8 +160,9 @@ def _measure(name, dataset, model, users, pos, repeats):
         )
         return batched_sampler.sample_batch(users, pos, scores)
 
-    scalar_seconds = _best_seconds(per_user_loop, repeats)
-    batched_seconds = _best_seconds(batched, repeats)
+    scalar_seconds, batched_seconds = _best_seconds(
+        [per_user_loop, batched], repeats
+    )
     return {
         "scalar_triples_per_s": round(users.size / scalar_seconds, 1),
         "batched_triples_per_s": round(users.size / batched_seconds, 1),
@@ -173,7 +185,7 @@ def test_batched_vs_scalar_speedup():
     results = {name: {} for name in COMPARED_SAMPLERS}
     for size in BATCH_SIZES:
         users, pos = _mixed_batch(dataset, batch_rng, size)
-        repeats = 30 if size <= 128 else 20
+        repeats = 30 if size <= 128 else 60
         for name in COMPARED_SAMPLERS:
             results[name][str(size)] = _measure(
                 name, dataset, model, users, pos, repeats
