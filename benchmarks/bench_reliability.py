@@ -32,8 +32,7 @@ Environment knobs (for CI smoke runs on shared, noisy runners):
 * ``REPRO_RELIABILITY_BENCH_REPEATS`` — timed rounds, one run of each
   variant per round (default 41).  Many short rounds keep the median
   steady: a slow stretch of the host that spans a whole round moves
-  both of its legs alike.  At 5 rounds, 1 of 8 default runs read
-  +6.6% on code with no overhead; at 41, 16 of 16 read -6.5% to +2.1%.
+  both of its legs alike.
 * ``REPRO_RELIABILITY_BENCH_MAX_OVERHEAD_PCT`` — warm-path gate,
   default ``5.0``.
 """

@@ -106,9 +106,7 @@ def _best_seconds(fns, repeats):
     Best-of-N is the standard load-robust microbench estimator.  Each
     round runs every function once, in an order that alternates from
     round to round, so a slow stretch of the host slows all of them
-    alike.  Timed in a block each, one block could land in a slow
-    stretch: BNS at B=1024 read 4.22x against its usual ~6x in 1 of 12
-    runs, with 100 rounds as with 20.
+    alike instead of landing on one function's block of timings.
     """
     for fn in fns:
         fn()  # warm caches (negative table, prior bind, BLAS)

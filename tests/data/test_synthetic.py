@@ -173,6 +173,23 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
+#: sha256 of ``load_dataset(name, seed=0)``'s train and test pairs.
+PINNED_SPLITS = {
+    "tiny": (
+        "afdb874d618a4a85a6ca4c1048baa7a0a348211014ded834a33f6cf08c37ae33",
+        "8e419fd1d09cac35f5090a479a391d5f23ed351f08fa389eb003cd927617e718",
+    ),
+    "ml-100k-small": (
+        "9268fd8c03083f25b0c814fe01f02d4f7f8fec8cc33bab40d2808aecd84cabf3",
+        "04c05afd363a22b2620769f94c6369b0d96eb0c939899a5eac9cd16f58659d3f",
+    ),
+    "yahoo-r3-small": (
+        "e350a29baa826c7849a34dc66ae08982da04186e91bbec074fbaeab58a946d84",
+        "9433e411941cf361f99eb3d345374159d38d4f6b64c6f6adce0e9c55624db332",
+    ),
+}
+
+
 class TestPinnedOutput:
     """The generator's exact output, pinned by sha256.
 
@@ -182,27 +199,9 @@ class TestPinnedOutput:
     says why the data changed.
     """
 
-    @pytest.mark.parametrize(
-        "name, train_sha, test_sha",
-        [
-            (
-                "tiny",
-                "afdb874d618a4a85a6ca4c1048baa7a0a348211014ded834a33f6cf08c37ae33",
-                "8e419fd1d09cac35f5090a479a391d5f23ed351f08fa389eb003cd927617e718",
-            ),
-            (
-                "ml-100k-small",
-                "9268fd8c03083f25b0c814fe01f02d4f7f8fec8cc33bab40d2808aecd84cabf3",
-                "04c05afd363a22b2620769f94c6369b0d96eb0c939899a5eac9cd16f58659d3f",
-            ),
-            (
-                "yahoo-r3-small",
-                "e350a29baa826c7849a34dc66ae08982da04186e91bbec074fbaeab58a946d84",
-                "9433e411941cf361f99eb3d345374159d38d4f6b64c6f6adce0e9c55624db332",
-            ),
-        ],
-    )
-    def test_preset_split_pairs(self, name, train_sha, test_sha):
+    @pytest.mark.parametrize("name", sorted(PINNED_SPLITS))
+    def test_preset_split_pairs(self, name):
+        train_sha, test_sha = PINNED_SPLITS[name]
         dataset = load_dataset(name, seed=0)
         assert _digest(*dataset.train.pairs()) == train_sha
         assert _digest(*dataset.test.pairs()) == test_sha

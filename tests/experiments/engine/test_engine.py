@@ -163,19 +163,6 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="store"):
             ExperimentEngine(save_models=True)
 
-
-class TestWorkers:
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_below_one_rejected(self, workers):
-        # Before, these silently built the sequential executor.
-        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-            ExperimentEngine(workers=workers)
-
-    def test_one_is_sequential(self):
-        from repro.experiments.engine import SequentialExecutor
-
-        assert isinstance(ExperimentEngine(workers=1).executor, SequentialExecutor)
-
     def test_no_checkpoint_without_flag(self, tmp_path):
         store = ArtifactStore(tmp_path)
         engine = ExperimentEngine(store)
@@ -183,6 +170,14 @@ class TestWorkers:
         assert result.checkpoint is None
         with pytest.raises(FileNotFoundError):
             engine.load_model(result)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_below_one_rejected(self, workers):
+        # Before, these silently built the sequential executor.
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            ExperimentEngine(workers=workers)
 
 
 class TestResultViews:
