@@ -102,4 +102,3 @@ class RatingLog:
         every rated item becomes a positive instance.
         """
         return InteractionMatrix(self.n_users, self.n_items, self.user_ids, self.item_ids)
-

@@ -53,4 +53,3 @@ def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
     else:
         seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(n)]
-

@@ -72,4 +72,3 @@ class TestProperties:
         low = make_log(ratings=[1.0, 1.0, 1.0, 1.0]).to_implicit()
         high = make_log(ratings=[5.0, 5.0, 5.0, 5.0]).to_implicit()
         assert low == high
-

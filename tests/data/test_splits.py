@@ -65,4 +65,3 @@ class TestRandomHoldout:
         matrix = InteractionMatrix(2, 4, [0, 0, 0, 1], [0, 1, 2, 3])
         train, _ = random_holdout_split(matrix, 0.99, seed=0)
         assert train.degree_of(1) == 1
-

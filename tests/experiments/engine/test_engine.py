@@ -175,7 +175,6 @@ class TestCheckpoints:
 class TestWorkers:
     @pytest.mark.parametrize("workers", [0, -2])
     def test_below_one_rejected(self, workers):
-        # Before, these silently built the sequential executor.
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             ExperimentEngine(workers=workers)
 

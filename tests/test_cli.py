@@ -180,7 +180,6 @@ class TestEngineCommands:
     @pytest.mark.parametrize("workers", ["0", "-2"])
     @pytest.mark.parametrize("command", ["experiment", "run-all"])
     def test_workers_below_one_rejected(self, tmp_path, command, workers):
-        # Before, both ran sequentially without a word.
         argv = {
             "experiment": ["experiment", "table3", "--datasets", "tiny"],
             "run-all": ["run-all", "--output-dir", str(tmp_path / "out")],

@@ -65,4 +65,3 @@ class TestSpawnRngs:
     def test_spawn_from_generator(self):
         children = spawn_rngs(np.random.default_rng(11), 2)
         assert len(children) == 2
-
