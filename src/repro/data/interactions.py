@@ -6,9 +6,11 @@ from it, models read its shape, the trainer iterates its (user, item) pairs,
 and the evaluator compares train and test instances.
 
 It is deliberately immutable after construction — training never mutates the
-data — and is backed by a deduplicated, canonically sorted CSR matrix so
-per-user lookups (`items_of`) are O(degree) slices and membership checks are
-O(log degree) binary searches.
+data — and is backed by canonical CSR arrays (rows in order, each row's item
+ids distinct and ascending) so per-user lookups (`items_of`) are O(degree)
+slices and membership checks are O(log degree) binary searches.  New
+feedback enters through :meth:`~InteractionMatrix.with_appended`, which
+returns a successor with the pairs inserted into those arrays.
 
 Batched access is first class: the CSR index is exposed directly
 (:attr:`indptr` / :attr:`indices`), pair membership is vectorized over whole
@@ -31,6 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["InteractionMatrix"]
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class InteractionMatrix:
@@ -55,43 +59,48 @@ class InteractionMatrix:
     ) -> None:
         if n_users <= 0 or n_items <= 0:
             raise ValueError(f"matrix shape must be positive, got {n_users}x{n_items}")
-        users = np.asarray(user_ids, dtype=np.int64).ravel()
-        items = np.asarray(item_ids, dtype=np.int64).ravel()
-        if users.shape != items.shape:
-            raise ValueError(
-                f"user_ids and item_ids must be parallel, got lengths "
-                f"{users.size} and {items.size}"
-            )
-        if users.size:
-            if users.min() < 0 or users.max() >= n_users:
-                raise ValueError(
-                    f"user ids must lie in [0, {n_users}), got range "
-                    f"[{users.min()}, {users.max()}]"
-                )
-            if items.min() < 0 or items.max() >= n_items:
-                raise ValueError(
-                    f"item ids must lie in [0, {n_items}), got range "
-                    f"[{items.min()}, {items.max()}]"
-                )
+        users, items = _checked_pairs(user_ids, item_ids, n_users, n_items)
         matrix = sp.csr_matrix(
             (np.ones(users.size, dtype=np.int8), (users, items)),
             shape=(n_users, n_items),
         )
-        # Collapse duplicate pairs to binary and canonicalize indices.
-        matrix.data[:] = 1
+        # Collapse duplicate pairs and sort each row's indices; the summed
+        # counts are dropped, since the matrix is binary.
         matrix.sum_duplicates()
-        matrix.data[:] = 1
-        matrix.sort_indices()
-        self._csr = matrix
+        popularity = np.bincount(matrix.indices, minlength=n_items)
+        self._finish(n_users, n_items, matrix.indptr, matrix.indices, popularity, None)
+
+    def _finish(
+        self,
+        n_users: int,
+        n_items: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        item_popularity: np.ndarray,
+        pair_keys: Optional[np.ndarray],
+    ) -> None:
+        """Set every field from canonical CSR arrays.
+
+        Row ``u`` holds the distinct item ids ``indices[indptr[u]:indptr[u
+        + 1]]`` in ascending order; ``item_popularity`` counts them per
+        item, and ``pair_keys`` is their flat-key index (``None`` builds it
+        on first use).  The constructor and :meth:`with_appended` both end
+        here, so a successor carries exactly the fields a rebuild would.
+        Both index arrays are ``int32`` while every count and id fits it,
+        as scipy would choose.
+        """
+        fits = max(n_users, n_items, indices.size) <= _INT32_MAX
+        index_dtype = np.int32 if fits else np.int64
+        self._indptr = indptr.astype(index_dtype, copy=False)
+        self._indices = indices.astype(index_dtype, copy=False)
         self._n_users = int(n_users)
         self._n_items = int(n_items)
-        self._item_popularity = np.asarray(
-            matrix.sum(axis=0), dtype=np.int64
-        ).ravel()
-        self._user_activity = np.asarray(matrix.sum(axis=1), dtype=np.int64).ravel()
+        self._item_popularity = item_popularity.astype(np.int64, copy=False)
+        self._user_activity = np.diff(self._indptr).astype(np.int64)
         # Lazy caches (the matrix is immutable, so these never go stale).
-        self._pair_keys: Optional[np.ndarray] = None
+        self._pair_keys = pair_keys
         self._negative_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._negative_width: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -143,7 +152,7 @@ class InteractionMatrix:
     @property
     def n_interactions(self) -> int:
         """Total number of distinct (user, item) interactions."""
-        return int(self._csr.nnz)
+        return int(self._indices.size)
 
     @property
     def density(self) -> float:
@@ -160,8 +169,8 @@ class InteractionMatrix:
         This is the user's positive set :math:`I^+_u`.
         """
         self._check_user(user)
-        start, stop = self._csr.indptr[user], self._csr.indptr[user + 1]
-        return self._csr.indices[start:stop]
+        start, stop = self._indptr[user], self._indptr[user + 1]
+        return self._indices[start:stop]
 
     def contains(self, user: int, item: int) -> bool:
         """Membership test: did ``user`` interact with ``item``?"""
@@ -222,14 +231,14 @@ class InteractionMatrix:
     @property
     def indptr(self) -> np.ndarray:
         """CSR row-pointer array, shape ``(n_users + 1,)`` (read-only view)."""
-        view = self._csr.indptr.view()
+        view = self._indptr.view()
         view.flags.writeable = False
         return view
 
     @property
     def indices(self) -> np.ndarray:
         """CSR column-index array, shape ``(n_interactions,)`` (read-only view)."""
-        view = self._csr.indices.view()
+        view = self._indices.view()
         view.flags.writeable = False
         return view
 
@@ -257,13 +266,7 @@ class InteractionMatrix:
             raise IndexError(f"user ids out of range [0, {self._n_users})")
         if items.size and (items.min() < 0 or items.max() >= self._n_items):
             raise IndexError(f"item ids out of range [0, {self._n_items})")
-        keys = users * self._n_items + items
-        pair_keys = self._pair_key_index()
-        if pair_keys.size == 0:
-            return np.zeros(keys.shape, dtype=bool)
-        pos = np.searchsorted(pair_keys, keys)
-        pos_clipped = np.minimum(pos, pair_keys.size - 1)
-        return (pos < pair_keys.size) & (pair_keys[pos_clipped] == keys)
+        return self._locate(users * self._n_items + items)[1]
 
     def hits_in_rows(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Row-wise membership for padded per-user item lists.
@@ -298,7 +301,7 @@ class InteractionMatrix:
         users = np.asarray(users, dtype=np.int64).ravel()
         if users.size and (users.min() < 0 or users.max() >= self._n_users):
             raise IndexError(f"user ids out of range [0, {self._n_users})")
-        indptr, indices = self._csr.indptr, self._csr.indices
+        indptr, indices = self._indptr, self._indices
         counts = self._user_activity[users]
         total = int(counts.sum())
         rows = np.repeat(np.arange(users.size), counts)
@@ -417,12 +420,10 @@ class InteractionMatrix:
         return self._n_users * self._negative_table_width() <= self.max_cache_cells
 
     def _negative_table_width(self) -> int:
-        cached = getattr(self, "_negative_width_cache", None)
-        if cached is None:
+        if self._negative_width is None:
             counts = self._n_items - self._user_activity
-            cached = int(counts.max()) if counts.size else 0
-            self._negative_width_cache = cached
-        return cached
+            self._negative_width = int(counts.max()) if counts.size else 0
+        return self._negative_width
 
     # ------------------------------------------------------------------ #
     # Functional updates
@@ -434,31 +435,50 @@ class InteractionMatrix:
         """A new matrix with the given ``(user, item)`` pairs appended.
 
         The ingestion seam for online serving: the matrix itself stays
-        immutable (every lazy cache — negative tables, pair-key index,
-        CSC — remains valid forever), and callers that observe new
-        interactions swap in the returned matrix and invalidate whatever
-        *they* derived from the old one (e.g. the serving layer's
-        per-user top-K lists, see :mod:`repro.serve`).  Pairs already
-        present are absorbed by the binary-dedup construction, so the
-        call is idempotent.  Cost is one CSR rebuild, O(nnz + appended);
-        callers should batch appends rather than loop single pairs.
+        immutable (its lazy negative table and pair-key index remain
+        valid forever), and callers that observe new interactions swap in
+        the returned matrix and invalidate whatever *they* derived from
+        the old one (e.g. the serving layer's per-user top-K lists, see
+        :mod:`repro.serve`).
+
+        Ids must have an integer dtype (``ValueError`` naming the argument
+        otherwise: ``2.9`` is never read as ``2``) and lie in range.  Pairs
+        repeated in the call or already stored are absorbed, and when no
+        pair is new the call returns ``self``.  New pairs are inserted,
+        not rebuilt: their item ids go into the CSR index at their
+        ``searchsorted`` positions in the pair-key index, ``indptr``
+        shifts by the per-user counts, and the successor inherits the
+        grown index, so a chain of appends never sorts the stored pairs.
+        Cost: a few O(nnz) copies and O(n_users + n_items) counts.  The
+        successor equals ``InteractionMatrix(n_users, n_items, old + new
+        pairs)`` array for array.
         """
-        users = np.asarray(user_ids, dtype=np.int64).ravel()
-        items = np.asarray(item_ids, dtype=np.int64).ravel()
-        if users.shape != items.shape:
-            raise ValueError(
-                f"user_ids and item_ids must be parallel, got lengths "
-                f"{users.size} and {items.size}"
-            )
-        if users.size == 0:
+        users = np.asarray(user_ids).ravel()
+        items = np.asarray(item_ids).ravel()
+        for name, ids in (("user_ids", users), ("item_ids", items)):
+            if ids.size and not np.issubdtype(ids.dtype, np.integer):
+                raise ValueError(f"{name} must be integers, got dtype {ids.dtype}")
+        users, items = _checked_pairs(users, items, self._n_users, self._n_items)
+        keys = np.sort(users * self._n_items + items)
+        pos, stored = self._locate(keys)
+        new = ~stored
+        new[1:] &= keys[1:] != keys[:-1]
+        if not new.any():
             return self
-        old_users, old_items = self.pairs()
-        return InteractionMatrix(
+        keys, pos = keys[new], pos[new]
+        users = keys // self._n_items
+        items = keys - users * self._n_items
+        shift = np.cumsum(np.bincount(users, minlength=self._n_users))
+        successor = InteractionMatrix.__new__(InteractionMatrix)
+        successor._finish(
             self._n_users,
             self._n_items,
-            np.concatenate([old_users, users]),
-            np.concatenate([old_items, items]),
+            self._indptr + np.concatenate(([0], shift)),
+            np.insert(self._indices, pos, items),
+            self._item_popularity + np.bincount(items, minlength=self._n_items),
+            np.insert(self._pair_key_index(), pos, keys),
         )
+        return successor
 
     # ------------------------------------------------------------------ #
     # Aggregates
@@ -475,38 +495,33 @@ class InteractionMatrix:
         return self._user_activity.copy()
 
     def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All interactions as parallel ``(user_ids, item_ids)`` arrays."""
-        coo = self._csr.tocoo()
-        return coo.row.astype(np.int64), coo.col.astype(np.int64)
+        """All interactions as parallel int64 ``(user_ids, item_ids)``
+        arrays, in CSR order (by user, then item)."""
+        users = np.repeat(np.arange(self._n_users, dtype=np.int64), self._user_activity)
+        return users, self._indices.astype(np.int64)
 
     def tocsr(self) -> sp.csr_matrix:
-        """A copy of the underlying CSR matrix."""
-        return self._csr.copy()
+        """The matrix as a new scipy CSR matrix of ``int8`` ones."""
+        data = np.ones(self._indices.size, dtype=np.int8)
+        arrays = (data, self._indices.copy(), self._indptr.copy())
+        matrix = sp.csr_matrix(arrays, shape=self.shape)
+        matrix.has_canonical_format = True
+        return matrix
 
     def to_dense(self) -> np.ndarray:
         """Dense 0/1 ``int8`` array (use only on small matrices)."""
-        return np.asarray(self._csr.todense(), dtype=np.int8)
+        dense = np.zeros(self.shape, dtype=np.int8)
+        dense[self.pairs()] = 1
+        return dense
 
     # ------------------------------------------------------------------ #
-    # Set algebra (used by splits and evaluation)
+    # Set algebra
     # ------------------------------------------------------------------ #
-
-    def union(self, other: "InteractionMatrix") -> "InteractionMatrix":
-        """Interactions present in either matrix (shapes must match)."""
-        self._check_same_shape(other)
-        su, si = self.pairs()
-        ou, oi = other.pairs()
-        return InteractionMatrix(
-            self._n_users,
-            self._n_items,
-            np.concatenate([su, ou]),
-            np.concatenate([si, oi]),
-        )
 
     def intersects(self, other: "InteractionMatrix") -> bool:
         """Whether any interaction appears in both matrices."""
         self._check_same_shape(other)
-        return bool(self._csr.multiply(other._csr).nnz)
+        return bool(self._locate(other._pair_key_index())[1].any())
 
     # ------------------------------------------------------------------ #
     # Dunder protocol
@@ -517,7 +532,9 @@ class InteractionMatrix:
             return NotImplemented
         if self.shape != other.shape:
             return False
-        return (self._csr != other._csr).nnz == 0
+        return np.array_equal(self._indptr, other._indptr) and np.array_equal(
+            self._indices, other._indices
+        )
 
     def __hash__(self) -> int:  # immutable by convention, allow set membership
         return hash((self.shape, self.n_interactions))
@@ -539,12 +556,23 @@ class InteractionMatrix:
         so the flat keys are already ascending.
         """
         if self._pair_keys is None:
-            indptr = self._csr.indptr
-            row_of_nnz = np.repeat(
-                np.arange(self._n_users, dtype=np.int64), np.diff(indptr)
-            )
-            self._pair_keys = row_of_nnz * self._n_items + self._csr.indices
+            users, items = self.pairs()
+            self._pair_keys = users * self._n_items + items
         return self._pair_keys
+
+    def _locate(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Where flat ``keys`` sit in the pair-key index, and which are stored.
+
+        Returns ``(pos, stored)``: the ``searchsorted`` insertion positions
+        and a boolean array, both shaped like ``keys``.
+        """
+        pair_keys = self._pair_key_index()
+        pos = np.searchsorted(pair_keys, keys)
+        if pair_keys.size == 0:
+            return pos, np.zeros(keys.shape, dtype=bool)
+        # A key past the end sorts after the last stored key, so comparing
+        # it with that key already answers False.
+        return pos, pair_keys[np.minimum(pos, pair_keys.size - 1)] == keys
 
     def _check_user(self, user: int) -> None:
         if not 0 <= user < self._n_users:
@@ -553,3 +581,28 @@ class InteractionMatrix:
     def _check_same_shape(self, other: "InteractionMatrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+
+def _checked_pairs(
+    user_ids: Iterable[int], item_ids: Iterable[int], n_users: int, n_items: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Parallel int64 id arrays, each id inside ``[0, n_users) x [0, n_items)``."""
+    users = np.asarray(user_ids, dtype=np.int64).ravel()
+    items = np.asarray(item_ids, dtype=np.int64).ravel()
+    if users.shape != items.shape:
+        raise ValueError(
+            f"user_ids and item_ids must be parallel, got lengths "
+            f"{users.size} and {items.size}"
+        )
+    if users.size:
+        if users.min() < 0 or users.max() >= n_users:
+            raise ValueError(
+                f"user ids must lie in [0, {n_users}), got range "
+                f"[{users.min()}, {users.max()}]"
+            )
+        if items.min() < 0 or items.max() >= n_items:
+            raise ValueError(
+                f"item ids must lie in [0, {n_items}), got range "
+                f"[{items.min()}, {items.max()}]"
+            )
+    return users, items

@@ -356,13 +356,14 @@ class RankingService:
 
         Swaps the interaction matrix for its ``with_appended`` successor
         and drops exactly the touched users' cache entries.  Returns the
-        number of users invalidated.
+        number of users invalidated.  Ids are passed on uncast, so
+        ``with_appended`` rejects non-integer ones (``ValueError``)
+        before anything changes.
         """
-        users = np.asarray(user_ids, dtype=np.int64).ravel()
-        items = np.asarray(item_ids, dtype=np.int64).ravel()
+        users = np.asarray(user_ids).ravel()
+        items = np.asarray(item_ids).ravel()
         with self._lock:
-            updated = self._train.with_appended(users, items)
-            self._train = updated
+            self._train = self._train.with_appended(users, items)
             self.stats.appends += int(users.size)
             touched = 0
             if self._cache is not None:

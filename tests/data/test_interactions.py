@@ -121,17 +121,6 @@ class TestAggregates:
 
 
 class TestSetAlgebra:
-    def test_union(self, micro_train, micro_test):
-        union = micro_train.union(micro_test)
-        assert union.n_interactions == 13
-        assert union.contains(0, 5)
-        assert union.contains(0, 0)
-
-    def test_union_shape_mismatch(self, micro_train):
-        other = InteractionMatrix(4, 9, [0], [8])
-        with pytest.raises(ValueError, match="shape mismatch"):
-            micro_train.union(other)
-
     def test_intersects_true(self, micro_train):
         overlap = InteractionMatrix.from_pairs([(0, 0)], 4, 8)
         assert micro_train.intersects(overlap)
@@ -152,6 +141,87 @@ class TestSetAlgebra:
 
     def test_repr(self, micro_train):
         assert "n_users=4" in repr(micro_train)
+
+
+def assert_same_arrays(got, want):
+    """``got`` equals ``want`` array for array, dtypes included."""
+    got_csr, want_csr = got.tocsr(), want.tocsr()
+    compared = [
+        (got.indptr, want.indptr),
+        (got.indices, want.indices),
+        (got_csr.data, want_csr.data),
+        (got.item_popularity, want.item_popularity),
+        (got.user_activity, want.user_activity),
+        *zip(got.pairs(), want.pairs()),
+        (got._pair_key_index(), want._pair_key_index()),
+    ]
+    for got_array, want_array in compared:
+        assert got_array.dtype == want_array.dtype
+        assert np.array_equal(got_array, want_array)
+    assert got == want
+
+
+class TestWithAppended:
+    """The successor of an append equals the constructor's rebuild of the
+    old and new pairs, array for array."""
+
+    @staticmethod
+    def rebuild(matrix, users, items):
+        old_users, old_items = matrix.pairs()
+        return InteractionMatrix(
+            matrix.n_users,
+            matrix.n_items,
+            np.concatenate([old_users, users]),
+            np.concatenate([old_items, items]),
+        )
+
+    @pytest.mark.parametrize(
+        "start, users, items",
+        [
+            ("micro", [1], [6]),
+            ("micro", [0, 0, 1, 2, 1, 0], [3, 3, 2, 4, 7, 0]),
+            ("empty", [2, 0, 2], [4, 1, 0]),
+            ("user without interactions", [1, 1], [5, 0]),
+            ("micro test", [3, 0], [7, 7]),
+        ],
+        ids=["one-pair", "repeats-and-present", "empty", "idle-user", "last-user-item"],
+    )
+    def test_equals_rebuild(self, micro_train, micro_test, start, users, items):
+        matrix = {
+            "micro": micro_train,
+            "empty": InteractionMatrix(3, 5, [], []),
+            "user without interactions": InteractionMatrix(4, 8, [0, 2, 2], [1, 0, 7]),
+            "micro test": micro_test,
+        }[start]
+        before = [array.copy() for array in (matrix.indptr, matrix.indices)]
+        successor = matrix.with_appended(users, items)
+        assert_same_arrays(successor, self.rebuild(matrix, users, items))
+        assert successor.indptr.dtype == successor.indices.dtype == np.int32
+        # The successor carries the grown pair-key index, and the
+        # original is untouched.
+        assert successor._pair_keys is not None
+        assert np.array_equal(matrix.indptr, before[0])
+        assert np.array_equal(matrix.indices, before[1])
+
+    def test_only_present_pairs_return_self(self, micro_train):
+        assert micro_train.with_appended([0, 2, 0], [1, 6, 1]) is micro_train
+        assert micro_train.with_appended([], []) is micro_train
+
+    @pytest.mark.parametrize(
+        "users, items, name",
+        [([2.9], [5], "user_ids"), ([2], [5.5], "item_ids"), (["1"], [5], "user_ids")],
+    )
+    def test_non_integer_ids_rejected(self, micro_train, users, items, name):
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            micro_train.with_appended(users, items)
+
+    def test_invalid_pairs_rejected(self, micro_train):
+        with pytest.raises(ValueError, match="parallel"):
+            micro_train.with_appended([0, 1], [2])
+        with pytest.raises(ValueError, match="item ids"):
+            micro_train.with_appended([0], [8])
+        with pytest.raises(ValueError, match="user ids"):
+            micro_train.with_appended([-1], [0])
 
 
 class TestBatchedLookups:

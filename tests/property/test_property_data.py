@@ -58,8 +58,31 @@ class TestInteractionMatrixInvariants:
         assert rebuilt == matrix
 
     @given(interaction_matrices())
-    def test_union_idempotent(self, matrix):
-        assert matrix.union(matrix) == matrix
+    def test_appending_own_pairs_returns_it_unchanged(self, matrix):
+        assert matrix.with_appended(*matrix.pairs()) is matrix
+
+    @given(
+        interaction_matrices(),
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)), max_size=6),
+            max_size=8,
+        ),
+    )
+    def test_chain_of_appends_equals_one_rebuild(self, matrix, calls):
+        users, items = (list(ids) for ids in matrix.pairs())
+        chained = matrix
+        for call in calls:
+            new_users = [user % matrix.n_users for user, _ in call]
+            new_items = [item % matrix.n_items for _, item in call]
+            chained = chained.with_appended(new_users, new_items)
+            users += new_users
+            items += new_items
+        rebuilt = InteractionMatrix(matrix.n_users, matrix.n_items, users, items)
+        assert chained == rebuilt
+        for name in ("indptr", "indices", "item_popularity", "user_activity"):
+            got, want = getattr(chained, name), getattr(rebuilt, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(chained._pair_key_index(), rebuilt._pair_key_index())
 
 
 class TestSplitInvariants:
@@ -72,7 +95,7 @@ class TestSplitInvariants:
     def test_random_split_partition(self, matrix, fraction, seed):
         train, test = random_holdout_split(matrix, fraction, seed=seed)
         assert not train.intersects(test)
-        assert train.union(test) == matrix
+        assert train.with_appended(*test.pairs()) == matrix
         assert train.n_interactions + test.n_interactions == matrix.n_interactions
 
     @given(

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.data.interactions import InteractionMatrix
 from repro.data.registry import load_dataset
 from repro.eval.topk import top_k_items_batch
 from repro.models.biased_mf import BiasedMatrixFactorization
@@ -70,6 +71,36 @@ class TestBitwiseParity:
         users = np.asarray([0, 0, 3], dtype=np.int64)
         items = np.asarray([ids[0, 0], ids[0, 1], ids[3, 0]], dtype=np.int64)
         service.add_interactions(users, items)
+        assert_serves_offline_lists(service, model, k=10)
+
+    def test_served_equals_offline_after_a_chain_of_appends(self, tiny, model):
+        # Half the users start cached.  Thirty single-pair appends each
+        # add a user's current #1: on even steps the served one (the read
+        # caches the user first), on odd steps the offline one, whose user
+        # may or may not be cached.
+        service = RankingService(model, tiny.train, cache_k=16)
+        service.warmup(np.arange(tiny.n_users // 2))
+        rng = np.random.default_rng(11)
+        users, items, invalidated = [], [], []
+        for step in range(30):
+            user = int(rng.integers(tiny.n_users))
+            if step % 2:
+                ids, _ = offline_top_k(model, service.train, 1)
+                item = int(ids[user, 0])
+            else:
+                item = int(service.top_k(user, 1)[0])
+            invalidated.append(service.add_interactions([user], [item]))
+            users.append(user)
+            items.append(item)
+        assert set(invalidated) == {0, 1}
+        train_users, train_items = tiny.train.pairs()
+        assert service.train == InteractionMatrix(
+            tiny.n_users,
+            tiny.n_items,
+            np.concatenate([train_users, users]),
+            np.concatenate([train_items, items]),
+        )
+        assert service.train.n_interactions == tiny.train.n_interactions + 30
         assert_serves_offline_lists(service, model, k=10)
 
     def test_ties_served_in_canonical_order(self, tiny):
@@ -211,6 +242,17 @@ class TestValidationAndCheckpoints:
             service.top_k(tiny.n_users, 5)
         with pytest.raises(IndexError):
             service.top_k(-1, 5)
+
+    def test_non_integer_ids_rejected_before_the_append(self, tiny, model):
+        service = RankingService(model, tiny.train, cache_k=0, coalesce=False)
+        with pytest.raises(ValueError, match="user_ids must be integers"):
+            service.add_interactions([3.7], [7])
+        with pytest.raises(ValueError, match="item_ids must be integers"):
+            service.add_interactions([3], [7.2])
+        assert service.train is tiny.train
+        assert service.stats.appends == 0
+        assert service.add_interactions([], []) == 0
+        assert service.train is tiny.train
 
     def test_bad_k_rejected(self, tiny, model):
         service = RankingService(model, tiny.train, cache_k=0, coalesce=False)
