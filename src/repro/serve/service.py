@@ -355,20 +355,23 @@ class RankingService:
         """Append observed ``(user, item)`` interactions and invalidate.
 
         Swaps the interaction matrix for its ``with_appended`` successor
-        and drops exactly the touched users' cache entries.  Returns the
-        number of users invalidated.  Ids are passed on uncast, so
+        and drops the cache entries of exactly the users that gained a
+        pair: a pair the matrix already stored changes no list.  Returns
+        the number of users invalidated.  Ids are passed on uncast, so
         ``with_appended`` rejects non-integer ones (``ValueError``)
         before anything changes.
         """
         users = np.asarray(user_ids).ravel()
         items = np.asarray(item_ids).ravel()
         with self._lock:
-            self._train = self._train.with_appended(users, items)
+            before = self._train
+            self._train = after = before.with_appended(users, items)
             self.stats.appends += int(users.size)
             touched = 0
-            if self._cache is not None:
-                for user in np.unique(users).tolist():
-                    if user in self._cache:
+            if self._cache is not None and after is not before:
+                cached = [u for u in np.unique(users).tolist() if u in self._cache]
+                for user in cached:
+                    if after.degree_of(user) != before.degree_of(user):
                         self._cache.invalidate(user)
                         touched += 1
                 self.stats.invalidated += touched

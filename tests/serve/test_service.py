@@ -162,6 +162,30 @@ class TestCacheBehaviour:
         assert service.stats.cache_misses == 1
         assert service.stats.scored_users == scored_before + 1
 
+    def test_append_of_stored_pairs_invalidates_nothing(self, tiny, model):
+        service = RankingService(model, tiny.train, cache_k=16, coalesce=False)
+        service.top_k(3, 10)
+        scored_before = service.stats.scored_users
+        stored = int(tiny.train.items_of(3)[0])
+        assert service.add_interactions([3], [stored]) == 0
+        assert service.train is tiny.train
+        service.top_k(3, 10)  # still cached: a hit, nothing scored
+        assert service.stats.cache_hits == 1
+        assert service.stats.scored_users == scored_before
+        assert service.stats.invalidated == 0
+
+    def test_mixed_append_invalidates_only_users_that_grew(self, tiny, model):
+        service = RankingService(model, tiny.train, cache_k=16, coalesce=False)
+        service.warmup()
+        stored = int(tiny.train.items_of(3)[0])
+        new_item = int(tiny.train.negative_items(5)[0])
+        assert service.add_interactions([3, 5], [stored, new_item]) == 1
+        assert service.stats.invalidated == 1
+        service.top_k(3, 10)  # only a stored pair: still a hit
+        assert service.stats.cache_hits == 1
+        service.top_k(5, 10)  # gained a pair: recomputed
+        assert service.stats.cache_misses == 1
+
     def test_cache_disabled_scores_every_request(self, tiny, model):
         service = RankingService(model, tiny.train, cache_k=0, coalesce=False)
         assert service.warmup() == 0
