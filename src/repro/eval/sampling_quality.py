@@ -34,16 +34,13 @@ def false_negative_flags(
     """Boolean array: which sampled ``(user, item)`` pairs are test positives.
 
     These are the ground-truth false negatives of the training phase.
+    Out-of-range ids raise ``IndexError``.
     """
     users = np.asarray(users, dtype=np.int64).ravel()
     items = np.asarray(items, dtype=np.int64).ravel()
     if users.shape != items.shape:
         raise ValueError("users and items must be parallel arrays")
-    if users.size == 0:
-        return np.zeros(0, dtype=bool)
-    test_csr = dataset.test.tocsr()
-    flags = np.asarray(test_csr[users, items]).ravel()
-    return flags.astype(bool)
+    return dataset.test.contains_pairs(users, items)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,13 @@ class TestFalseNegativeFlags:
         with pytest.raises(ValueError, match="parallel"):
             false_negative_flags(micro_dataset, np.asarray([0, 1]), np.asarray([0]))
 
+    def test_out_of_range_ids_raise(self, micro_dataset):
+        n_users, n_items = micro_dataset.n_users, micro_dataset.n_items
+        with pytest.raises(IndexError):
+            false_negative_flags(micro_dataset, np.asarray([n_users]), np.asarray([0]))
+        with pytest.raises(IndexError):
+            false_negative_flags(micro_dataset, np.asarray([0]), np.asarray([n_items]))
+
 
 class TestRecorder:
     def make_stats(self, epoch, users, items, info):
