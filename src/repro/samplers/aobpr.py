@@ -69,7 +69,8 @@ class AOBPRSampler(NegativeSampler):
     ) -> np.ndarray:
         """Batched AOBPR: one descending argsort for every unique user.
 
-        Positives are pushed to ``-inf`` so one stable ``(U, n_items)``
+        The block is negated in place (``sample_batch`` owns it) and its
+        positives pushed to ``+inf``, so one stable ``(U, n_items)``
         argsort leaves each row's first ``n_negatives`` entries exactly
         equal to the scalar path's per-user negative ordering (stability
         preserves ascending item-id order among score ties in both).  Rank
@@ -85,10 +86,10 @@ class AOBPRSampler(NegativeSampler):
             groups = group_batch_by_user(users)
         self._check_score_block(groups, scores)
         train = self.dataset.train
-        block = np.array(scores, dtype=np.float64, copy=True)
         rows, cols = train.positives_in_rows(groups.unique_users)
-        block[rows, cols] = -np.inf
-        order_desc = np.argsort(-block, axis=1, kind="stable")
+        np.negative(scores, out=scores)
+        scores[rows, cols] = np.inf
+        order_desc = np.argsort(scores, axis=1, kind="stable")
         n_negatives = train.n_items - train.degrees_of(groups.unique_users)
         out = np.empty(users.size, dtype=np.int64)
         for group, user, row_idx in groups.iter_groups():

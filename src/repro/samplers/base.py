@@ -46,7 +46,10 @@ Score-block convention
 per **sorted unique** user of the batch, i.e. row ``r`` belongs to
 ``np.unique(users)[r]``.  This is what the trainer naturally produces
 (``model.scores_batch(np.unique(batch_users))``) and avoids duplicating
-rows for repeated users.
+rows for repeated users.  The call takes ownership of the block: a
+sampler that ranks whole rows works in it (exact-CDF BNS sorts its rows
+in place, AOBPR negates it), so a caller that needs the block afterwards
+passes a copy.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ class ScoreRequest(Enum):
         One full ``(U, n_items)`` score row per sorted unique batch user
         via :meth:`~repro.models.base.ScoreModel.scores_batch` — the
         classic O(n_items · d) per user per batch budget (DNS, AOBPR,
-        exact-CDF BNS).
+        exact-CDF BNS).  The block is handed over: ``sample_batch`` may
+        overwrite it.
     ``SPARSE``
         Nothing precomputed; the sampler scores only the item ids it
         actually touches (candidates ∪ positives ∪ CDF subsample) through
@@ -221,7 +225,9 @@ class NegativeSampler(ABC):
         score block for the batch's **sorted unique** users: row ``r`` is
         the full score vector of ``np.unique(users)[r]`` (see module
         docstring).  ``SPARSE`` samplers accept ``None`` (self-scoring) or
-        a block to gather from.
+        a block to gather from.  The call owns the block and may
+        overwrite it (sort its rows, negate it) in its own dtype; a
+        caller that reuses a block passes a copy.
 
         ``groups`` — when given — must be ``group_batch_by_user(users)``
         for exactly this batch; the trainer precomputes it once per
@@ -334,27 +340,6 @@ class NegativeSampler(ABC):
         out = np.empty_like(grouped)
         out[groups.order] = grouped
         return out
-
-    def sorted_negative_block(
-        self, groups: BatchGroups, scores: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-unique-user sorted negative scores, batched.
-
-        Returns ``(block, neg_counts)`` where ``block[r, :neg_counts[r]]``
-        holds user ``unique_users[r]``'s un-interacted item scores in
-        ascending order (positives are pushed to ``+inf`` padding at the
-        tail).  One ``(U, n_items)`` sort replaces U per-user
-        mask-allocate-and-sort passes; counts via ``side="right"``
-        searchsorted against a row's prefix are bitwise identical to
-        sorting ``scores[negative_mask]`` directly.
-        """
-        train = self.dataset.train
-        block = np.array(scores, dtype=np.float64, copy=True)
-        rows, cols = train.positives_in_rows(groups.unique_users)
-        block[rows, cols] = np.inf
-        block.sort(axis=1)
-        neg_counts = train.n_items - train.degrees_of(groups.unique_users)
-        return block, neg_counts
 
     # ------------------------------------------------------------------ #
     # Validation helpers

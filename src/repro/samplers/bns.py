@@ -212,11 +212,6 @@ class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
         self._current_weight = self.weight_schedule.value(epoch)
         self.cdf.on_epoch_start(epoch)
 
-    @property
-    def current_weight(self) -> float:
-        """λ in effect for the current epoch."""
-        return self._current_weight
-
     # ------------------------------------------------------------------ #
 
     def sample_for_user(
@@ -252,10 +247,11 @@ class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
 
         One candidate matrix (draws grouped per sorted unique user — the
         RNG-parity contract), one batched empirical-CDF estimate, one
-        risk argmin over all ``B × m`` candidates.  The full-candidate-set
-        mode (``n_candidates=None``) has variable-width rows, so it keeps
-        the per-user fallback (which still reuses the shared score block
-        and the caller's grouping).
+        risk argmin over all ``B × m`` candidates.  Positive scores are
+        gathered before the estimate, which may sort the block's rows in
+        place.  The full-candidate-set mode (``n_candidates=None``) has
+        variable-width rows, so it keeps the per-user fallback (which
+        still reuses the shared score block and the caller's grouping).
         """
         users, pos_items = self._check_batch(users, pos_items)
         if users.size == 0:
@@ -268,10 +264,10 @@ class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
         self._check_score_block(groups, scores)
         self.cdf.advance()
         candidates = self.candidate_matrix_batch(groups, self.n_candidates)
+        pos_scores = self._positive_scores_batch(self, groups, pos_items, scores)
         candidate_scores, _, unbias_values = self._posterior_for_batch(
             self, groups, candidates, scores
         )
-        pos_scores = self._positive_scores_batch(self, groups, pos_items, scores)
         info = informativeness(pos_scores[:, None], candidate_scores)
         risk = conditional_sampling_risk(info, unbias_values, self._current_weight)
         best = np.argmin(risk, axis=1)

@@ -60,6 +60,7 @@ from typing import ClassVar, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.data.interactions import InteractionMatrix
 from repro.samplers.base import BatchGroups, NegativeSampler, ScoreRequest
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_positive
@@ -71,6 +72,25 @@ __all__ = [
     "CachedCDF",
     "make_cdf",
 ]
+
+
+def _sort_negative_rows(
+    train: InteractionMatrix, users: np.ndarray, block: np.ndarray
+) -> np.ndarray:
+    """Sort each row's negative scores to its front, in place.
+
+    Row ``r`` of ``block`` is user ``users[r]``'s full score row.  Its
+    positives go to ``+inf`` and the row is sorted ascending in the
+    block's own dtype, so ``block[r, :neg_counts[r]]`` equals
+    ``np.sort(row[I⁻_u])`` bit for bit (``+inf`` ties sort with the
+    padding, which lies past the prefix).  One ``(U, n_items)`` sort
+    replaces U per-user mask-allocate-and-sort passes.  Returns
+    ``neg_counts``; the caller's block is overwritten.
+    """
+    rows, cols = train.positives_in_rows(users)
+    block[rows, cols] = np.inf
+    block.sort(axis=1)
+    return train.n_items - train.degrees_of(users)
 
 
 class CDFEstimator(ABC):
@@ -153,7 +173,9 @@ class CDFEstimator(ABC):
 
         ``scores`` is the sorted-unique-user score block in ``FULL_BLOCK``
         mode, else ``None``.  Row ``b`` of both outputs belongs to batch
-        row ``b`` (batch order, not grouped order).
+        row ``b`` (batch order, not grouped order).  The block belongs to
+        the sampler's ``sample_batch``, so an estimator may overwrite it:
+        :class:`ExactCDF` sorts its rows in place.
         """
 
     # ------------------------------------------------------------------ #
@@ -223,11 +245,11 @@ class CDFEstimator(ABC):
 class ExactCDF(CDFEstimator):
     """Eq. 16 computed exactly — the reference (and default) estimator.
 
-    Both paths are verbatim the pre-estimator BNS code, so the default
-    pipeline stays bitwise-identical under a pinned seed: per user, one
-    sort of ``scores[I⁻_u]`` and a ``side="right"`` ``searchsorted``; per
-    batch, one shared :meth:`~repro.samplers.base.NegativeSampler.
-    sorted_negative_block` sort and per-user thin searchsorted passes.
+    The default pipeline stays bitwise-identical to the pre-estimator BNS
+    code under a pinned seed: per user, one sort of ``scores[I⁻_u]`` and
+    a ``side="right"`` ``searchsorted``; per batch, the candidate scores
+    are gathered first, then the block's rows are sorted in place
+    (:func:`_sort_negative_rows`) and searched in per-user thin passes.
     """
 
     score_request = ScoreRequest.FULL_BLOCK
@@ -253,11 +275,11 @@ class ExactCDF(CDFEstimator):
                 "ExactCDF requires the batch score block; use a sparse "
                 "estimator (subsampled/cached) to train without one"
             )
-        sorted_block, neg_counts = sampler.sorted_negative_block(groups, scores)
         candidate_scores = scores[groups.rows[:, None], candidates]
-        counts = self._rank_grouped(
-            groups, candidate_scores, sorted_block, neg_counts
+        neg_counts = _sort_negative_rows(
+            sampler.dataset.train, groups.unique_users, scores
         )
+        counts = self._rank_grouped(groups, candidate_scores, scores, neg_counts)
         cdf_values = counts / neg_counts[groups.rows][:, None]
         return candidate_scores, cdf_values
 
@@ -299,12 +321,6 @@ class SubsampledCDF(CDFEstimator):
         if self._rng is None:
             raise RuntimeError(f"{type(self).__name__} is not bound; call bind() first")
         return self._rng
-
-    def epsilon(self, delta: float = 0.05) -> float:
-        """DKW uniform error bound holding with probability ``1 − delta``."""
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {delta}")
-        return float(np.sqrt(np.log(2.0 / delta) / (2.0 * self.n_samples)))
 
     def _subsample_block(self, sampler, users: np.ndarray) -> np.ndarray:
         """``(len(users), s)`` ascending subsample scores, one row per user.
@@ -414,17 +430,14 @@ class CachedCDF(CDFEstimator):
         refresh boundary would otherwise pay one gemv + sort per stale
         user in a Python loop — the per-user pattern the batched pipeline
         exists to avoid.  One block, one positives mask, one axis-1 sort
-        (the ``sorted_negative_block`` technique) amortizes the storm.
+        (:func:`_sort_negative_rows`, as in :class:`ExactCDF`) amortizes
+        the storm.
         The block is gemm-scored where the scalar path refresh is gemv —
         a last-ulp difference already covered by cached mode's documented
         cross-path statistical (not bitwise) equivalence.
         """
-        train = sampler.dataset.train
         block = sampler.model.scores_batch(users)
-        rows, cols = train.positives_in_rows(users)
-        block[rows, cols] = np.inf
-        block.sort(axis=1)
-        counts = (train.n_items - train.degrees_of(users)).tolist()
+        counts = _sort_negative_rows(sampler.dataset.train, users, block).tolist()
         for row, user in enumerate(users.tolist()):
             self._sorted[user] = block[row, : counts[row]].copy()
             self._stamp[user] = self._step

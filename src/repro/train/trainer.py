@@ -275,7 +275,10 @@ class Trainer:
         samplers gather-score only the item ids they touch) — and hand
         both to one ``sample_batch`` dispatch; the sampler reuses the
         precomputed :class:`~repro.samplers.base.BatchGroups` instead of
-        re-deriving the grouping.  A one-row batch instead takes one
+        re-deriving the grouping.  The block is fresh per batch (the
+        ``scores_batch`` contract) and is never read again here, so it
+        is handed over: the sampler may sort or negate it in place
+        instead of copying it.  A one-row batch instead takes one
         per-user ``scores`` call and one ``sample_for_user``: there is
         nothing to group, and the per-call overhead is lower.
         """

@@ -65,9 +65,20 @@ def scalar_reference(sampler, users, pos_items, scores):
     return negatives
 
 
-def run_both_paths(name, dataset, seed, epoch, batch_size):
+def tie_block(block, dataset, unique_users):
+    """Coarsen a score block until most scores tie, and give each row's
+    first negative item a ``+inf`` score (it ties with the positives the
+    exact CDF pads with ``+inf``)."""
+    block[...] = np.round(block / 0.02) * 0.02
+    for row, user in enumerate(unique_users.tolist()):
+        block[row, dataset.train.negative_items(user)[0]] = np.inf
+
+
+def run_both_paths(
+    name, dataset, seed, epoch, batch_size, dtype="float64", ties=False
+):
     model = MatrixFactorization(
-        dataset.n_users, dataset.n_items, n_factors=6, seed=3
+        dataset.n_users, dataset.n_items, n_factors=6, seed=3, dtype=dtype
     )
     batch_rng = np.random.default_rng(1000 + seed)
     users, pos_items = make_mixed_batch(dataset, batch_rng, batch_size)
@@ -83,6 +94,10 @@ def run_both_paths(name, dataset, seed, epoch, batch_size):
     scores = None
     if scalar_sampler.score_request is not ScoreRequest.NONE:
         scores = model.scores_batch(np.unique(users))
+        if ties:
+            tie_block(scores, dataset, np.unique(users))
+    # The scalar path only reads the block; sample_batch owns it and may
+    # overwrite it, so it runs last.
     expected = scalar_reference(scalar_sampler, users, pos_items, scores)
     actual = batch_sampler.sample_batch(users, pos_items, scores)
     return users, expected, actual
@@ -104,6 +119,19 @@ def test_batch_equals_scalar_tiny(name, tiny_dataset):
     )
     # The batch must actually be mixed for the test to mean anything.
     assert np.unique(users).size > 4
+    assert np.array_equal(expected, actual)
+
+
+@pytest.mark.parametrize("name", ["bns", "bns-posterior", "aobpr"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties-inf"])
+def test_batch_equals_scalar_by_dtype(name, dtype, ties, tiny_dataset):
+    """The batched path sorts or negates the block in its own dtype, where
+    the scalar path ranks a gathered row; float32 blocks, tied scores and
+    ``+inf`` scores must still give the scalar negatives bit for bit."""
+    _, expected, actual = run_both_paths(
+        name, tiny_dataset, seed=42, epoch=0, batch_size=96, dtype=dtype, ties=ties
+    )
     assert np.array_equal(expected, actual)
 
 
@@ -141,7 +169,8 @@ def test_full_candidate_set_parity(name, tiny_dataset):
 def test_precomputed_groups_change_nothing(name, tiny_dataset):
     """The trainer precomputes BatchGroups once per mini-batch and threads
     it through sample_batch; passing it must be a pure hoist — identical
-    negatives, identical RNG consumption."""
+    negatives, identical RNG consumption.  Each call gets its own copy of
+    the block, which sample_batch may overwrite."""
     model = MatrixFactorization(
         tiny_dataset.n_users, tiny_dataset.n_items, n_factors=6, seed=3
     )
@@ -156,7 +185,9 @@ def test_precomputed_groups_change_nothing(name, tiny_dataset):
     grouped.bind(tiny_dataset, model, seed=13)
     plain.on_epoch_start(0)
     grouped.on_epoch_start(0)
-    expected = plain.sample_batch(users, pos_items, scores)
+    expected = plain.sample_batch(
+        users, pos_items, None if scores is None else scores.copy()
+    )
     actual = grouped.sample_batch(
         users, pos_items, scores, groups=group_batch_by_user(users)
     )

@@ -176,25 +176,6 @@ class TestCandidateMatrixBatch:
             sampler.candidate_matrix_batch(group_batch_by_user(np.array([0])), 0)
 
 
-class TestSortedNegativeBlock:
-    def test_prefixes_equal_sorted_negative_scores(self, micro_dataset, micro_model):
-        from repro.samplers.base import group_batch_by_user
-
-        sampler = RandomNegativeSampler()
-        sampler.bind(micro_dataset, micro_model, seed=0)
-        unique_users = np.array([0, 2, 3])
-        scores = micro_model.scores_batch(unique_users)
-        groups = group_batch_by_user(unique_users)
-        block, counts = sampler.sorted_negative_block(groups, scores)
-        for row, user in enumerate(unique_users.tolist()):
-            negatives = micro_dataset.train.negative_items(user)
-            assert counts[row] == negatives.size
-            assert np.array_equal(
-                block[row, : counts[row]], np.sort(scores[row][negatives])
-            )
-            assert np.all(np.isinf(block[row, counts[row] :]))
-
-
 class TestCandidateMatrixBatchFallback:
     def test_table_and_grouped_paths_bit_identical(self, micro_dataset, micro_model):
         """With the cache budget forced below the negative table, the

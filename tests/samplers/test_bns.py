@@ -9,6 +9,7 @@ from repro.core.unbiasedness import unbias
 from repro.samplers.base import ScoreRequest
 from repro.samplers.bns import BayesianNegativeSampler, PosteriorOnlySampler
 from repro.samplers.priors import OraclePrior, UniformPrior
+from repro.samplers.variants import make_sampler
 from repro.train.loss import informativeness
 from repro.train.schedule import WarmStartLambda
 
@@ -18,6 +19,18 @@ def bound(tiny_dataset, tiny_model):
     sampler = BayesianNegativeSampler(n_candidates=5, weight=5.0)
     sampler.bind(tiny_dataset, tiny_model, seed=0)
     return sampler
+
+
+def batch_negatives(sampler, dataset, model, epoch):
+    """Negatives for one fixed mixed batch at ``epoch``, sampler seed 3."""
+    sampler.bind(dataset, model, seed=3)
+    sampler.on_epoch_start(epoch)
+    rng = np.random.default_rng(8)
+    users = rng.choice(dataset.trainable_users(), size=64).astype(np.int64)
+    pos = np.array(
+        [rng.choice(dataset.train.items_of(int(u))) for u in users], dtype=np.int64
+    )
+    return sampler.sample_batch(users, pos, model.scores_batch(np.unique(users)))
 
 
 class TestConstruction:
@@ -33,9 +46,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BayesianNegativeSampler(weight=-1.0)
 
-    def test_schedule_weight_accepted(self):
-        sampler = BayesianNegativeSampler(weight=WarmStartLambda())
-        assert sampler.current_weight == 10.0
+    def test_schedule_weight_accepted(self, tiny_dataset, tiny_model):
+        """A schedule at epoch 0 acts as its first value, λ = 10."""
+        scheduled = batch_negatives(
+            BayesianNegativeSampler(weight=WarmStartLambda()),
+            tiny_dataset, tiny_model, epoch=0,
+        )
+        fixed = batch_negatives(
+            BayesianNegativeSampler(weight=10.0), tiny_dataset, tiny_model, epoch=0
+        )
+        other = batch_negatives(
+            BayesianNegativeSampler(weight=0.5), tiny_dataset, tiny_model, epoch=0
+        )
+        assert np.array_equal(scheduled, fixed)
+        assert not np.array_equal(scheduled, other)
 
     def test_default_prior_is_popularity(self):
         from repro.samplers.priors import PopularityPrior
@@ -48,13 +72,20 @@ class TestConstruction:
 
 
 class TestSchedule:
-    def test_epoch_updates_weight(self, bound):
-        assert bound.current_weight == 5.0
-        sampler = BayesianNegativeSampler(weight=WarmStartLambda(10.0, 0.1, 2.0))
-        sampler.on_epoch_start(50)
-        assert sampler.current_weight == 5.0
-        sampler.on_epoch_start(100)
-        assert sampler.current_weight == 2.0
+    def test_epoch_updates_weight(self, tiny_dataset, tiny_model):
+        """BNS-1 at epoch e draws what a fixed λ = schedule.value(e) draws
+        on the same seed and block."""
+        schedule = make_sampler("bns-1").weight_schedule
+        drawn = {}
+        for epoch in (0, 50, 100):
+            drawn[epoch] = batch_negatives(
+                make_sampler("bns-1"), tiny_dataset, tiny_model, epoch
+            )
+            fixed = BayesianNegativeSampler(weight=schedule.value(epoch))
+            assert np.array_equal(
+                drawn[epoch], batch_negatives(fixed, tiny_dataset, tiny_model, epoch)
+            )
+        assert not np.array_equal(drawn[0], drawn[100])
 
 
 class TestSampling:

@@ -26,6 +26,7 @@ from repro.samplers.cdf import (
     CDFEstimator,
     ExactCDF,
     SubsampledCDF,
+    _sort_negative_rows,
     make_cdf,
 )
 from repro.samplers.variants import make_sampler
@@ -134,6 +135,32 @@ class TestExactParity:
             sampler.sample_for_user(user, pos, None)
         with pytest.raises(ValueError, match="score"):
             sampler.sample_batch(np.repeat(user, 2), pos, None)
+
+
+class TestSortNegativeRows:
+    """The in-place mask-and-sort that ExactCDF and CachedCDF share."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_prefixes_equal_sorted_negative_scores(self, dtype, micro_dataset):
+        model = MatrixFactorization(
+            micro_dataset.n_users, micro_dataset.n_items, n_factors=4, seed=3,
+            dtype=dtype,
+        )
+        users = np.array([0, 2, 3])
+        block = model.scores_batch(users)
+        # A +inf negative score ties with the +inf padding; it must still
+        # land inside its row's prefix.
+        block[1, micro_dataset.train.negative_items(2)[0]] = np.inf
+        scores = block.copy()
+        counts = _sort_negative_rows(micro_dataset.train, users, block)
+        assert block.dtype == np.dtype(dtype)
+        for row, user in enumerate(users.tolist()):
+            negatives = micro_dataset.train.negative_items(user)
+            assert counts[row] == negatives.size
+            assert np.array_equal(
+                block[row, : counts[row]], np.sort(scores[row][negatives])
+            )
+            assert np.all(np.isinf(block[row, counts[row] :]))
 
 
 # ---------------------------------------------------------------------- #
@@ -335,7 +362,8 @@ class TestSubsampledStatistics:
         ~0.64, so tolerate a single violation to keep the test sharp but
         not flaky)."""
         n_samples = 128
-        epsilon = SubsampledCDF(n_samples).epsilon(delta=0.05)
+        delta = 0.05
+        epsilon = np.sqrt(np.log(2.0 / delta) / (2.0 * n_samples))
         violations = sum(
             self._exact_and_estimate(tiny_dataset, n_samples, seed) > epsilon
             for seed in range(20)
@@ -353,12 +381,6 @@ class TestSubsampledStatistics:
         }
         assert errors[128] < errors[16]
         assert errors[1024] < errors[128]
-
-    def test_epsilon_formula(self):
-        # s = ln(2/δ) / (2 ε²) ⇒ ε(2048, 0.05) ≈ 0.030
-        assert SubsampledCDF(2048).epsilon(0.05) == pytest.approx(0.0300, abs=1e-3)
-        with pytest.raises(ValueError):
-            SubsampledCDF(16).epsilon(0.0)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

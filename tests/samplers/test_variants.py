@@ -25,7 +25,7 @@ class TestFactories:
     def test_make_bns_defaults(self):
         sampler = make_bns()
         assert sampler.n_candidates == 5
-        assert sampler.current_weight == 5.0
+        assert sampler.weight_schedule.value(0) == 5.0
 
     def test_bns1_schedule(self):
         sampler = make_bns_warm_lambda()
