@@ -35,8 +35,8 @@ EPOCHS = 2
 BATCH_SIZE = 512
 #: Factor width for the training comparison.  The dtype win scales with
 #: the share of epoch time spent in the score gemm; at the paper-scale
-#: widths (16-64) the dtype-neutral per-batch sort still dominates on
-#: this universe, at 512 the gemm does.
+#: widths (16-64) the per-batch sort still dominates on this universe,
+#: at 512 the gemm does.
 N_FACTORS = 512
 KS = (5, 10, 20)
 

@@ -67,9 +67,9 @@ def _epoch_triples_per_second(dataset, cdf_spec, repeats=3):
 
     Best-of-N is the standard load-robust estimator (cf.
     ``bench_samplers._best_seconds``): the exact pipeline's per-batch
-    ``(U, n_items)`` copies make it the mode most sensitive to transient
-    memory pressure, and a single-shot timing would turn that noise into
-    inflated speedup claims.
+    ``(U, n_items)`` score blocks and their sorts make it the mode most
+    sensitive to transient memory pressure, and a single-shot timing
+    would turn that noise into inflated speedup claims.
     """
     spec = RunSpec(dataset="bench-train", model="mf", sampler="bns")
     n_pairs = dataset.train.n_interactions

@@ -82,8 +82,9 @@ def _sort_negative_rows(
     Row ``r`` of ``block`` is user ``users[r]``'s full score row.  Its
     positives go to ``+inf`` and the row is sorted ascending in the
     block's own dtype, so ``block[r, :neg_counts[r]]`` equals
-    ``np.sort(row[I⁻_u])`` bit for bit (``+inf`` ties sort with the
-    padding, which lies past the prefix).  One ``(U, n_items)`` sort
+    ``np.sort(row[I⁻_u])`` bit for bit (a negative scored ``+inf`` ties
+    with the padding, and the prefix still ends in as many ``+inf`` as
+    the user has such negatives).  One ``(U, n_items)`` sort
     replaces U per-user mask-allocate-and-sort passes.  Returns
     ``neg_counts``; the caller's block is overwritten.
     """
