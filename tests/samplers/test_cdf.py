@@ -73,6 +73,67 @@ GOLDEN_NEGATIVES = {
 }
 
 
+#: Negatives of both Bayesian samplers on :func:`pinned_setup` ("tiny",
+#: sampler seed 7, epoch 0) along the two routes ``GOLDEN_NEGATIVES``
+#: does not cover: ``"one-row"`` is the trainer's batch-size-1 route, one
+#: ``sample_for_user`` call per batch row in batch order (handed the
+#: user's ``model.scores`` row when the estimator is exact, ``None`` when
+#: it is sparse); ``"batch"`` is one ``sample_batch`` call in sparse mode.
+#: Keyed by ``(route, sampler, cdf)``.
+ROUTE_GOLDENS = {
+    ("one-row", "bns", "exact"): [
+        58, 52, 35, 50, 2, 34, 11, 52, 15, 33, 37, 37, 42, 16,
+        43, 58, 11, 36, 33, 1, 33, 22, 8, 51, 46, 11, 36, 27,
+        27, 58, 15, 13,
+    ],
+    ("one-row", "bns", "subsampled:64"): [
+        58, 30, 35, 39, 2, 30, 11, 52, 33, 33, 37, 37, 42, 16,
+        43, 58, 11, 36, 52, 1, 62, 22, 8, 51, 46, 24, 36, 27,
+        27, 58, 39, 62,
+    ],
+    ("one-row", "bns", "cached:3"): [
+        58, 52, 35, 50, 2, 30, 11, 52, 15, 33, 37, 37, 42, 16,
+        43, 58, 11, 36, 33, 1, 33, 22, 8, 51, 46, 11, 36, 27,
+        27, 58, 15, 62,
+    ],
+    ("batch", "bns", "subsampled:64"): [
+        58, 57, 1, 36, 30, 38, 25, 18, 59, 1, 15, 20, 58, 9, 46,
+        37, 22, 22, 13, 55, 55, 22, 58, 16, 22, 33, 34, 27, 27,
+        39, 21, 52,
+    ],
+    ("batch", "bns", "cached:3"): [
+        58, 57, 1, 36, 0, 38, 25, 18, 59, 1, 15, 20, 58, 9, 46,
+        37, 22, 22, 13, 55, 55, 22, 41, 16, 22, 33, 34, 27, 27,
+        39, 36, 52,
+    ],
+    ("one-row", "bns-posterior", "exact"): [
+        13, 52, 35, 50, 2, 59, 45, 8, 15, 33, 22, 9, 42, 13, 43,
+        58, 11, 10, 33, 9, 33, 43, 57, 25, 51, 13, 36, 27, 56,
+        30, 15, 20,
+    ],
+    ("one-row", "bns-posterior", "subsampled:64"): [
+        13, 52, 35, 50, 2, 59, 45, 8, 15, 33, 6, 9, 42, 13, 43,
+        58, 11, 10, 33, 9, 33, 43, 57, 48, 51, 13, 36, 27, 56,
+        30, 15, 20,
+    ],
+    ("one-row", "bns-posterior", "cached:3"): [
+        13, 52, 35, 50, 2, 59, 45, 8, 15, 33, 22, 9, 42, 13, 43,
+        58, 11, 10, 33, 9, 33, 43, 57, 25, 51, 13, 36, 27, 56,
+        30, 15, 20,
+    ],
+    ("batch", "bns-posterior", "subsampled:64"): [
+        34, 57, 1, 40, 51, 59, 38, 18, 34, 9, 10, 2, 58, 40, 52,
+        37, 20, 10, 43, 42, 55, 11, 41, 26, 22, 33, 8, 27, 27,
+        35, 21, 52,
+    ],
+    ("batch", "bns-posterior", "cached:3"): [
+        34, 57, 1, 40, 51, 59, 38, 18, 34, 9, 10, 2, 58, 40, 52,
+        37, 20, 10, 43, 42, 55, 11, 41, 26, 22, 33, 8, 43, 27,
+        35, 21, 52,
+    ],
+}
+
+
 # ---------------------------------------------------------------------- #
 # ExactCDF: bitwise parity with the pre-estimator pipeline
 # ---------------------------------------------------------------------- #
@@ -135,6 +196,30 @@ class TestExactParity:
             sampler.sample_for_user(user, pos, None)
         with pytest.raises(ValueError, match="score"):
             sampler.sample_batch(np.repeat(user, 2), pos, None)
+
+
+class TestRouteGoldens:
+    """The one-row and sparse batch routes draw the pinned negatives."""
+
+    @pytest.mark.parametrize(
+        "route, sampler_name, spec",
+        sorted(ROUTE_GOLDENS),
+        ids=["-".join(key) for key in sorted(ROUTE_GOLDENS)],
+    )
+    def test_route_matches_golden(self, route, sampler_name, spec):
+        dataset, model, users, pos = pinned_setup("tiny")
+        sampler = make_sampler(sampler_name, cdf=spec)
+        sampler.bind(dataset, model, seed=7)
+        sampler.on_epoch_start(0)
+        if route == "batch":
+            negatives = sampler.sample_batch(users, pos, None).tolist()
+        else:
+            negatives = []
+            for row, user in enumerate(users.tolist()):
+                scores = model.scores(user) if spec == "exact" else None
+                drawn = sampler.sample_for_user(user, pos[row : row + 1], scores)
+                negatives.append(int(drawn[0]))
+        assert negatives == ROUTE_GOLDENS[(route, sampler_name, spec)]
 
 
 class TestSortNegativeRows:
