@@ -70,10 +70,12 @@ class AOBPRSampler(NegativeSampler):
         """Batched AOBPR: one descending argsort for every unique user.
 
         The block is negated in place (``sample_batch`` owns it) and its
-        positives pushed to ``+inf``, so one stable ``(U, n_items)``
-        argsort leaves each row's first ``n_negatives`` entries exactly
-        equal to the scalar path's per-user negative ordering (stability
-        preserves ascending item-id order among score ties in both).  Rank
+        positives set to NaN, which sorts after every number, ``+inf``
+        included (a negative scored ``-inf``), so one stable ``(U,
+        n_items)`` argsort leaves each row's first ``n_negatives`` entries
+        exactly equal to the scalar path's per-user negative ordering
+        (stability preserves ascending item-id order among score ties in
+        both).  Rank
         draws reuse :meth:`_sample_ranks` per sorted unique user, keeping
         the RNG-parity contract.
         """
@@ -88,7 +90,7 @@ class AOBPRSampler(NegativeSampler):
         train = self.dataset.train
         rows, cols = train.positives_in_rows(groups.unique_users)
         np.negative(scores, out=scores)
-        scores[rows, cols] = np.inf
+        scores[rows, cols] = np.nan
         order_desc = np.argsort(scores, axis=1, kind="stable")
         n_negatives = train.n_items - train.degrees_of(groups.unique_users)
         out = np.empty(users.size, dtype=np.int64)

@@ -109,6 +109,32 @@ class TestAOBPR:
         mild_mean = scores[mild.sample_for_user(user, pos, scores)].mean()
         assert greedy_mean > mild_mean
 
+    def test_batch_never_returns_positive_behind_minus_inf(
+        self, tiny_dataset, tiny_model
+    ):
+        """A negative scored ``-inf`` sorts last among the negatives; the
+        batched path must still keep every positive behind it.  With
+        ``rank_lambda`` this large, drawn ranks reach the tail."""
+        users = np.repeat(tiny_dataset.trainable_users()[:8], 200).astype(np.int64)
+        pos = np.array(
+            [tiny_dataset.train.items_of(int(u))[0] for u in users], dtype=np.int64
+        )
+        unique = np.unique(users)
+        block = tiny_model.scores_batch(unique)
+        for row, user in enumerate(unique.tolist()):
+            block[row, tiny_dataset.train.negative_items(user)[-1]] = -np.inf
+        scalar = AOBPRSampler(rank_lambda=1e6)
+        batched = AOBPRSampler(rank_lambda=1e6)
+        scalar.bind(tiny_dataset, tiny_model, seed=4)
+        batched.bind(tiny_dataset, tiny_model, seed=4)
+        expected = np.empty(users.size, dtype=np.int64)
+        for row, user in enumerate(unique.tolist()):
+            rows = np.nonzero(users == user)[0]
+            expected[rows] = scalar.sample_for_user(user, pos[rows], block[row])
+        got = batched.sample_batch(users, pos, block.copy())
+        assert not tiny_dataset.train.contains_pairs(users, got).any()
+        assert np.array_equal(got, expected)
+
 
 class TestSRNS:
     @pytest.fixture
