@@ -21,9 +21,10 @@ pipeline in ``ScoreRequest.SPARSE`` mode: only candidates ∪ positives ∪
 the CDF subsample are ever scored, ``O((m+s)·d + s log s)`` per triple,
 independent of the catalogue size.
 
-:class:`PosteriorOnlySampler` implements the pure posterior criterion
-``argmax_l unbias(l)`` (Eq. 35), which Fig. 4 contrasts with the full risk
-rule: it maximizes unbiasedness but ignores informativeness.
+:class:`PosteriorOnlySampler` runs the same pipeline and replaces only
+step 3 with the pure posterior criterion ``argmax_l unbias(l)`` (Eq. 35),
+which Fig. 4 contrasts with the full risk rule: it maximizes
+unbiasedness but ignores informativeness.
 """
 
 from __future__ import annotations
@@ -48,19 +49,48 @@ from repro.train.schedule import ConstantSchedule, Schedule
 __all__ = ["BayesianNegativeSampler", "PosteriorOnlySampler"]
 
 
-class _CandidatePosterior:
-    """Shared machinery: candidate sets with F, prior and posterior values."""
+class BayesianNegativeSampler(NegativeSampler):
+    """Risk-minimizing Bayesian sampler (Eq. 32).
 
-    def _setup(
+    Parameters
+    ----------
+    n_candidates:
+        Candidate-set size ``|M_u|`` (paper default 5); ``None`` means the
+        full candidate set ``M_u = I⁻_u`` — the optimal sampler h* of
+        Theorem 0.1 / Table IV.
+    weight:
+        Trade-off λ — a float for a fixed value (paper default 5) or any
+        :class:`~repro.train.schedule.Schedule` (e.g. ``WarmStartLambda``
+        for the BNS-1 variant).
+    prior:
+        A :class:`~repro.samplers.priors.Prior`; default is the paper's
+        popularity prior (Eq. 17).
+    cdf:
+        Empirical-CDF estimator for Eq. 16 — ``None``/``"exact"`` for the
+        reference behaviour, ``"subsampled[:s]"`` or ``"cached[:T]"`` (or
+        a :class:`~repro.samplers.cdf.CDFEstimator` instance) for the
+        sub-linear sparse-scoring modes.
+
+    Both entry points run Algorithm 1 the same way: draw the candidates,
+    gather the positive and candidate scores (from the score row or
+    block, or by pair and gather scoring in ``SPARSE`` mode), ask the
+    estimator for ``F̂`` at the candidate scores, apply the prior and the
+    posterior, and let :meth:`_select` pick one candidate per row.
+    """
+
+    score_request = ScoreRequest.FULL_BLOCK
+    name = "BNS"
+
+    def __init__(
         self,
-        n_candidates: Optional[int],
-        prior: Optional[Prior],
+        n_candidates: Optional[int] = 5,
+        weight: Union[float, Schedule] = 5.0,
+        prior: Optional[Prior] = None,
         cdf: CDFLike = None,
     ) -> None:
+        super().__init__()
         if n_candidates is not None and n_candidates < 1:
             raise ValueError(f"n_candidates must be >= 1 or None, got {n_candidates}")
-        #: ``None`` means the *full* candidate set M_u = I⁻_u — the optimal
-        #: sampler h* of Theorem 0.1 / Table IV.
         self.n_candidates = None if n_candidates is None else int(n_candidates)
         self.prior = prior if prior is not None else PopularityPrior()
         self.cdf = make_cdf(cdf)
@@ -80,121 +110,6 @@ class _CandidatePosterior:
         # Shadow the FULL_BLOCK ClassVar: the estimator decides whether the
         # trainer materializes a score block or this sampler self-scores.
         self.score_request = self.cdf.score_request
-
-    def _candidates_for(
-        self, sampler: NegativeSampler, user: int, n_pos: int
-    ) -> np.ndarray:
-        """An ``(n_pos, m)`` candidate matrix (uniform draws or full I⁻_u)."""
-        if self.n_candidates is not None:
-            return sampler.candidate_matrix(user, n_pos, self.n_candidates)
-        negatives = sampler.dataset.train.negative_items(user)
-        if negatives.size == 0:
-            raise ValueError(f"user {user} has no un-interacted items to sample")
-        return np.broadcast_to(negatives, (n_pos, negatives.size))
-
-    def _bind_members(self, sampler: NegativeSampler) -> None:
-        self.prior.bind(sampler.dataset)
-        self.cdf.bind(sampler)
-
-    def _posterior_for_candidates(
-        self,
-        sampler: NegativeSampler,
-        user: int,
-        candidates: np.ndarray,
-        scores: Optional[np.ndarray],
-    ) -> tuple:
-        """Per-candidate ``(scores, F, unbias)`` for an ``(n_pos, m)`` set."""
-        candidate_scores, cdf_values = self.cdf.cdf_for_user(
-            sampler, user, candidates, scores
-        )
-        prior_fn = self.prior.fn_prob(user, candidates)
-        return candidate_scores, cdf_values, unbias(cdf_values, prior_fn)
-
-    def _posterior_for_batch(
-        self,
-        sampler: NegativeSampler,
-        groups: BatchGroups,
-        candidates: np.ndarray,
-        scores: Optional[np.ndarray],
-    ) -> tuple:
-        """Batched ``(scores, F, unbias)`` for a ``(B, m)`` candidate set.
-
-        The estimator builds every unique user's empirical CDF (Eq. 16)
-        and ranks that user's candidates in it; the prior and posterior
-        (Eq. 15/17) are one vectorized pass over the whole candidate
-        matrix.  All elementwise, so bitwise identical to
-        :meth:`_posterior_for_candidates` per row.
-        """
-        users = groups.unique_users[groups.rows]
-        candidate_scores, cdf_values = self.cdf.cdf_for_batch(
-            sampler, groups, candidates, scores
-        )
-        prior_fn = self.prior.fn_prob(users, candidates)
-        return candidate_scores, cdf_values, unbias(cdf_values, prior_fn)
-
-    def _positive_scores_user(
-        self,
-        sampler: NegativeSampler,
-        user: int,
-        pos_items: np.ndarray,
-        scores: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """``x̂_ui`` per positive: row gather, or pair scoring in sparse mode."""
-        if scores is not None:
-            return scores[pos_items]
-        users = np.full(pos_items.size, user, dtype=np.int64)
-        return sampler.model.score_pairs(users, pos_items)
-
-    def _positive_scores_batch(
-        self,
-        sampler: NegativeSampler,
-        groups: BatchGroups,
-        pos_items: np.ndarray,
-        scores: Optional[np.ndarray],
-    ) -> np.ndarray:
-        if scores is not None:
-            return scores[groups.rows, pos_items]
-        users = groups.unique_users[groups.rows]
-        return sampler.model.score_pairs(users, pos_items)
-
-    def _require_scores(self, scores: Optional[np.ndarray], what: str) -> None:
-        if scores is None and self.score_request is ScoreRequest.FULL_BLOCK:
-            raise ValueError(f"{type(self).__name__} requires {what}")
-
-
-class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
-    """Risk-minimizing Bayesian sampler (Eq. 32).
-
-    Parameters
-    ----------
-    n_candidates:
-        Candidate-set size ``|M_u|`` (paper default 5).
-    weight:
-        Trade-off λ — a float for a fixed value (paper default 5) or any
-        :class:`~repro.train.schedule.Schedule` (e.g. ``WarmStartLambda``
-        for the BNS-1 variant).
-    prior:
-        A :class:`~repro.samplers.priors.Prior`; default is the paper's
-        popularity prior (Eq. 17).
-    cdf:
-        Empirical-CDF estimator for Eq. 16 — ``None``/``"exact"`` for the
-        reference behaviour, ``"subsampled[:s]"`` or ``"cached[:T]"`` (or
-        a :class:`~repro.samplers.cdf.CDFEstimator` instance) for the
-        sub-linear sparse-scoring modes.
-    """
-
-    score_request = ScoreRequest.FULL_BLOCK
-    name = "BNS"
-
-    def __init__(
-        self,
-        n_candidates: Optional[int] = 5,
-        weight: Union[float, Schedule] = 5.0,
-        prior: Optional[Prior] = None,
-        cdf: CDFLike = None,
-    ) -> None:
-        super().__init__()
-        self._setup(n_candidates, prior, cdf)
         if isinstance(weight, Schedule):
             self.weight_schedule: Schedule = weight
         else:
@@ -206,7 +121,8 @@ class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
     # ------------------------------------------------------------------ #
 
     def _on_bind(self) -> None:
-        self._bind_members(self)
+        self.prior.bind(self.dataset)
+        self.cdf.bind(self)
 
     def on_epoch_start(self, epoch: int) -> None:
         self._current_weight = self.weight_schedule.value(epoch)
@@ -223,16 +139,25 @@ class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
         pos_items = np.asarray(pos_items, dtype=np.int64).ravel()
         if pos_items.size == 0:
             return np.empty(0, dtype=np.int64)
-        self._require_scores(scores, "the user's score vector")
+        if scores is None and self.score_request is ScoreRequest.FULL_BLOCK:
+            raise ValueError(f"{type(self).__name__} requires the user's score vector")
         self.cdf.advance()
-        candidates = self._candidates_for(self, user, pos_items.size)
-        candidate_scores, _, unbias_values = self._posterior_for_candidates(
-            self, user, candidates, scores
-        )
-        pos_scores = self._positive_scores_user(self, user, pos_items, scores)
-        info = informativeness(pos_scores[:, None], candidate_scores)
-        risk = conditional_sampling_risk(info, unbias_values, self._current_weight)
-        best = np.argmin(risk, axis=1)
+        if self.n_candidates is not None:
+            candidates = self.candidate_matrix(user, pos_items.size, self.n_candidates)
+        else:
+            negatives = self.dataset.train.negative_items(user)
+            if negatives.size == 0:
+                raise ValueError(f"user {user} has no un-interacted items to sample")
+            candidates = np.broadcast_to(negatives, (pos_items.size, negatives.size))
+        if scores is not None:
+            pos_scores, candidate_scores = scores[pos_items], scores[candidates]
+        else:
+            users = np.full(pos_items.size, user, dtype=np.int64)
+            pos_scores = self.model.score_pairs(users, pos_items)
+            candidate_scores = self.model.score_items_batch(users, candidates)
+        cdf_values = self.cdf.cdf_for_user(self, user, candidate_scores, scores)
+        unbias_values = unbias(cdf_values, self.prior.fn_prob(user, candidates))
+        best = self._select(pos_scores, candidate_scores, unbias_values)
         return candidates[np.arange(pos_items.size), best]
 
     def sample_batch(
@@ -247,16 +172,17 @@ class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
 
         One candidate matrix (draws grouped per sorted unique user — the
         RNG-parity contract), one batched empirical-CDF estimate, one
-        risk argmin over all ``B × m`` candidates.  Positive scores are
-        gathered before the estimate, which may sort the block's rows in
-        place.  The full-candidate-set mode (``n_candidates=None``) has
-        variable-width rows, so it keeps the per-user fallback (which
-        still reuses the shared score block and the caller's grouping).
+        :meth:`_select` over all ``B × m`` candidates, all elementwise, so
+        each row equals :meth:`sample_for_user` bit for bit given the same
+        scores.  Positive and candidate scores are gathered before the
+        estimate, which may sort the block's rows in place.  The
+        full-candidate-set mode (``n_candidates=None``) has variable-width
+        rows, so it keeps the per-user fallback (which still reuses the
+        shared score block and the caller's grouping).
         """
         users, pos_items = self._check_batch(users, pos_items)
         if users.size == 0:
             return np.empty(0, dtype=np.int64)
-        self._require_scores(scores, "the batch score block")
         if groups is None:
             groups = group_batch_by_user(users)
         if self.n_candidates is None:
@@ -264,26 +190,40 @@ class BayesianNegativeSampler(NegativeSampler, _CandidatePosterior):
         self._check_score_block(groups, scores)
         self.cdf.advance()
         candidates = self.candidate_matrix_batch(groups, self.n_candidates)
-        pos_scores = self._positive_scores_batch(self, groups, pos_items, scores)
-        candidate_scores, _, unbias_values = self._posterior_for_batch(
-            self, groups, candidates, scores
-        )
-        info = informativeness(pos_scores[:, None], candidate_scores)
-        risk = conditional_sampling_risk(info, unbias_values, self._current_weight)
-        best = np.argmin(risk, axis=1)
+        batch_users = groups.unique_users[groups.rows]
+        if scores is not None:
+            pos_scores = scores[groups.rows, pos_items]
+            candidate_scores = scores[groups.rows[:, None], candidates]
+        else:
+            pos_scores = self.model.score_pairs(batch_users, pos_items)
+            candidate_scores = self.model.score_items_batch(batch_users, candidates)
+        cdf_values = self.cdf.cdf_for_batch(self, groups, candidate_scores, scores)
+        unbias_values = unbias(cdf_values, self.prior.fn_prob(batch_users, candidates))
+        best = self._select(pos_scores, candidate_scores, unbias_values)
         return candidates[np.arange(users.size), best]
 
+    def _select(
+        self,
+        pos_scores: np.ndarray,
+        candidate_scores: np.ndarray,
+        unbias_values: np.ndarray,
+    ) -> np.ndarray:
+        """Each row's chosen candidate column: Eq. 32's risk argmin."""
+        info = informativeness(pos_scores[:, None], candidate_scores)
+        risk = conditional_sampling_risk(info, unbias_values, self._current_weight)
+        return np.argmin(risk, axis=1)
 
-class PosteriorOnlySampler(NegativeSampler, _CandidatePosterior):
+
+class PosteriorOnlySampler(BayesianNegativeSampler):
     """Pure posterior criterion (Eq. 35): ``argmax_l unbias(l)``.
 
     Selects the most-likely-true negative regardless of informativeness;
     used by the sampling-quality study (Fig. 4) to isolate the posterior's
-    classification power.  Accepts the same ``cdf=`` estimators as
-    :class:`BayesianNegativeSampler`.
+    classification power.  Runs :class:`BayesianNegativeSampler`'s
+    pipeline with the same ``cdf=`` estimators and takes no ``weight``:
+    only the final selection differs.
     """
 
-    score_request = ScoreRequest.FULL_BLOCK
     name = "BNS-posterior"
 
     def __init__(
@@ -292,55 +232,8 @@ class PosteriorOnlySampler(NegativeSampler, _CandidatePosterior):
         prior: Optional[Prior] = None,
         cdf: CDFLike = None,
     ) -> None:
-        super().__init__()
-        self._setup(n_candidates, prior, cdf)
+        super().__init__(n_candidates, prior=prior, cdf=cdf)
 
-    def _on_bind(self) -> None:
-        self._bind_members(self)
-
-    def on_epoch_start(self, epoch: int) -> None:
-        self.cdf.on_epoch_start(epoch)
-
-    def sample_for_user(
-        self,
-        user: int,
-        pos_items: np.ndarray,
-        scores: Optional[np.ndarray],
-    ) -> np.ndarray:
-        pos_items = np.asarray(pos_items, dtype=np.int64).ravel()
-        if pos_items.size == 0:
-            return np.empty(0, dtype=np.int64)
-        self._require_scores(scores, "the user's score vector")
-        self.cdf.advance()
-        candidates = self._candidates_for(self, user, pos_items.size)
-        _, _, unbias_values = self._posterior_for_candidates(
-            self, user, candidates, scores
-        )
-        best = np.argmax(unbias_values, axis=1)
-        return candidates[np.arange(pos_items.size), best]
-
-    def sample_batch(
-        self,
-        users: np.ndarray,
-        pos_items: np.ndarray,
-        scores: Optional[np.ndarray] = None,
-        *,
-        groups: Optional[BatchGroups] = None,
-    ) -> np.ndarray:
-        """Vectorized Eq. 35: one posterior argmax over all candidates."""
-        users, pos_items = self._check_batch(users, pos_items)
-        if users.size == 0:
-            return np.empty(0, dtype=np.int64)
-        self._require_scores(scores, "the batch score block")
-        if groups is None:
-            groups = group_batch_by_user(users)
-        if self.n_candidates is None:
-            return super().sample_batch(users, pos_items, scores, groups=groups)
-        self._check_score_block(groups, scores)
-        self.cdf.advance()
-        candidates = self.candidate_matrix_batch(groups, self.n_candidates)
-        _, _, unbias_values = self._posterior_for_batch(
-            self, groups, candidates, scores
-        )
-        best = np.argmax(unbias_values, axis=1)
-        return candidates[np.arange(users.size), best]
+    def _select(self, pos_scores, candidate_scores, unbias_values):
+        """Each row's chosen candidate column: Eq. 35's posterior argmax."""
+        return np.argmax(unbias_values, axis=1)

@@ -38,25 +38,31 @@ spawns a child generator off the sampler's bound generator at bind time
 stream — the candidate-draw sequence, and hence the default exact path,
 is untouched), and :class:`CachedCDF` uses no randomness at all.
 
+An estimator computes ``F̂`` only.  The sampler draws the candidates and
+gathers their scores (from the score row or block, or by gather scoring
+in ``SPARSE`` mode) before it asks, and hands them in; the estimator
+builds the reference distribution and ranks the given scores in it.
+
 Scalar/batched parity: both code paths of each estimator consume the
 estimator generator in sorted-unique-user order and use the same
-elementwise arithmetic, so for a bound seed and equal estimator state
-``sample_for_user`` grouping and ``sample_batch`` return identical
-negatives — the same RNG-parity contract the samplers themselves honour
-(``repro.samplers.base``).  One scoped divergence: :class:`CachedCDF`'s
-staleness clock ticks once per sampler *dispatch* — one ``sample_batch``
-call, or one ``sample_for_user`` call — so a caller that samples a batch
-user by user ticks it once per unique user where ``sample_batch`` ticks
-it once, and across a multi-batch run with a moving model the two
-refresh at different points, so cached-mode results are statistically,
-not bitwise, equivalent between them.  The trainer dispatches once per
-mini-batch, one-row batches included.
+elementwise arithmetic, so for a bound seed, equal estimator state and
+equal candidate scores, ``cdf_for_user`` per sorted unique user and
+``cdf_for_batch`` return identical ``F̂``, and the samplers' grouped
+``sample_for_user`` calls and ``sample_batch`` identical negatives (the
+RNG-parity contract of ``repro.samplers.base``).  One scoped divergence:
+:class:`CachedCDF`'s staleness clock ticks once per sampler *dispatch* —
+one ``sample_batch`` call, or one ``sample_for_user`` call — so a caller
+that samples a batch user by user ticks it once per unique user where
+``sample_batch`` ticks it once, and across a multi-batch run with a
+moving model the two refresh at different points, so cached-mode results
+are statistically, not bitwise, equivalent between them.  The trainer
+dispatches once per mini-batch, one-row batches included.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, Dict, Optional, Tuple, Union
+from typing import ClassVar, Dict, Optional, Union
 
 import numpy as np
 
@@ -95,14 +101,15 @@ def _sort_negative_rows(
 
 
 class CDFEstimator(ABC):
-    """Interface: per-candidate ``(scores, F̂)`` for a user or a batch.
+    """Interface: Eq. 16's ``F̂`` at candidate scores the sampler supplies.
 
     Lifecycle mirrors the sampler's: construct → :meth:`bind` (called from
     the sampler's ``_on_bind``) → per epoch :meth:`on_epoch_start` → one
     :meth:`advance` per sampler dispatch → :meth:`cdf_for_user` /
     :meth:`cdf_for_batch` queries.  Estimators receive the bound sampler
     on every call and read dataset/model/rng through it, so they never
-    hold stale references of their own.
+    hold stale references of their own.  They never score candidates: the
+    sampler gathers those scores, and its positives', first.
     """
 
     #: What the trainer must precompute for this estimator's queries.
@@ -152,14 +159,14 @@ class CDFEstimator(ABC):
         self,
         sampler: NegativeSampler,
         user: int,
-        candidates: np.ndarray,
+        candidate_scores: np.ndarray,
         scores: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(candidate_scores, cdf_values)`` for an ``(n_pos, m)`` set.
+    ) -> np.ndarray:
+        """``F̂`` at an ``(n_pos, m)`` array of one user's candidate scores.
 
         ``scores`` is the user's full score row when the trainer runs in
-        ``FULL_BLOCK`` mode, else ``None`` (sparse estimators gather-score
-        the candidates themselves).
+        ``FULL_BLOCK`` mode, else ``None``; only :class:`ExactCDF` reads
+        it.
         """
 
     @abstractmethod
@@ -167,47 +174,20 @@ class CDFEstimator(ABC):
         self,
         sampler: NegativeSampler,
         groups: BatchGroups,
-        candidates: np.ndarray,
+        candidate_scores: np.ndarray,
         scores: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched ``(candidate_scores, cdf_values)`` for a ``(B, m)`` set.
+    ) -> np.ndarray:
+        """``F̂`` at a ``(B, m)`` array of candidate scores, row ``b`` for
+        batch row ``b`` (batch order, not grouped order).
 
         ``scores`` is the sorted-unique-user score block in ``FULL_BLOCK``
-        mode, else ``None``.  Row ``b`` of both outputs belongs to batch
-        row ``b`` (batch order, not grouped order).  The block belongs to
-        the sampler's ``sample_batch``, so an estimator may overwrite it:
+        mode, else ``None``.  The block belongs to the sampler's
+        ``sample_batch``, which has gathered every score it needs from it
+        before the call, so an estimator may overwrite it:
         :class:`ExactCDF` sorts its rows in place.
         """
 
     # ------------------------------------------------------------------ #
-    # Shared helpers
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _candidate_scores_user(
-        sampler: NegativeSampler,
-        user: int,
-        candidates: np.ndarray,
-        scores: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Candidate scores from the row if given, else by gather."""
-        if scores is not None:
-            return scores[candidates]
-        users = np.full(candidates.shape[0], user, dtype=np.int64)
-        return sampler.model.score_items_batch(users, candidates)
-
-    @staticmethod
-    def _candidate_scores_batch(
-        sampler: NegativeSampler,
-        groups: BatchGroups,
-        candidates: np.ndarray,
-        scores: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Batch candidate scores from the block if given, else by gather."""
-        if scores is not None:
-            return scores[groups.rows[:, None], candidates]
-        users = groups.unique_users[groups.rows]
-        return sampler.model.score_items_batch(users, candidates)
 
     @staticmethod
     def _rank_grouped(
@@ -248,41 +228,28 @@ class ExactCDF(CDFEstimator):
 
     The default pipeline stays bitwise-identical to the pre-estimator BNS
     code under a pinned seed: per user, one sort of ``scores[I⁻_u]`` and
-    a ``side="right"`` ``searchsorted``; per batch, the candidate scores
-    are gathered first, then the block's rows are sorted in place
-    (:func:`_sort_negative_rows`) and searched in per-user thin passes.
+    a ``side="right"`` ``searchsorted``; per batch, the block's rows are
+    sorted in place (:func:`_sort_negative_rows`) and searched in
+    per-user thin passes.  It reads the score row or block, which the
+    sampler requires in ``FULL_BLOCK`` mode.
     """
 
     score_request = ScoreRequest.FULL_BLOCK
     name = "exact"
 
-    def cdf_for_user(self, sampler, user, candidates, scores):
-        if scores is None:
-            raise ValueError(
-                "ExactCDF requires the user's full score vector; use a "
-                "sparse estimator (subsampled/cached) to train without one"
-            )
+    def cdf_for_user(self, sampler, user, candidate_scores, scores):
         negative_scores = np.sort(scores[sampler.dataset.train.negative_items(user)])
-        candidate_scores = scores[candidates]
-        cdf_values = (
+        return (
             np.searchsorted(negative_scores, candidate_scores, side="right")
             / negative_scores.size
         )
-        return candidate_scores, cdf_values
 
-    def cdf_for_batch(self, sampler, groups, candidates, scores):
-        if scores is None:
-            raise ValueError(
-                "ExactCDF requires the batch score block; use a sparse "
-                "estimator (subsampled/cached) to train without one"
-            )
-        candidate_scores = scores[groups.rows[:, None], candidates]
+    def cdf_for_batch(self, sampler, groups, candidate_scores, scores):
         neg_counts = _sort_negative_rows(
             sampler.dataset.train, groups.unique_users, scores
         )
         counts = self._rank_grouped(groups, candidate_scores, scores, neg_counts)
-        cdf_values = counts / neg_counts[groups.rows][:, None]
-        return candidate_scores, cdf_values
+        return counts / neg_counts[groups.rows][:, None]
 
 
 class SubsampledCDF(CDFEstimator):
@@ -299,8 +266,8 @@ class SubsampledCDF(CDFEstimator):
     A fresh subsample is drawn per user per dispatch from a dedicated
     child generator (spawned off the sampler's generator at bind, leaving
     the candidate-draw stream untouched), scored by gather
-    (``O(s·d)``), and sorted (``O(s log s)``) — the full per-triple cost
-    the module docstring quotes.  Draws are with replacement (i.i.d. from
+    (``O(s·d)``), and sorted (``O(s log s)``) — with the sampler's
+    candidate gather, the per-triple cost the module docstring quotes.  Draws are with replacement (i.i.d. from
     the empirical negative distribution, exactly what DKW assumes) via the
     same :meth:`~repro.data.interactions.InteractionMatrix.
     uniform_negatives_rows` draw core the candidate sets use, one call
@@ -340,28 +307,20 @@ class SubsampledCDF(CDFEstimator):
         block.sort(axis=1)
         return block
 
-    def cdf_for_user(self, sampler, user, candidates, scores):
+    def cdf_for_user(self, sampler, user, candidate_scores, scores):
         reference = self._subsample_block(
             sampler, np.full(1, user, dtype=np.int64)
         )[0]
-        candidate_scores = self._candidate_scores_user(
-            sampler, user, candidates, scores
-        )
-        cdf_values = (
+        return (
             np.searchsorted(reference, candidate_scores, side="right")
             / self.n_samples
         )
-        return candidate_scores, cdf_values
 
-    def cdf_for_batch(self, sampler, groups, candidates, scores):
+    def cdf_for_batch(self, sampler, groups, candidate_scores, scores):
         references = self._subsample_block(sampler, groups.unique_users)
-        candidate_scores = self._candidate_scores_batch(
-            sampler, groups, candidates, scores
-        )
         sizes = np.full(groups.n_groups, self.n_samples, dtype=np.int64)
         counts = self._rank_grouped(groups, candidate_scores, references, sizes)
-        cdf_values = counts / self.n_samples
-        return candidate_scores, cdf_values
+        return counts / self.n_samples
 
 
 class CachedCDF(CDFEstimator):
@@ -377,9 +336,9 @@ class CachedCDF(CDFEstimator):
         model — the AOBPR trick of amortizing an expensive global
         structure across steps, applied to the Eq. 16 CDF.
 
-    Candidate scores are always fresh (gather-scored from the live
-    model); only the reference distribution they are ranked against lags
-    by at most ``refresh_every`` dispatches.  Between refreshes a query
+    Candidate scores are always fresh (the sampler gather-scores them
+    from the live model); only the reference distribution they are
+    ranked against lags by at most ``refresh_every`` dispatches.  Between refreshes a query
     costs ``O(m·d + m log n_items)``; the ``O(n_items·d + n_items log
     n_items)`` rebuild is paid once per user per window.  No randomness —
     the estimator is deterministic given the sampler's draw sequence.
@@ -443,18 +402,14 @@ class CachedCDF(CDFEstimator):
             self._sorted[user] = block[row, : counts[row]].copy()
             self._stamp[user] = self._step
 
-    def cdf_for_user(self, sampler, user, candidates, scores):
+    def cdf_for_user(self, sampler, user, candidate_scores, scores):
         reference = self._reference_for(sampler, user)
-        candidate_scores = self._candidate_scores_user(
-            sampler, user, candidates, scores
-        )
-        cdf_values = (
+        return (
             np.searchsorted(reference, candidate_scores, side="right")
             / reference.size
         )
-        return candidate_scores, cdf_values
 
-    def cdf_for_batch(self, sampler, groups, candidates, scores):
+    def cdf_for_batch(self, sampler, groups, candidate_scores, scores):
         stale = groups.unique_users[
             [self._is_stale(int(user)) for user in groups.unique_users]
         ]
@@ -462,12 +417,8 @@ class CachedCDF(CDFEstimator):
             self._refresh_users(sampler, stale)
         references = [self._sorted[int(user)] for user in groups.unique_users]
         sizes = np.array([r.size for r in references], dtype=np.int64)
-        candidate_scores = self._candidate_scores_batch(
-            sampler, groups, candidates, scores
-        )
         counts = self._rank_grouped(groups, candidate_scores, references, sizes)
-        cdf_values = counts / sizes[groups.rows][:, None]
-        return candidate_scores, cdf_values
+        return counts / sizes[groups.rows][:, None]
 
     def __repr__(self) -> str:
         return f"CachedCDF(refresh_every={self.refresh_every})"
