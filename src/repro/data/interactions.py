@@ -100,7 +100,6 @@ class InteractionMatrix:
         # Lazy caches (the matrix is immutable, so these never go stale).
         self._pair_keys = pair_keys
         self._negative_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._negative_width: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -201,14 +200,9 @@ class InteractionMatrix:
         :meth:`negative_table`, which is built once on first use (the
         matrix is immutable), so repeated queries — every
         :meth:`uniform_negatives` call, BNS with ``n_candidates=None``,
-        AOBPR's global ranking — cost one slice each.  When the table
-        would exceed :attr:`max_cache_cells`, each query computes the
-        complement afresh instead, so huge universes degrade to
-        O(n_items) per query instead of OOMing.
+        AOBPR's global ranking — cost one slice each.
         """
         self._check_user(user)
-        if not self.supports_negative_table():
-            return np.nonzero(self.negative_mask(user))[0]
         table, counts = self.negative_table()
         view = table[user, : counts[user]]
         view.flags.writeable = False
@@ -217,16 +211,6 @@ class InteractionMatrix:
     # ------------------------------------------------------------------ #
     # Batched lookups and sampling
     # ------------------------------------------------------------------ #
-
-    #: Cells (int64 entries) above which the dense negative table is
-    #: considered unaffordable: :meth:`negative_table` refuses to build,
-    #: :meth:`negative_items` computes per call and
-    #: :meth:`uniform_negatives_rows` draws row by row, keeping the batched
-    #: pipeline O(1) extra memory on huge universes instead of hitting an
-    #: OOM cliff.
-    #: 64M cells = 512 MB int64.  Class attribute — override per instance
-    #: for experiments that want a different trade-off.
-    max_cache_cells: int = 64_000_000
 
     @property
     def indptr(self) -> np.ndarray:
@@ -349,23 +333,17 @@ class InteractionMatrix:
 
         Row ``b``, and the generator state afterwards, equal per-row
         ``uniform_negatives(users[b], m, rng)`` calls in row order; users
-        may repeat and come in any order.  When :meth:`negative_table`
-        fits :attr:`max_cache_cells` this is one ``rng.random(len(users) ·
-        m)`` call floor-scaled against each row's negative count and one
-        gather from the table: ``Generator.random`` is split-invariant, so
-        the doubles, and hence the negatives, are the per-row calls' own.
-        Over budget it makes the per-row calls.  Every batched uniform
+        may repeat and come in any order.  It is one ``rng.random(len(users)
+        · m)`` call floor-scaled against each row's negative count and one
+        gather from :meth:`negative_table`: ``Generator.random`` is
+        split-invariant, so the doubles, and hence the negatives, are the
+        per-row calls' own.  Every batched uniform
         draw — candidate matrices, RNS's in-order epoch, SRNS's memory,
         the subsampled CDF's reference — goes through here.
         """
         users = np.asarray(users, dtype=np.int64).ravel()
         if users.size and (users.min() < 0 or users.max() >= self._n_users):
             raise IndexError(f"user ids out of range [0, {self._n_users})")
-        if not self.supports_negative_table():
-            out = np.empty((users.size, m), dtype=np.int64)
-            for row, user in enumerate(users.tolist()):
-                out[row] = self.uniform_negatives(user, m, rng)
-            return out
         table, counts = self.negative_table()
         k = counts[users, None]
         if m and not k.all():
@@ -384,46 +362,18 @@ class InteractionMatrix:
         :meth:`negative_items` and :meth:`uniform_negatives_rows`: one
         fancy gather ``table[users, indices]`` replaces a per-user loop.
         Built lazily once (the matrix is immutable) at ``n_users ×
-        max_negatives`` int64 — near ``n_users × n_items`` for sparse data,
-        a few MB at this reproduction's scales.  Raises ``ValueError`` when
-        the table would exceed :attr:`max_cache_cells`; check
-        :meth:`supports_negative_table` first.
+        max_negatives`` int64 — near ``n_users × n_items`` for sparse data:
+        at most 23.9M cells (191 MB) for the largest registered shape,
+        ``ml-1m``, and a few MB at most other scales.
         """
-        if not self.supports_negative_table():
-            cells = self._n_users * max(
-                int(self._negative_table_width()), 1
-            )
-            raise ValueError(
-                f"negative table would need {cells} cells, above the "
-                f"max_cache_cells limit ({self.max_cache_cells}); use "
-                "per-user sampling instead"
-            )
         if self._negative_table is None:
             counts = self._n_items - self._user_activity
-            table = np.zeros(
-                (self._n_users, self._negative_table_width()), dtype=np.int64
-            )
+            width = int(counts.max()) if counts.size else 0
+            table = np.zeros((self._n_users, width), dtype=np.int64)
             for user in range(self._n_users):
                 table[user, : counts[user]] = np.nonzero(self.negative_mask(user))[0]
             self._negative_table = (table, counts)
         return self._negative_table
-
-    def supports_negative_table(self) -> bool:
-        """Whether the padded negative table fits :attr:`max_cache_cells`.
-
-        Called on every :meth:`negative_items` query, so the answer
-        short-circuits on an already-built table and the width scan runs
-        once (the matrix is immutable).
-        """
-        if self._negative_table is not None:
-            return True
-        return self._n_users * self._negative_table_width() <= self.max_cache_cells
-
-    def _negative_table_width(self) -> int:
-        if self._negative_width is None:
-            counts = self._n_items - self._user_activity
-            self._negative_width = int(counts.max()) if counts.size else 0
-        return self._negative_width
 
     # ------------------------------------------------------------------ #
     # Functional updates

@@ -328,8 +328,7 @@ class NegativeSampler(ABC):
         rows equal per-row :meth:`uniform_negatives` calls of ``m``, and
         by ``Generator.random``'s split-invariance those equal the scalar
         path's per-user calls of ``n_u · m`` in sorted order — so RNG
-        parity holds bit for bit, within the negative-table budget or
-        over it.
+        parity holds bit for bit.
         """
         if m <= 0:
             raise ValueError(f"candidate set size must be positive, got {m}")

@@ -318,10 +318,8 @@ class TestNegativeSampling:
 
 class TestUniformNegativesRows:
     """The many-user draw core: each row, and the generator state after,
-    equal per-row ``uniform_negatives`` calls, through the negative table
-    and with the budget forced below it."""
+    equal per-row ``uniform_negatives`` calls."""
 
-    @pytest.mark.parametrize("budget", [None, 4], ids=["table", "per-row"])
     @settings(
         max_examples=30,
         deadline=None,
@@ -332,26 +330,20 @@ class TestUniformNegativesRows:
         m=st.integers(0, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_per_row_draws(self, micro_train, budget, users, m, seed):
+    def test_equals_per_row_draws(self, micro_train, users, m, seed):
         train = InteractionMatrix(*micro_train.shape, *micro_train.pairs())
-        if budget is not None:
-            train.max_cache_cells = budget
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = train.uniform_negatives_rows(np.array(users, dtype=np.int64), m, rng)
-        assert train.supports_negative_table() is (budget is None)
         assert got.shape == (len(users), m) and got.dtype == np.int64
         for row, user in enumerate(users):
             want = train.uniform_negatives(user, m, reference_rng)
             assert got[row].tolist() == want.tolist()
         assert rng.random() == reference_rng.random()
 
-    @pytest.mark.parametrize("budget", [None, 1], ids=["table", "per-row"])
-    def test_user_without_negatives_raises(self, budget):
+    def test_user_without_negatives_raises(self):
         train = InteractionMatrix.from_pairs(
             [(0, i) for i in range(4)] + [(1, 0)], 2, 4
         )
-        if budget is not None:
-            train.max_cache_cells = budget
         with pytest.raises(ValueError, match="user 0 has no un-interacted"):
             train.uniform_negatives_rows(
                 np.array([1, 0, 1]), 2, np.random.default_rng(0)
@@ -365,27 +357,12 @@ class TestUniformNegativesRows:
 
 
 class TestCacheBudget:
-    def test_negative_table_guard(self, micro_train):
-        micro_train.max_cache_cells = 4  # force the huge-universe branch
-        assert not micro_train.supports_negative_table()
-        with pytest.raises(ValueError, match="max_cache_cells"):
-            micro_train.negative_table()
-
     def test_negative_items_views_the_table_within_budget(self, micro_train):
         negatives = micro_train.negative_items(1)
         table, _ = micro_train.negative_table()
         assert np.shares_memory(negatives, table)
         assert not negatives.flags.writeable
         assert np.array_equal(negatives, np.nonzero(micro_train.negative_mask(1))[0])
-
-    def test_negative_items_computes_per_call_over_budget(self, micro_train):
-        micro_train.max_cache_cells = 4
-        for user in range(micro_train.n_users):
-            assert np.array_equal(
-                micro_train.negative_items(user),
-                np.nonzero(micro_train.negative_mask(user))[0],
-            )
-        assert not micro_train.supports_negative_table()
 
     def test_indptr_indices_read_only(self, micro_train):
         with pytest.raises(ValueError):

@@ -190,16 +190,6 @@ def test_runs_are_a_maximal_conflict_free_partition(rows):
             assert user in run_users or {i, j} & set(run_items)
 
 
-def with_cache_budget(dataset, max_cache_cells):
-    """A fresh copy of ``dataset`` whose train matrix has the given budget
-    (1 forces the per-row draws: no negative table fits)."""
-    train = InteractionMatrix(
-        dataset.n_users, dataset.n_items, *dataset.train.pairs()
-    )
-    train.max_cache_cells = max_cache_cells
-    return ImplicitDataset(train, dataset.test)
-
-
 def shuffled_pairs(dataset):
     users, pos = dataset.train.pairs()
     order = np.random.default_rng(4).permutation(users.size)
@@ -210,30 +200,22 @@ class TestSampleInOrder:
     """RNS draws an epoch with one ``rng.random(n)``; it must equal ``n``
     one-row draws — same negatives, same generator state after."""
 
-    @pytest.mark.parametrize("budget", [None, 1], ids=["table", "per-row"])
-    def test_rns_equals_one_row_draws(self, tiny_dataset, budget):
-        dataset = tiny_dataset
-        if budget is not None:
-            dataset = with_cache_budget(tiny_dataset, budget)
-            assert not dataset.train.supports_negative_table()
-        users, pos = shuffled_pairs(dataset)
+    def test_rns_equals_one_row_draws(self, tiny_dataset):
+        users, pos = shuffled_pairs(tiny_dataset)
         sampler, reference = RandomNegativeSampler(), RandomNegativeSampler()
-        sampler.bind(dataset, None, 9)
-        reference.bind(dataset, None, 9)
+        sampler.bind(tiny_dataset, None, 9)
+        reference.bind(tiny_dataset, None, 9)
         got = sampler.sample_in_order(users, pos)
         want = [reference.uniform_negatives(int(u), 1)[0] for u in users]
         assert got.dtype == np.int64
         assert got.tolist() == want
         assert sampler.rng.bit_generator.state == reference.rng.bit_generator.state
 
-    @pytest.mark.parametrize("budget", [None, 1], ids=["table", "per-row"])
-    def test_rns_user_without_negatives_raises(self, budget):
+    def test_rns_user_without_negatives_raises(self):
         # User 1 has interacted with every item.
         train = InteractionMatrix.from_pairs(
             [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2)], 3, 3
         )
-        if budget is not None:
-            train.max_cache_cells = budget
         dataset = ImplicitDataset(train, InteractionMatrix.from_pairs([], 3, 3))
         sampler = RandomNegativeSampler()
         sampler.bind(dataset, None, 0)
