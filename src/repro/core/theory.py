@@ -52,16 +52,6 @@ class TheoreticalDistribution:
         """False-negative density ``h(x) = 2 f(x) F(x)``."""
         return false_negative_density(x, self.base.pdf, self.base.cdf)
 
-    def cdf_tn(self, x: np.ndarray) -> np.ndarray:
-        """TN CDF.  For the pair minimum: ``1 − (1 − F(x))²``."""
-        base = np.asarray(self.base.cdf(x), dtype=np.float64)
-        return 1.0 - (1.0 - base) ** 2
-
-    def cdf_fn(self, x: np.ndarray) -> np.ndarray:
-        """FN CDF.  For the pair maximum: ``F(x)²``."""
-        base = np.asarray(self.base.cdf(x), dtype=np.float64)
-        return base**2
-
     # ------------------------------------------------------------------ #
     # Moments and separation
     # ------------------------------------------------------------------ #

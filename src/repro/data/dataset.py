@@ -32,10 +32,6 @@ class DatasetStatistics:
         """Observed fraction of the full matrix."""
         return self.n_interactions / (self.n_users * self.n_items)
 
-    def as_row(self) -> tuple:
-        """``(name, users, items, train, test)`` — a Table I row."""
-        return (self.name, self.n_users, self.n_items, self.n_train, self.n_test)
-
 
 class ImplicitDataset:
     """A train/test pair of interaction matrices plus side information.

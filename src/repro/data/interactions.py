@@ -106,21 +106,6 @@ class InteractionMatrix:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[Tuple[int, int]],
-        n_users: int,
-        n_items: int,
-    ) -> "InteractionMatrix":
-        """Build from an iterable of ``(user, item)`` tuples."""
-        pair_array = np.asarray(list(pairs), dtype=np.int64)
-        if pair_array.size == 0:
-            pair_array = pair_array.reshape(0, 2)
-        if pair_array.ndim != 2 or pair_array.shape[1] != 2:
-            raise ValueError("pairs must be (user, item) 2-tuples")
-        return cls(n_users, n_items, pair_array[:, 0], pair_array[:, 1])
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "InteractionMatrix":
         """Build from a dense 0/1 array (mostly useful in tests)."""
         dense = np.asarray(dense)

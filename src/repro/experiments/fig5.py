@@ -37,14 +37,6 @@ class Fig5Result:
     lambda_sweep: List[Tuple[float, float]]
     size_sweep: List[Tuple[int, float]]
 
-    def best_lambda(self) -> float:
-        """λ value achieving the best metric."""
-        return max(self.lambda_sweep, key=lambda pair: pair[1])[0]
-
-    def best_size(self) -> int:
-        """|M_u| value achieving the best metric."""
-        return max(self.size_sweep, key=lambda pair: pair[1])[0]
-
     def format(self) -> str:
         lam_rows = [
             {"lambda": lam, self.metric: value} for lam, value in self.lambda_sweep

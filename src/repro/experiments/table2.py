@@ -22,7 +22,7 @@ from repro.experiments.engine import (
     resolve_engine,
 )
 from repro.experiments.paper_values import METRIC_KEYS, TABLE2
-from repro.experiments.reporting import format_table, rank_samplers, shape_report
+from repro.experiments.reporting import format_table, shape_report
 
 __all__ = ["Table2Result", "run_table2", "table2_requests", "SAMPLERS"]
 
@@ -56,14 +56,6 @@ class Table2Result:
             for (ds, md, sampler), values in self.metrics.items()
             if ds == dataset and md == model
         }
-
-    def winners(self, metric: str = "ndcg@20") -> Dict[Tuple[str, str], str]:
-        """Best sampler per (dataset, model) block on one metric."""
-        out = {}
-        for ds, md in sorted({(ds, md) for (ds, md, _) in self.metrics}):
-            ranking = rank_samplers(self.group(ds, md), metric)
-            out[(ds, md)] = ranking[0][0]
-        return out
 
     def shape_checks(self, metric: str = "ndcg@20") -> List[str]:
         """The paper's ordering claims per block (PASS/FAIL lines)."""

@@ -87,11 +87,6 @@ class WarmStartSampler(NegativeSampler):
         )
         self._active.on_epoch_start(epoch)
 
-    @property
-    def active_sampler(self) -> NegativeSampler:
-        """The sampler delegated to in the current epoch."""
-        return self._active
-
     def sample_for_user(
         self,
         user: int,

@@ -35,11 +35,6 @@ class EpochStats:
     duration_seconds: float
 
     @property
-    def n_triples(self) -> int:
-        """Number of training triples consumed this epoch."""
-        return int(self.users.size)
-
-    @property
     def mean_info(self) -> float:
         """Average gradient magnitude of the epoch's sampled negatives."""
         return float(self.info.mean()) if self.info.size else 0.0

@@ -17,6 +17,7 @@ from repro.data.dataset import ImplicitDataset
 from repro.data.interactions import InteractionMatrix
 from repro.data.registry import load_dataset
 from repro.models.mf import MatrixFactorization
+from matrix_builders import interactions_from_pairs
 
 
 @pytest.fixture
@@ -33,14 +34,14 @@ def micro_train() -> InteractionMatrix:
     user 3: item 7.
     """
     pairs = [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (2, 5), (2, 6), (3, 7)]
-    return InteractionMatrix.from_pairs(pairs, 4, 8)
+    return interactions_from_pairs(pairs, 4, 8)
 
 
 @pytest.fixture
 def micro_test() -> InteractionMatrix:
     """Held-out positives: user 0 → 5; user 1 → 0; user 2 → 7; user 3 → 0."""
     pairs = [(0, 5), (1, 0), (2, 7), (3, 0)]
-    return InteractionMatrix.from_pairs(pairs, 4, 8)
+    return interactions_from_pairs(pairs, 4, 8)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import cumulative_trapezoid
 
 from repro.core.theory import TheoreticalDistribution, named_distribution
 
@@ -30,22 +31,34 @@ class TestConstruction:
             named_distribution("cauchy")
 
 
+def min_cdf(x):
+    """CDF of the minimum of two standard normals: 1 − (1 − Φ)²."""
+    return 1 - (1 - stats.norm.cdf(x)) ** 2
+
+
+def max_cdf(x):
+    """CDF of the maximum of two standard normals: Φ²."""
+    return stats.norm.cdf(x) ** 2
+
+
 class TestClosedForms:
     def test_cdf_tn_is_min_distribution(self, gaussian):
-        """CDF of the pair minimum: 1 − (1 − F)²."""
-        x = np.linspace(-3, 3, 13)
-        expected = 1 - (1 - stats.norm.cdf(x)) ** 2
-        assert np.allclose(gaussian.cdf_tn(x), expected)
+        """The TN density integrates to the pair minimum's CDF."""
+        x = np.linspace(-8, 3, 11001)
+        integral = cumulative_trapezoid(gaussian.pdf_tn(x), x, initial=0.0)
+        assert np.allclose(integral, min_cdf(x), atol=1e-5)
 
     def test_cdf_fn_is_max_distribution(self, gaussian):
-        x = np.linspace(-3, 3, 13)
-        assert np.allclose(gaussian.cdf_fn(x), stats.norm.cdf(x) ** 2)
+        """The FN density integrates to the pair maximum's CDF."""
+        x = np.linspace(-8, 3, 11001)
+        integral = cumulative_trapezoid(gaussian.pdf_fn(x), x, initial=0.0)
+        assert np.allclose(integral, max_cdf(x), atol=1e-5)
 
     def test_cdf_matches_pdf_integral(self, gaussian):
         """d/dx CDF ≈ pdf (finite differences)."""
         x = np.linspace(-3, 3, 2001)
-        numeric = np.gradient(gaussian.cdf_tn(x), x)
-        assert np.allclose(numeric, gaussian.pdf_tn(x), atol=1e-3)
+        assert np.allclose(np.gradient(min_cdf(x), x), gaussian.pdf_tn(x), atol=1e-3)
+        assert np.allclose(np.gradient(max_cdf(x), x), gaussian.pdf_fn(x), atol=1e-3)
 
     def test_gaussian_means_symmetric(self, gaussian):
         """For a symmetric base, E[TN] = −E[FN]."""
@@ -91,5 +104,5 @@ class TestSampling:
         from repro.core.empirical import ks_distance
 
         tn, fn = gaussian.sample(50_000, seed=2)
-        assert ks_distance(tn, gaussian.cdf_tn) < 0.01
-        assert ks_distance(fn, gaussian.cdf_fn) < 0.01
+        assert ks_distance(tn, min_cdf) < 0.01
+        assert ks_distance(fn, max_cdf) < 0.01

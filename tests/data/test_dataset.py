@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.dataset import DatasetStatistics, ImplicitDataset
 from repro.data.interactions import InteractionMatrix
+from matrix_builders import interactions_from_pairs
 
 
 class TestConstruction:
@@ -19,7 +20,7 @@ class TestConstruction:
             ImplicitDataset(micro_train, other)
 
     def test_overlap_rejected(self, micro_train):
-        overlapping = InteractionMatrix.from_pairs([(0, 0)], 4, 8)
+        overlapping = interactions_from_pairs([(0, 0)], 4, 8)
         with pytest.raises(ValueError, match="disjoint"):
             ImplicitDataset(micro_train, overlapping)
 
@@ -48,7 +49,7 @@ class TestAccessors:
         assert np.array_equal(micro_dataset.evaluable_users(), [0, 1, 2, 3])
 
     def test_evaluable_excludes_userless_test(self, micro_train):
-        test = InteractionMatrix.from_pairs([(0, 5)], 4, 8)
+        test = interactions_from_pairs([(0, 5)], 4, 8)
         dataset = ImplicitDataset(micro_train, test)
         assert np.array_equal(dataset.evaluable_users(), [0])
 
@@ -75,6 +76,3 @@ class TestStatistics:
         stats = micro_dataset.statistics()
         assert stats.n_interactions == 13
         assert stats.density == pytest.approx(13 / 32)
-
-    def test_as_row(self, micro_dataset):
-        assert micro_dataset.statistics().as_row() == ("micro", 4, 8, 9, 4)

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.data.interactions import InteractionMatrix
+from matrix_builders import interactions_from_pairs
 
 
 class TestConstruction:
@@ -43,17 +44,17 @@ class TestConstruction:
             InteractionMatrix(2, 3, [0, 1], [0])
 
     def test_from_pairs(self):
-        matrix = InteractionMatrix.from_pairs([(0, 1), (1, 2)], 2, 3)
+        matrix = interactions_from_pairs([(0, 1), (1, 2)], 2, 3)
         assert matrix.contains(0, 1)
         assert matrix.contains(1, 2)
 
     def test_from_pairs_empty(self):
-        matrix = InteractionMatrix.from_pairs([], 2, 3)
+        matrix = interactions_from_pairs([], 2, 3)
         assert matrix.n_interactions == 0
 
     def test_from_pairs_rejects_triples(self):
         with pytest.raises(ValueError, match="2-tuples"):
-            InteractionMatrix.from_pairs([(0, 1, 2)], 2, 3)
+            interactions_from_pairs([(0, 1, 2)], 2, 3)
 
     def test_from_dense_round_trip(self):
         dense = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int8)
@@ -122,7 +123,7 @@ class TestAggregates:
 
 class TestSetAlgebra:
     def test_intersects_true(self, micro_train):
-        overlap = InteractionMatrix.from_pairs([(0, 0)], 4, 8)
+        overlap = interactions_from_pairs([(0, 0)], 4, 8)
         assert micro_train.intersects(overlap)
 
     def test_intersects_false(self, micro_train, micro_test):
@@ -341,7 +342,7 @@ class TestUniformNegativesRows:
         assert rng.random() == reference_rng.random()
 
     def test_user_without_negatives_raises(self):
-        train = InteractionMatrix.from_pairs(
+        train = interactions_from_pairs(
             [(0, i) for i in range(4)] + [(1, 0)], 2, 4
         )
         with pytest.raises(ValueError, match="user 0 has no un-interacted"):

@@ -98,8 +98,8 @@ class TestFig5:
         )
         assert len(result.lambda_sweep) == 2
         assert len(result.size_sweep) == 2
-        assert result.best_lambda() in (0.1, 5.0)
-        assert result.best_size() in (1, 3)
+        assert [lam for lam, _ in result.lambda_sweep] == [0.1, 5.0]
+        assert [size for size, _ in result.size_sweep] == [1, 3]
         assert "Fig. 5" in result.format()
 
 
@@ -116,16 +116,6 @@ class TestTable2:
         assert set(group) == {"rns", "bns"}
         assert "ndcg@20" in group["rns"]
         assert "Table II" in result.format()
-
-    def test_winners(self):
-        result = run_table2(
-            scale="unit",
-            seed=0,
-            datasets=("tiny",),
-            models=("mf",),
-            samplers=("rns", "bns"),
-        )
-        assert result.winners("ndcg@20")[("tiny", "mf")] in {"rns", "bns"}
 
     def test_shape_checks_produced(self):
         result = run_table2(

@@ -39,11 +39,6 @@ class TestTable2Result:
         group = result.group("ml-100k", "mf")
         assert set(group) == {"rns", "bns"}
 
-    def test_winners(self, result):
-        winners = result.winners("ndcg@20")
-        assert winners[("ml-100k", "mf")] == "bns"
-        assert winners[("ml-100k", "lightgcn")] == "rns"
-
     def test_rows_include_paper_reference(self, result):
         rows = result.rows()
         bns_mf = next(
@@ -157,6 +152,8 @@ class TestFig5Result:
             lambda_sweep=[(0.1, 0.30), (5.0, 0.40), (15.0, 0.35)],
             size_sweep=[(1, 0.30), (5, 0.42), (15, 0.41)],
         )
-        assert result.best_lambda() == 5.0
-        assert result.best_size() == 5
-        assert "Fig. 5a" in result.format()
+        text = result.format()
+        assert "Fig. 5a" in text and "Fig. 5b" in text
+        # Each sweep's best point is printed beside its setting.
+        assert "5.0000   0.4000" in text
+        assert "5     0.4200" in text

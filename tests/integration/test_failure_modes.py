@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import ImplicitDataset
-from repro.data.interactions import InteractionMatrix
 from repro.eval.protocol import Evaluator
 from repro.models.mf import MatrixFactorization
 from repro.samplers.variants import make_sampler
 from repro.train.trainer import Trainer, TrainingConfig
+from matrix_builders import interactions_from_pairs
 
 
 def make_dataset(train_pairs, test_pairs, n_users, n_items, **kwargs):
     return ImplicitDataset(
-        InteractionMatrix.from_pairs(train_pairs, n_users, n_items),
-        InteractionMatrix.from_pairs(test_pairs, n_users, n_items),
+        interactions_from_pairs(train_pairs, n_users, n_items),
+        interactions_from_pairs(test_pairs, n_users, n_items),
         **kwargs,
     )
 

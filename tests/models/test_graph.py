@@ -12,12 +12,13 @@ from repro.models.graph import (
     normalized_adjacency,
     normalized_adjacency_cached,
 )
+from matrix_builders import interactions_from_pairs
 
 
 @pytest.fixture
 def small_graph():
     # 2 users x 3 items: u0-{i0,i1}, u1-{i1}
-    return InteractionMatrix.from_pairs([(0, 0), (0, 1), (1, 1)], 2, 3)
+    return interactions_from_pairs([(0, 0), (0, 1), (1, 1)], 2, 3)
 
 
 class TestBipartiteAdjacency:
@@ -95,7 +96,7 @@ class TestNormalizedAdjacencyCached:
         assert one_layer._adjacency is two_layer._adjacency
 
     def test_entry_dies_with_its_dataset(self):
-        transient = InteractionMatrix.from_pairs([(0, 0)], 1, 1)
+        transient = interactions_from_pairs([(0, 0)], 1, 1)
         normalized_adjacency_cached(transient)
         assert transient in _ADJACENCY_CACHE
         del transient

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.data.interactions import InteractionMatrix
 from repro.models.lightgcn import LightGCN
 from repro.train.loss import log_sigmoid
 from repro.train.optimizer import SGD
+from matrix_builders import interactions_from_pairs
 
 
 @pytest.fixture
 def interactions():
     pairs = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
-    return InteractionMatrix.from_pairs(pairs, 4, 5)
+    return interactions_from_pairs(pairs, 4, 5)
 
 
 @pytest.fixture

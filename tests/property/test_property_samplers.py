@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.dataset import ImplicitDataset
-from repro.data.interactions import InteractionMatrix
 from repro.models.mf import MatrixFactorization
 from repro.samplers.base import ScoreRequest
 from repro.samplers.variants import make_sampler
+from matrix_builders import interactions_from_pairs
 
 
 @st.composite
@@ -46,8 +46,8 @@ def sampleable_datasets(draw):
         free = [i for i in range(n_items) if i not in train_items]
         if len(free) > 1:
             test_pairs.add((user, free[0]))
-    train = InteractionMatrix.from_pairs(train_pairs, n_users, n_items)
-    test = InteractionMatrix.from_pairs(test_pairs, n_users, n_items)
+    train = interactions_from_pairs(train_pairs, n_users, n_items)
+    test = interactions_from_pairs(test_pairs, n_users, n_items)
     occupations = np.arange(n_users) % 3
     return ImplicitDataset(train, test, user_occupations=occupations)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import ImplicitDataset
-from repro.data.interactions import InteractionMatrix
 from repro.samplers.rns import RandomNegativeSampler
+from matrix_builders import interactions_from_pairs
 
 
 class TestLifecycle:
@@ -63,10 +63,10 @@ class TestUniformNegatives:
         assert np.allclose(counts[negatives], expected, rtol=0.1)
 
     def test_saturated_user_rejected(self):
-        train = InteractionMatrix.from_pairs(
+        train = interactions_from_pairs(
             [(0, i) for i in range(4)] + [(1, 0)], 2, 4
         )
-        test = InteractionMatrix.from_pairs([(1, 1)], 2, 4)
+        test = interactions_from_pairs([(1, 1)], 2, 4)
         dataset = ImplicitDataset(train, test)
         sampler = RandomNegativeSampler()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.samplers.aobpr import AOBPRSampler
+from repro.samplers.base import ScoreRequest
 from repro.samplers.bns import BayesianNegativeSampler, PosteriorOnlySampler
 from repro.samplers.dns import DynamicNegativeSampler
 from repro.samplers.priors import OccupationPrior, OraclePrior, UniformPrior
@@ -94,18 +95,20 @@ class TestWarmStartSampler:
             make_bns_warm_start(warmup_epochs=-1)
 
     def test_delegation_switches(self, bound):
+        # The delegated score request names the active sampler: RNS asks
+        # for nothing, BNS for the score block.
         bound.on_epoch_start(0)
-        assert bound.active_sampler is bound.warmup_sampler
+        assert bound.score_request is ScoreRequest.NONE
         bound.on_epoch_start(2)
-        assert bound.active_sampler is bound.warmup_sampler
+        assert bound.score_request is ScoreRequest.NONE
         bound.on_epoch_start(3)
-        assert bound.active_sampler is bound.main_sampler
+        assert bound.score_request is ScoreRequest.FULL_BLOCK
 
     def test_zero_warmup_starts_on_main(self, tiny_dataset, tiny_model):
         sampler = make_bns_warm_start(warmup_epochs=0)
         sampler.bind(tiny_dataset, tiny_model, seed=0)
         sampler.on_epoch_start(0)
-        assert sampler.active_sampler is sampler.main_sampler
+        assert sampler.score_request is ScoreRequest.FULL_BLOCK
 
     def test_samples_through_active(self, bound, tiny_dataset, tiny_model):
         user = int(tiny_dataset.trainable_users()[0])

@@ -19,9 +19,6 @@ def make_stats(epoch=0, n=4, info_value=0.5):
 
 
 class TestEpochStats:
-    def test_n_triples(self):
-        assert make_stats(n=7).n_triples == 7
-
     def test_mean_info(self):
         assert make_stats(info_value=0.25).mean_info == 0.25
 

@@ -55,7 +55,7 @@ class TestTrainerLoop:
     def test_every_triple_trained_each_epoch(self, micro_dataset):
         trainer = make_trainer(micro_dataset, epochs=1)
         stats = trainer.fit()[0]
-        assert stats.n_triples == micro_dataset.train.n_interactions
+        assert stats.users.size == micro_dataset.train.n_interactions
 
     def test_negatives_never_train_positives(self, micro_dataset):
         trainer = make_trainer(micro_dataset, epochs=2)
@@ -79,7 +79,7 @@ class TestTrainerLoop:
         """batch_size=1 runs one update per triple (pure SGD)."""
         trainer = make_trainer(micro_dataset, epochs=1, batch_size=1)
         stats = trainer.fit()[0]
-        assert stats.n_triples == micro_dataset.train.n_interactions
+        assert stats.users.size == micro_dataset.train.n_interactions
 
     def test_lr_schedule_applied(self, micro_dataset):
         model = MatrixFactorization(

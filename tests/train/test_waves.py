@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.dataset import ImplicitDataset
-from repro.data.interactions import InteractionMatrix
 from repro.models.biased_mf import BiasedMatrixFactorization
 from repro.models.lightgcn import LightGCN
 from repro.models.mf import MatrixFactorization
@@ -23,6 +22,7 @@ from repro.samplers.rns import RandomNegativeSampler
 from repro.train import Trainer, TrainingConfig
 from repro.train.optimizer import SGD, Adam
 from repro.train.trainer import conflict_free_runs
+from matrix_builders import interactions_from_pairs
 
 
 class PerTripleMF(MatrixFactorization):
@@ -213,10 +213,10 @@ class TestSampleInOrder:
 
     def test_rns_user_without_negatives_raises(self):
         # User 1 has interacted with every item.
-        train = InteractionMatrix.from_pairs(
+        train = interactions_from_pairs(
             [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2)], 3, 3
         )
-        dataset = ImplicitDataset(train, InteractionMatrix.from_pairs([], 3, 3))
+        dataset = ImplicitDataset(train, interactions_from_pairs([], 3, 3))
         sampler = RandomNegativeSampler()
         sampler.bind(dataset, None, 0)
         with pytest.raises(ValueError) as one_row:
