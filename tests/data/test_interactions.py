@@ -319,8 +319,10 @@ class TestNegativeSampling:
 
 class TestUniformNegativesRows:
     """The many-user draw core: each row, and the generator state after,
-    equal per-row ``uniform_negatives`` calls."""
+    equal per-row ``uniform_negatives`` calls, gathered from the negative
+    table."""
 
+    @pytest.mark.parametrize("path", ["table"])
     @settings(
         max_examples=30,
         deadline=None,
@@ -331,7 +333,7 @@ class TestUniformNegativesRows:
         m=st.integers(0, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_per_row_draws(self, micro_train, users, m, seed):
+    def test_equals_per_row_draws(self, micro_train, path, users, m, seed):
         train = InteractionMatrix(*micro_train.shape, *micro_train.pairs())
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = train.uniform_negatives_rows(np.array(users, dtype=np.int64), m, rng)
@@ -341,7 +343,8 @@ class TestUniformNegativesRows:
             assert got[row].tolist() == want.tolist()
         assert rng.random() == reference_rng.random()
 
-    def test_user_without_negatives_raises(self):
+    @pytest.mark.parametrize("path", ["table"])
+    def test_user_without_negatives_raises(self, path):
         train = interactions_from_pairs(
             [(0, i) for i in range(4)] + [(1, 0)], 2, 4
         )

@@ -200,7 +200,8 @@ class TestSampleInOrder:
     """RNS draws an epoch with one ``rng.random(n)``; it must equal ``n``
     one-row draws — same negatives, same generator state after."""
 
-    def test_rns_equals_one_row_draws(self, tiny_dataset):
+    @pytest.mark.parametrize("path", ["table"])
+    def test_rns_equals_one_row_draws(self, tiny_dataset, path):
         users, pos = shuffled_pairs(tiny_dataset)
         sampler, reference = RandomNegativeSampler(), RandomNegativeSampler()
         sampler.bind(tiny_dataset, None, 9)
@@ -211,7 +212,8 @@ class TestSampleInOrder:
         assert got.tolist() == want
         assert sampler.rng.bit_generator.state == reference.rng.bit_generator.state
 
-    def test_rns_user_without_negatives_raises(self):
+    @pytest.mark.parametrize("path", ["table"])
+    def test_rns_user_without_negatives_raises(self, path):
         # User 1 has interacted with every item.
         train = interactions_from_pairs(
             [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2)], 3, 3
