@@ -349,7 +349,7 @@ class InteractionMatrix:
         Built lazily once (the matrix is immutable) at ``n_users ×
         max_negatives`` int64 — near ``n_users × n_items`` for sparse data:
         at most 23.9M cells (191 MB) for the largest registered shape,
-        ``ml-1m``, and a few MB at most other scales.
+        ``ml-1m``, and a few MB for the ``-small`` presets.
         """
         if self._negative_table is None:
             counts = self._n_items - self._user_activity
