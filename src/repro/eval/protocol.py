@@ -50,8 +50,7 @@ __all__ = [
     "score_block",
 ]
 
-#: Default users per evaluation chunk.  Smaller than the matmul-oriented
-#: :data:`repro.models.base.DEFAULT_SCORE_CHUNK` on purpose: the eval
+#: Default users per evaluation chunk.  Small on purpose: the eval
 #: pipeline makes several passes over each chunk's score block (mask,
 #: partition, membership scan, hit lookup), so keeping the block
 #: cache-resident between passes beats amortizing the gemm further —

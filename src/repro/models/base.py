@@ -1,10 +1,18 @@
 """The score-model interface every component programs against.
 
-A :class:`ScoreModel` predicts a preference score ``x̂_ui`` for any
-user-item pair.  Negative samplers read per-user score vectors from it, the
-trainer drives its :meth:`train_step`, and the evaluator ranks items by its
-scores.  The interface is intentionally small so alternative models (or a
-wrapper around a learned model from elsewhere) can be dropped in.
+A :class:`ScoreModel` predicts a preference score ``x̂_ui = w_u · h_i
+(+ b_i)`` for any user-item pair.  Negative samplers read per-user score
+vectors from it, the trainer drives its :meth:`train_step`, and the
+evaluator ranks items by its scores.
+
+A subclass supplies :attr:`~ScoreModel.user_factors` and
+:attr:`~ScoreModel.item_factors`, an optional :attr:`~ScoreModel.item_bias`,
+:meth:`~ScoreModel.train_step` and :attr:`~ScoreModel.row_local_step`.
+The four scoring methods (:meth:`~ScoreModel.scores`,
+:meth:`~ScoreModel.score_pairs`, :meth:`~ScoreModel.scores_batch` and
+:meth:`~ScoreModel.score_items_batch`) are written once, here, from those
+tables: each runs one :data:`repro.backend.kernels` product and then adds
+the bias, if any.
 """
 
 from __future__ import annotations
@@ -14,23 +22,29 @@ from typing import Optional
 
 import numpy as np
 
+from repro.backend import kernels
 from repro.train.optimizer import Optimizer
 
 __all__ = ["ScoreModel"]
 
-#: Default number of users per ``scores_batch`` call inside
-#: :meth:`ScoreModel.score_matrix`: large enough that a full matrix costs a
-#: handful of matmuls, small enough that one float64 chunk stays modest at
-#: this reproduction's universe sizes (1024 users × 20k items ≈ 160 MB).
-#: Callers with bigger item universes should pass a smaller ``chunk_size``.
-DEFAULT_SCORE_CHUNK = 1024
+
+def _ids(values, bound: int, kind: str) -> np.ndarray:
+    """``values`` as int64 ids, each in ``[0, bound)``.
+
+    A negative id (e.g. the ``-1`` padding other APIs use) or one past
+    the end would otherwise gather a wrong embedding row silently.
+    """
+    ids = np.asarray(values, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        raise IndexError(f"{kind} ids out of range [0, {bound})")
+    return ids
 
 
 class ScoreModel(ABC):
     """Abstract pairwise-trainable scoring model.
 
-    Concrete models run their dense products through
-    :data:`repro.backend.kernels` at a policy :attr:`dtype`.
+    Scoring runs its dense products through :data:`repro.backend.kernels`
+    at a policy :attr:`dtype`.
     """
 
     #: Matrix shape; set by concrete constructors.
@@ -49,69 +63,61 @@ class ScoreModel(ABC):
     #: :mod:`repro.train.trainer`).  A subclass whose step reads other
     #: rows (graph propagation, shared state) must leave it ``False``.
     row_local_step: bool = False
+    #: Per-item score offset ``b_i``, shape ``(n_items,)``, added after
+    #: the dot product; ``None`` for a model without one.
+    item_bias: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
 
-    @abstractmethod
     def scores(self, user: int) -> np.ndarray:
         """Predicted score vector ``x̂_u`` over all items, shape ``(n_items,)``.
 
         Algorithm 1's "get rating vector" step; samplers call this once per
         user per batch.
         """
+        if not 0 <= user < self.n_users:
+            raise IndexError(f"user {user} out of range [0, {self.n_users})")
+        row = kernels.matvec(self.item_factors, self.user_factors[user])
+        return row if self.item_bias is None else row + self.item_bias
 
-    @abstractmethod
     def score_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Scores of parallel ``(user, item)`` id arrays, shape ``(B,)``."""
+        users = _ids(users, self.n_users, "user").ravel()
+        items = _ids(items, self.n_items, "item").ravel()
+        dots = kernels.pair_dot(self.user_factors[users], self.item_factors[items])
+        return dots if self.item_bias is None else dots + self.item_bias[items]
 
     def scores_batch(self, users: np.ndarray) -> np.ndarray:
         """Score block for an array of users, shape ``(B, n_items)``.
 
-        Row ``b`` is ``scores(users[b])``.  Concrete models override this
-        with one embedding matmul; this fallback stacks per-user calls so
-        any third-party :class:`ScoreModel` keeps working unchanged.
+        Row ``b`` is ``scores(users[b])``, computed by one embedding matmul.
 
         Ownership contract: the returned block is **freshly allocated on
         every call** and belongs to the caller, who may mutate it in place
-        (the evaluator masks train positives directly into it).  Overrides
-        must not hand out views of internal state.
+        (the evaluator masks train positives directly into it).
 
-        Note on determinism: matmul-based overrides may differ from
-        per-user :meth:`scores` in the last ulp (BLAS gemm vs gemv
-        accumulate in different orders) — callers that need bitwise
-        reproducibility must stay on one path, as the trainer does.
+        Note on determinism: the gemm may differ from per-user
+        :meth:`scores` in the last ulp (BLAS gemm vs gemv accumulate in
+        different orders) — callers that need bitwise reproducibility
+        must stay on one path, as the trainer does.
         """
-        users = np.asarray(users, dtype=np.int64).ravel()
-        if users.size == 0:
-            return np.empty((0, self.n_items), dtype=self.dtype)
-        return np.stack([self.scores(int(u)) for u in users])
+        users = _ids(users, self.n_users, "user").ravel()
+        block = kernels.gemm_nt(self.user_factors[users], self.item_factors)
+        return block if self.item_bias is None else block + self.item_bias
 
     def score_items_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Gather-based scoring of per-user item lists, shape ``(B, m)``.
 
         ``items`` has one row of ``m`` item ids per entry of ``users``;
         ``out[b, j]`` is the score of ``(users[b], items[b, j])``.  This is
-        the sparse counterpart of :meth:`scores_batch` — cost is
-        ``O(B · m · d)`` regardless of ``n_items``, which is what lets
+        the sparse counterpart of :meth:`scores_batch` — one embedding
+        gather and ``einsum``, so the cost is ``O(B · m · d)`` regardless
+        of ``n_items``, which is what lets
         :class:`~repro.samplers.base.ScoreRequest.SPARSE` samplers train
-        without ever materializing a full score row.  Concrete models
-        override it with one embedding-gather ``einsum``; this fallback
-        routes through :meth:`score_pairs` so any third-party model keeps
-        working unchanged.
+        without ever materializing a full score row.
         """
-        users, items = self._check_user_item_rows(users, items)
-        if items.size == 0:
-            return np.empty(items.shape, dtype=self.dtype)
-        flat_users = np.repeat(users, items.shape[1])
-        return self.score_pairs(flat_users, items.ravel()).reshape(items.shape)
-
-    def _check_user_item_rows(self, users: np.ndarray, items: np.ndarray) -> tuple:
-        """Coerce/validate the ``score_items_batch`` argument contract:
-        ``users`` flat, ``items`` 2-D with one row per user, both id
-        ranges in bounds (negative ids — e.g. the ``-1`` padding other
-        APIs use — would silently gather wrong embeddings otherwise)."""
         users = np.asarray(users, dtype=np.int64).ravel()
         items = np.asarray(items, dtype=np.int64)
         if items.ndim != 2 or items.shape[0] != users.size:
@@ -119,40 +125,10 @@ class ScoreModel(ABC):
                 f"items must be 2-D with one row per user, got shape "
                 f"{items.shape} for {users.size} users"
             )
-        if users.size and (users.min() < 0 or users.max() >= self.n_users):
-            raise IndexError(f"user ids out of range [0, {self.n_users})")
-        if items.size and (items.min() < 0 or items.max() >= self.n_items):
-            raise IndexError(f"item ids out of range [0, {self.n_items})")
-        return users, items
-
-    def score_matrix(
-        self,
-        users: Optional[np.ndarray] = None,
-        *,
-        chunk_size: int = DEFAULT_SCORE_CHUNK,
-    ) -> np.ndarray:
-        """Dense score block for the given users (default: all users).
-
-        One :meth:`scores_batch` call per ``chunk_size`` users (default
-        :data:`DEFAULT_SCORE_CHUNK`), so large universes cost a handful of
-        matmuls instead of one Python-level ``scores`` call per user.
-        Materializes the full ``(U, n_items)`` result; the evaluator
-        streams its own chunks instead.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if users is None:
-            users = np.arange(self.n_users)
-        users = np.asarray(users, dtype=np.int64).ravel()
-        blocks = [
-            self.scores_batch(users[start : start + chunk_size])
-            for start in range(0, users.size, chunk_size)
-        ]
-        if len(blocks) == 1:
-            return blocks[0]
-        if not blocks:
-            return np.empty((0, self.n_items), dtype=self.dtype)
-        return np.concatenate(blocks, axis=0)
+        users = _ids(users, self.n_users, "user")
+        items = _ids(items, self.n_items, "item")
+        dots = kernels.gather_dot(self.user_factors[users], self.item_factors[items])
+        return dots if self.item_bias is None else dots + self.item_bias[items]
 
     # ------------------------------------------------------------------ #
     # Training
@@ -178,7 +154,7 @@ class ScoreModel(ABC):
         """
 
     # ------------------------------------------------------------------ #
-    # Introspection (used by evaluation and tests)
+    # The tables scoring reads
     # ------------------------------------------------------------------ #
 
     @property

@@ -5,7 +5,10 @@ embeddings ``E⁰ = [W; H]`` over the normalized bipartite adjacency ``Â``:
 
     Eᵏ = Â Eᵏ⁻¹,     Ê = (1 / (L+1)) Σ_{k=0..L} Eᵏ = P E⁰,
 
-with ``P = (1/(L+1)) Σ Âᵏ``.  Scores are dot products of propagated rows.
+with ``P = (1/(L+1)) Σ Âᵏ``.  Scores are dot products of propagated rows:
+:attr:`LightGCN.user_factors` and :attr:`LightGCN.item_factors` are the two
+blocks of ``Ê``, which the scoring methods inherited from
+:class:`~repro.models.base.ScoreModel` read.
 
 Because the propagation is *linear* and ``Â`` is symmetric, the exact
 gradient w.r.t. the base embeddings of any loss with known gradient ``G``
@@ -104,38 +107,6 @@ class LightGCN(ScoreModel):
         self._propagated = None
 
     # ------------------------------------------------------------------ #
-    # Scoring
-    # ------------------------------------------------------------------ #
-
-    def scores(self, user: int) -> np.ndarray:
-        if not 0 <= user < self.n_users:
-            raise IndexError(f"user {user} out of range [0, {self.n_users})")
-        propagated = self.propagate()
-        return kernels.matvec(propagated[self.n_users :], propagated[user])
-
-    def score_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64).ravel()
-        items = np.asarray(items, dtype=np.int64).ravel()
-        propagated = self.propagate()
-        return kernels.pair_dot(propagated[users], propagated[self.n_users + items])
-
-    def scores_batch(self, users: np.ndarray) -> np.ndarray:
-        """Score block via one matmul over the propagated embeddings."""
-        users = np.asarray(users, dtype=np.int64).ravel()
-        if users.size and (users.min() < 0 or users.max() >= self.n_users):
-            raise IndexError(f"user ids out of range [0, {self.n_users})")
-        propagated = self.propagate()
-        return kernels.gemm_nt(propagated[users], propagated[self.n_users :])
-
-    def score_items_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Sparse scoring over the propagated embeddings, ``O(B·m·d)``."""
-        users, items = self._check_user_item_rows(users, items)
-        propagated = self.propagate()
-        return kernels.gather_dot(
-            propagated[users], propagated[self.n_users + items]
-        )
-
-    # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
 
@@ -181,7 +152,7 @@ class LightGCN(ScoreModel):
         return info
 
     # ------------------------------------------------------------------ #
-    # Introspection
+    # The tables the inherited scoring methods read
     # ------------------------------------------------------------------ #
 
     @property

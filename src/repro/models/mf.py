@@ -67,38 +67,6 @@ class MatrixFactorization(ScoreModel):
             self.n_items, self.n_factors, seed=rng
         ).astype(self.dtype, copy=False)
 
-    # ------------------------------------------------------------------ #
-    # Scoring
-    # ------------------------------------------------------------------ #
-
-    def scores(self, user: int) -> np.ndarray:
-        if not 0 <= user < self.n_users:
-            raise IndexError(f"user {user} out of range [0, {self.n_users})")
-        return kernels.matvec(self._item_factors, self._user_factors[user])
-
-    def score_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        users = np.asarray(users, dtype=np.int64).ravel()
-        items = np.asarray(items, dtype=np.int64).ravel()
-        return kernels.pair_dot(self._user_factors[users], self._item_factors[items])
-
-    def scores_batch(self, users: np.ndarray) -> np.ndarray:
-        """Score block via one embedding matmul, shape ``(B, n_items)``."""
-        users = np.asarray(users, dtype=np.int64).ravel()
-        if users.size and (users.min() < 0 or users.max() >= self.n_users):
-            raise IndexError(f"user ids out of range [0, {self.n_users})")
-        return kernels.gemm_nt(self._user_factors[users], self._item_factors)
-
-    def score_items_batch(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Sparse scoring by one embedding gather + einsum, ``O(B·m·d)``."""
-        users, items = self._check_user_item_rows(users, items)
-        return kernels.gather_dot(
-            self._user_factors[users], self._item_factors[items]
-        )
-
-    # ------------------------------------------------------------------ #
-    # Training
-    # ------------------------------------------------------------------ #
-
     def train_step(
         self,
         users: np.ndarray,
@@ -111,11 +79,31 @@ class MatrixFactorization(ScoreModel):
             users, pos_items, neg_items
         )
         check_non_negative(reg, "reg")
+        return self._factor_step(users, pos_items, neg_items, optimizer, reg)
+
+    def _factor_step(
+        self,
+        users: np.ndarray,
+        pos_items: np.ndarray,
+        neg_items: np.ndarray,
+        optimizer: Optimizer,
+        reg: float,
+    ) -> np.ndarray:
+        """Eq. 2's step on the factor tables; returns ``info`` (Eq. 4).
+
+        The scores ``info`` reads include :attr:`item_bias` when the model
+        has one; the bias itself is left to the caller.
+        """
         w_u = self._user_factors[users]
         h_i = self._item_factors[pos_items]
         h_j = self._item_factors[neg_items]
+        x_ui = kernels.pair_dot(w_u, h_i)
+        x_uj = kernels.pair_dot(w_u, h_j)
+        if self.item_bias is not None:
+            x_ui = x_ui + self.item_bias[pos_items]
+            x_uj = x_uj + self.item_bias[neg_items]
 
-        info = informativeness(kernels.pair_dot(w_u, h_i), kernels.pair_dot(w_u, h_j))
+        info = informativeness(x_ui, x_uj)
         s = info[:, None]
 
         grad_u = -s * (h_i - h_j) + reg * w_u
@@ -131,10 +119,6 @@ class MatrixFactorization(ScoreModel):
         optimizer.update_rows("item_factors", self._item_factors, rows_hi, agg_hi)
         return info
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
     @property
     def user_factors(self) -> np.ndarray:
         """The live user embedding table (mutated by training)."""
@@ -147,6 +131,6 @@ class MatrixFactorization(ScoreModel):
 
     def __repr__(self) -> str:
         return (
-            f"MatrixFactorization(n_users={self.n_users}, n_items={self.n_items}, "
-            f"n_factors={self.n_factors})"
+            f"{type(self).__name__}(n_users={self.n_users}, "
+            f"n_items={self.n_items}, n_factors={self.n_factors})"
         )

@@ -39,22 +39,14 @@ def save_model(model, path: PathLike) -> None:
     """Persist a supported model to ``path`` (``.npz``)."""
     path = Path(path)
     if isinstance(model, MatrixFactorization):
+        biased = isinstance(model, BiasedMatrixFactorization)
         np.savez(
             path,
-            kind="mf",
+            kind="biased_mf" if biased else "mf",
             version=_FORMAT_VERSION,
             user_factors=model.user_factors,
             item_factors=model.item_factors,
-            **_model_meta(model),
-        )
-    elif isinstance(model, BiasedMatrixFactorization):
-        np.savez(
-            path,
-            kind="biased_mf",
-            version=_FORMAT_VERSION,
-            user_factors=model.user_factors,
-            item_factors=model.item_factors,
-            item_bias=model.item_bias,
+            **({"item_bias": model.item_bias} if biased else {}),
             **_model_meta(model),
         )
     elif isinstance(model, LightGCN):
@@ -149,17 +141,20 @@ def load_model(path: PathLike, *, dtype=None):
                 f"{resolve_dtype(dtype).name} was requested; retrain or "
                 "load with the matching dtype policy"
             )
-        if kind == "mf":
-            return _load_mf(archive, path, stored)
-        if kind == "biased_mf":
-            return _load_biased_mf(archive, path, stored)
+        if kind in ("mf", "biased_mf"):
+            return _load_mf_family(archive, path, stored, kind == "biased_mf")
         if kind == "lightgcn":
             return _load_lightgcn(archive, path, stored)
     raise ValueError(f"{path}: unknown model kind {kind!r}")
 
 
-def _load_factors(archive, path: Path, dtype):
-    """The validated, mutually consistent MF-family factor matrices."""
+def _load_mf_family(
+    archive, path: Path, dtype, biased: bool
+) -> MatrixFactorization:
+    """An MF, or a BiasedMF when ``biased``, from validated arrays.
+
+    Every array, the bias included, is checked before the model is built.
+    """
     user_factors = _check_array(
         path,
         "user_factors",
@@ -179,38 +174,21 @@ def _load_factors(archive, path: Path, dtype):
             f"{path}: factor ranks disagree — user_factors "
             f"{user_factors.shape} vs item_factors {item_factors.shape}"
         )
-    return user_factors, item_factors
-
-
-def _load_mf(archive, path: Path, dtype) -> MatrixFactorization:
-    user_factors, item_factors = _load_factors(archive, path, dtype)
-    model = MatrixFactorization(
-        user_factors.shape[0],
-        item_factors.shape[0],
-        user_factors.shape[1],
-        seed=0,
-        dtype=dtype,
-    )
-    model.user_factors[:] = user_factors
-    model.item_factors[:] = item_factors
-    return model
-
-
-def _load_biased_mf(archive, path: Path, dtype) -> BiasedMatrixFactorization:
-    user_factors, item_factors = _load_factors(archive, path, dtype)
-    item_bias = _check_array(
-        path,
-        "item_bias",
-        _required(archive, path, "item_bias"),
-        ndim=1,
-        dtype=dtype,
-    )
-    if item_bias.shape[0] != item_factors.shape[0]:
-        raise ValueError(
-            f"{path}: item_bias has {item_bias.shape[0]} entries for "
-            f"{item_factors.shape[0]} items"
+    if biased:
+        item_bias = _check_array(
+            path,
+            "item_bias",
+            _required(archive, path, "item_bias"),
+            ndim=1,
+            dtype=dtype,
         )
-    model = BiasedMatrixFactorization(
+        if item_bias.shape[0] != item_factors.shape[0]:
+            raise ValueError(
+                f"{path}: item_bias has {item_bias.shape[0]} entries for "
+                f"{item_factors.shape[0]} items"
+            )
+    model_class = BiasedMatrixFactorization if biased else MatrixFactorization
+    model = model_class(
         user_factors.shape[0],
         item_factors.shape[0],
         user_factors.shape[1],
@@ -219,7 +197,8 @@ def _load_biased_mf(archive, path: Path, dtype) -> BiasedMatrixFactorization:
     )
     model.user_factors[:] = user_factors
     model.item_factors[:] = item_factors
-    model.item_bias[:] = item_bias
+    if biased:
+        model.item_bias[:] = item_bias
     return model
 
 

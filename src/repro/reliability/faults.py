@@ -125,9 +125,6 @@ class FaultPlan:
     def __init__(self, specs: Iterable[FaultSpec] = ()) -> None:
         self.specs: Tuple[FaultSpec, ...] = tuple(specs)
 
-    def matching(self, site: str, key: str) -> List[FaultSpec]:
-        return [spec for spec in self.specs if spec.matches(site, key)]
-
     def to_payload(self) -> List[dict]:
         return [spec.to_payload() for spec in self.specs]
 

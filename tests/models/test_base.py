@@ -1,26 +1,21 @@
-"""Tests for the ScoreModel base-class helpers."""
+"""Tests for the ScoreModel base class: scoring and its helpers."""
 
 import numpy as np
 import pytest
 
 from repro.models.base import ScoreModel
+from repro.models.biased_mf import BiasedMatrixFactorization
+from repro.models.lightgcn import LightGCN
 from repro.models.mf import MatrixFactorization
 
+SCORING_METHODS = ("scores", "score_pairs", "scores_batch", "score_items_batch")
 
-class TestScoreMatrixDefault:
-    def test_all_users(self):
-        model = MatrixFactorization(4, 6, n_factors=3, seed=0)
-        matrix = model.score_matrix()
-        assert matrix.shape == (4, 6)
-        for user in range(4):
-            assert np.allclose(matrix[user], model.scores(user))
 
-    def test_subset(self):
-        model = MatrixFactorization(4, 6, n_factors=3, seed=0)
-        matrix = model.score_matrix(np.asarray([2, 0]))
-        assert matrix.shape == (2, 6)
-        assert np.allclose(matrix[0], model.scores(2))
-        assert np.allclose(matrix[1], model.scores(0))
+def build_model(name, train):
+    if name == "lightgcn":
+        return LightGCN(train, n_factors=4, seed=2)
+    model_class = {"mf": MatrixFactorization, "biased_mf": BiasedMatrixFactorization}
+    return model_class[name](train.n_users, train.n_items, n_factors=4, seed=2)
 
 
 class TestTripleValidation:
@@ -75,17 +70,36 @@ class TestScoresBatch:
             model.scores_batch(np.array([0, 4]))
 
 
-class TestScoreMatrixChunking:
-    def test_chunked_equals_single_call(self):
-        model = MatrixFactorization(9, 5, n_factors=3, seed=0)
-        users = np.array([8, 3, 3, 0, 5, 7, 1])
-        full = model.score_matrix(users)
-        chunked = model.score_matrix(users, chunk_size=2)
-        # allclose, not array_equal: BLAS rounding differs across gemm shapes.
-        assert full.shape == chunked.shape
-        assert np.allclose(full, chunked)
+class TestScoringWrittenOnce:
+    def test_no_model_overrides_a_scoring_method(self):
+        for name in SCORING_METHODS:
+            assert name in vars(ScoreModel)
+            for model_class in (
+                MatrixFactorization,
+                BiasedMatrixFactorization,
+                LightGCN,
+            ):
+                assert name not in vars(model_class), (model_class, name)
 
-    def test_invalid_chunk_size(self):
-        model = MatrixFactorization(4, 6, n_factors=3, seed=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            model.score_matrix(chunk_size=0)
+    def test_biased_mf_is_mf_plus_a_bias(self):
+        assert issubclass(BiasedMatrixFactorization, MatrixFactorization)
+        assert MatrixFactorization(2, 3, n_factors=2, seed=0).item_bias is None
+
+
+@pytest.mark.parametrize("name", ["mf", "biased_mf", "lightgcn"])
+class TestIdRange:
+    """An id outside the universe raises instead of gathering another
+    row: ``-1`` reads the last one, and LightGCN's user ``n_users`` is
+    its first item row."""
+
+    def test_score_pairs_rejects_user_ids(self, micro_train, name):
+        model = build_model(name, micro_train)
+        for user in (-1, model.n_users):
+            with pytest.raises(IndexError, match="user ids"):
+                model.score_pairs(np.array([user]), np.array([0]))
+
+    def test_score_pairs_rejects_item_ids(self, micro_train, name):
+        model = build_model(name, micro_train)
+        for item in (-1, model.n_items):
+            with pytest.raises(IndexError, match="item ids"):
+                model.score_pairs(np.array([0]), np.array([item]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models.biased_mf import BiasedMatrixFactorization
+from repro.models.mf import MatrixFactorization
 from repro.train.loss import log_sigmoid
 from repro.train.optimizer import SGD
 
@@ -78,6 +79,20 @@ class TestTraining:
             down[idx] -= eps
             numeric = (loss(up) - loss(down)) / (2 * eps)
             assert numeric == pytest.approx(analytic[idx], abs=1e-5)
+
+    def test_factor_step_is_mf_step(self):
+        """With the bias still zero, BiasedMF's step on the factor tables
+        is MF's (Eq. 2) bit for bit, and so is the ``info`` it returns."""
+        users = np.array([0, 3, 3, 1, 2])
+        pos = np.array([1, 2, 5, 1, 0])
+        neg = np.array([4, 0, 2, 3, 5])
+        biased = BiasedMatrixFactorization(4, 6, n_factors=3, seed=9)
+        plain = MatrixFactorization(4, 6, n_factors=3, seed=9)
+        info = biased.train_step(users, pos, neg, SGD(0.1), reg=0.01)
+        info_mf = plain.train_step(users, pos, neg, SGD(0.1), reg=0.01)
+        assert info.tobytes() == info_mf.tobytes()
+        assert biased.user_factors.tobytes() == plain.user_factors.tobytes()
+        assert biased.item_factors.tobytes() == plain.item_factors.tobytes()
 
     def test_bias_reg_scale(self):
         light = BiasedMatrixFactorization(2, 3, n_factors=2, bias_reg_scale=0.0, seed=0)

@@ -52,11 +52,6 @@ class TestScoring:
         for k in range(3):
             assert pairwise[k] == pytest.approx(model.scores(users[k])[items[k]])
 
-    def test_score_matrix(self, model):
-        matrix = model.score_matrix(np.asarray([1, 3]))
-        assert matrix.shape == (2, 7)
-        assert np.allclose(matrix[0], model.scores(1))
-
 
 class TestTrainStep:
     def test_returns_info(self, model):

@@ -1,14 +1,13 @@
 """Gather-based sparse scoring: ``score_items_batch`` across all models.
 
 The contract: ``out[b, j] == score_pairs(users[b], items[b, j])`` for every
-cell, on the base-class fallback and on each model's einsum override — the
-correctness anchor for the ``ScoreRequest.SPARSE`` training mode.
+cell, on every model — the correctness anchor for the ``ScoreRequest.SPARSE``
+training mode.
 """
 
 import numpy as np
 import pytest
 
-from repro.models.base import ScoreModel
 from repro.models.biased_mf import BiasedMatrixFactorization
 from repro.models.lightgcn import LightGCN
 from repro.models.mf import MatrixFactorization
@@ -55,38 +54,6 @@ def test_matches_full_row_gather(micro_train):
             [model.scores(int(u))[row] for u, row in zip(users, items)]
         )
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
-
-
-def test_base_fallback_via_score_pairs(micro_train):
-    """A minimal third-party ScoreModel gets the method for free."""
-
-    class PairsOnly(ScoreModel):
-        n_users, n_items, n_factors = micro_train.n_users, micro_train.n_items, 1
-
-        def scores(self, user):
-            return np.arange(self.n_items, dtype=np.float64) * (user + 1)
-
-        def score_pairs(self, users, items):
-            users = np.asarray(users, dtype=np.int64).ravel()
-            items = np.asarray(items, dtype=np.int64).ravel()
-            return items.astype(np.float64) * (users + 1)
-
-        def train_step(self, users, pos_items, neg_items, optimizer, reg):
-            raise NotImplementedError
-
-        @property
-        def user_factors(self):
-            raise NotImplementedError
-
-        @property
-        def item_factors(self):
-            raise NotImplementedError
-
-    model = PairsOnly()
-    users = np.array([0, 2, 1], dtype=np.int64)
-    items = np.array([[1, 3], [0, 7], [5, 5]], dtype=np.int64)
-    out = model.score_items_batch(users, items)
-    np.testing.assert_array_equal(out, reference_cells(model, users, items))
 
 
 def test_empty_items(micro_train):
