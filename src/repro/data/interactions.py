@@ -189,9 +189,7 @@ class InteractionMatrix:
         """
         self._check_user(user)
         table, counts = self.negative_table()
-        view = table[user, : counts[user]]
-        view.flags.writeable = False
-        return view
+        return table[user, : counts[user]]
 
     # ------------------------------------------------------------------ #
     # Batched lookups and sampling
@@ -346,10 +344,11 @@ class InteractionMatrix:
         always ``< counts[u]``).  This is the one negative structure behind
         :meth:`negative_items` and :meth:`uniform_negatives_rows`: one
         fancy gather ``table[users, indices]`` replaces a per-user loop.
-        Built lazily once (the matrix is immutable) at ``n_users ×
-        max_negatives`` int64 — near ``n_users × n_items`` for sparse data:
-        at most 23.9M cells (191 MB) for the largest registered shape,
-        ``ml-1m``, and a few MB for the ``-small`` presets.
+        Built lazily once (the matrix is immutable) and read-only, at
+        ``n_users × max_negatives`` int64 — near ``n_users × n_items`` for
+        sparse data: at most 23.9M cells (191 MB) for the largest
+        registered shape, ``ml-1m``, and a few MB for the ``-small``
+        presets.
         """
         if self._negative_table is None:
             counts = self._n_items - self._user_activity
@@ -357,6 +356,8 @@ class InteractionMatrix:
             table = np.zeros((self._n_users, width), dtype=np.int64)
             for user in range(self._n_users):
                 table[user, : counts[user]] = np.nonzero(self.negative_mask(user))[0]
+            # Read-only once here, so every negative_items slice inherits it.
+            table.flags.writeable = False
             self._negative_table = (table, counts)
         return self._negative_table
 

@@ -94,9 +94,11 @@ class MatrixFactorization(ScoreModel):
         The scores ``info`` reads include :attr:`item_bias` when the model
         has one; the bias itself is left to the caller.
         """
+        n = users.size
+        items = np.concatenate([pos_items, neg_items])
         w_u = self._user_factors[users]
-        h_i = self._item_factors[pos_items]
-        h_j = self._item_factors[neg_items]
+        h = self._item_factors[items]
+        h_i, h_j = h[:n], h[n:]
         x_ui = kernels.pair_dot(w_u, h_i)
         x_uj = kernels.pair_dot(w_u, h_j)
         if self.item_bias is not None:
@@ -105,18 +107,17 @@ class MatrixFactorization(ScoreModel):
 
         info = informativeness(x_ui, x_uj)
         s = info[:, None]
+        sw = s * w_u
 
+        # Both item gradients at once: (−s·w_u + reg·h_i; s·w_u + reg·h_j)
+        # term for term, as negation is exact and addition commutes.
         grad_u = -s * (h_i - h_j) + reg * w_u
-        grad_i = -s * w_u + reg * h_i
-        grad_j = s * w_u + reg * h_j
+        grad_h = reg * h + np.concatenate([-sw, sw])
 
         rows_u, agg_u = aggregate_rows(users, grad_u)
-        rows_hi, agg_hi = aggregate_rows(
-            np.concatenate([pos_items, neg_items]),
-            np.concatenate([grad_i, grad_j]),
-        )
+        rows_h, agg_h = aggregate_rows(items, grad_h)
         optimizer.update_rows("user_factors", self._user_factors, rows_u, agg_u)
-        optimizer.update_rows("item_factors", self._item_factors, rows_hi, agg_hi)
+        optimizer.update_rows("item_factors", self._item_factors, rows_h, agg_h)
         return info
 
     @property

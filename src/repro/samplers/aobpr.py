@@ -55,7 +55,7 @@ class AOBPRSampler(NegativeSampler):
         if negatives.size == 0:
             raise ValueError(f"user {user} has no un-interacted items to sample")
         # Descending score order of the un-interacted items.
-        order = negatives[np.argsort(-scores[negatives], kind="stable")]
+        order = negatives[(-scores[negatives]).argsort(kind="stable")]
         ranks = self._sample_ranks(order.size, n_pos)
         return order[ranks]
 
@@ -113,4 +113,4 @@ class AOBPRSampler(NegativeSampler):
         u = self.rng.random(n_draws)
         truncation = 1.0 - q**n_negatives
         ranks = np.floor(np.log1p(-u * truncation) / np.log(q)).astype(np.int64)
-        return np.clip(ranks, 0, n_negatives - 1)
+        return np.minimum(np.maximum(ranks, 0), n_negatives - 1)

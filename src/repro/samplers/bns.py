@@ -211,7 +211,7 @@ class BayesianNegativeSampler(NegativeSampler):
         """Each row's chosen candidate column: Eq. 32's risk argmin."""
         info = informativeness(pos_scores[:, None], candidate_scores)
         risk = conditional_sampling_risk(info, unbias_values, self._current_weight)
-        return np.argmin(risk, axis=1)
+        return risk.argmin(axis=1)
 
 
 class PosteriorOnlySampler(BayesianNegativeSampler):
@@ -236,4 +236,4 @@ class PosteriorOnlySampler(BayesianNegativeSampler):
 
     def _select(self, pos_scores, candidate_scores, unbias_values):
         """Each row's chosen candidate column: Eq. 35's posterior argmax."""
-        return np.argmax(unbias_values, axis=1)
+        return unbias_values.argmax(axis=1)

@@ -238,9 +238,11 @@ class ExactCDF(CDFEstimator):
     name = "exact"
 
     def cdf_for_user(self, sampler, user, candidate_scores, scores):
-        negative_scores = np.sort(scores[sampler.dataset.train.negative_items(user)])
+        # The gather is a fresh copy, so it is sorted in place.
+        negative_scores = scores[sampler.dataset.train.negative_items(user)]
+        negative_scores.sort()
         return (
-            np.searchsorted(negative_scores, candidate_scores, side="right")
+            negative_scores.searchsorted(candidate_scores, side="right")
             / negative_scores.size
         )
 

@@ -49,7 +49,7 @@ class DynamicNegativeSampler(NegativeSampler):
         if scores is None:
             raise ValueError("DNS requires the user's score vector")
         candidates = self.candidate_matrix(user, n_pos, self.n_candidates)
-        best = np.argmax(scores[candidates], axis=1)
+        best = scores[candidates].argmax(axis=1)
         return candidates[np.arange(n_pos), best]
 
     def sample_batch(
@@ -74,5 +74,5 @@ class DynamicNegativeSampler(NegativeSampler):
         self._check_score_block(groups, scores)
         candidates = self.candidate_matrix_batch(groups, self.n_candidates)
         candidate_scores = scores[groups.rows[:, None], candidates]
-        best = np.argmax(candidate_scores, axis=1)
+        best = candidate_scores.argmax(axis=1)
         return candidates[np.arange(users.size), best]

@@ -80,10 +80,10 @@ class PopularityNegativeSampler(NegativeSampler):  # repro: noqa[R004] -- reject
         filled = 0
         while filled < n:
             need = n - filled
-            draws = np.searchsorted(
-                self._cumulative, self.rng.random(max(need * 2, 8)), side="right"
+            draws = self._cumulative.searchsorted(
+                self.rng.random(max(need * 2, 8)), side="right"
             )
-            pos = np.searchsorted(positives, draws)
+            pos = positives.searchsorted(draws)
             is_positive = (pos < positives.size) & (
                 positives[np.minimum(pos, positives.size - 1)] == draws
             )

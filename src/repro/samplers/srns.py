@@ -135,7 +135,7 @@ class SRNSSampler(NegativeSampler):
         )
         candidate_items = memory[slot_ids]
         value = scores[candidate_items] + self.alpha * std[slot_ids]
-        best = np.argmax(value, axis=1)
+        best = value.argmax(axis=1)
         return candidate_items[np.arange(n_pos), best]
 
     def sample_batch(
@@ -174,7 +174,7 @@ class SRNSSampler(NegativeSampler):
             scores[groups.rows[:, None], candidate_items]
             + self.alpha * std_block[groups.rows[:, None], slot_ids]
         )
-        best = np.argmax(value, axis=1)
+        best = value.argmax(axis=1)
         return candidate_items[row_arange, best]
 
     def _variance_std(self, user: int) -> np.ndarray:

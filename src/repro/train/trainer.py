@@ -287,9 +287,7 @@ class Trainer:
             scores = None
             if self.sampler.score_request is ScoreRequest.FULL_BLOCK:
                 scores = self.model.scores(user)
-            negatives = np.empty(1, dtype=np.int64)
-            negatives[0] = self.sampler.sample_for_user(user, batch_pos, scores)[0]
-            return negatives
+            return self.sampler.sample_for_user(user, batch_pos, scores)
         groups = group_batch_by_user(batch_users)
         scores = None
         if self.sampler.score_request is ScoreRequest.FULL_BLOCK:

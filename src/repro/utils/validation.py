@@ -9,6 +9,7 @@ value so they can be used inline::
 
 from __future__ import annotations
 
+import math
 from typing import Any, Union
 
 import numpy as np
@@ -26,9 +27,13 @@ Number = Union[int, float, np.integer, np.floating]
 def _check_real(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if not np.isfinite(value):
+    try:
+        out = float(value)
+    except OverflowError:  # an int past the float range, e.g. 10**400
+        out = math.inf
+    if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return out
 
 
 def check_positive(value: Number, name: str) -> float:

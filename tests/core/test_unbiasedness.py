@@ -69,6 +69,58 @@ class TestBoundaryBehaviour:
         assert values[1] == 0.0  # clipped to F=1
 
 
+def clipped_unbias(cdf_values, prior_fn):
+    """The ``np.clip`` body ``unbias`` had before: the bitwise oracle."""
+    cdf_values = np.clip(np.asarray(cdf_values, dtype=np.float64), 0.0, 1.0)
+    prior_fn = np.clip(np.asarray(prior_fn, dtype=np.float64), 0.0, 1.0)
+    tn_mass = (1.0 - cdf_values) * (1.0 - prior_fn)
+    fn_mass = cdf_values * prior_fn
+    denominator = tn_mass + fn_mass
+    positive = denominator > 0.0
+    return np.where(positive, tn_mass / np.where(positive, denominator, 1.0), 0.5)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestMatchesClipForm:
+    """The two-ufunc clamp differs from ``np.clip`` on ``-0.0`` only, and
+    the masses absorb that sign, so every output bit must agree."""
+
+    EDGES = [
+        0.0, -0.0, np.nan, np.inf, -np.inf, -0.5, 1.5, 1.0, 0.5, 5e-324,
+        -5e-324, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 1e-300,
+    ]
+
+    def test_the_clamps_differ_on_negative_zero(self):
+        clamped = np.minimum(np.maximum(-0.0, 0.0, dtype=np.float64), 1.0)
+        assert np.signbit(np.clip(-0.0, 0.0, 1.0))
+        assert not np.signbit(clamped)
+
+    def test_edge_pairs_bitwise(self):
+        cdf, prior = np.meshgrid(self.EDGES, self.EDGES)
+        np.testing.assert_array_equal(
+            _bits(unbias(cdf, prior)), _bits(clipped_unbias(cdf, prior))
+        )
+
+    def test_random_values_outside_unit_interval_bitwise(self, rng):
+        cdf = rng.random(10**4) * 2.0 - 0.5
+        prior = rng.random(10**4) * 2.0 - 0.5
+        cdf[::7] = -0.0
+        prior[::11] = -0.0
+        np.testing.assert_array_equal(
+            _bits(unbias(cdf, prior)), _bits(clipped_unbias(cdf, prior))
+        )
+
+    def test_float32_and_broadcast_inputs_bitwise(self, rng):
+        cdf = rng.random((4, 5)).astype(np.float32)
+        prior = np.float32(0.25)
+        out = unbias(cdf, prior)
+        assert out.dtype == np.float64 and out.shape == (4, 5)
+        np.testing.assert_array_equal(_bits(out), _bits(clipped_unbias(cdf, prior)))
+
+
 class TestMonotonicity:
     def test_decreasing_in_cdf(self):
         F = np.linspace(0, 1, 51)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.backend import kernels
 from repro.models.mf import MatrixFactorization
-from repro.train.loss import log_sigmoid
-from repro.train.optimizer import SGD
+from repro.train.loss import informativeness, log_sigmoid
+from repro.train.optimizer import SGD, aggregate_rows
 
 
 @pytest.fixture
@@ -141,6 +142,48 @@ class TestTrainStep:
         b.train_step(users, pos, neg, SGD(0.1), reg=0.0)
         expected = w - 0.1 * total
         assert np.allclose(b.user_factors[0], expected)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("reg", [0.01, 0.0])
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            ([3], [1], [6]),
+            ([0, 4, 2], [1, 5, 7], [3, 8, 0]),
+            ([0, 0, 5, 2], [1, 3, 1, 8], [3, 2, 7, 1]),
+        ],
+        ids=["one", "conflict_free", "repeated_rows"],
+    )
+    def test_item_gradients_match_per_row_form(self, dtype, reg, triples):
+        """One gather and one ``reg·h + (−s·w_u; s·w_u)`` for both item
+        gradients must step exactly like the per-row expressions
+        ``−s·w_u + reg·h_i`` and ``s·w_u + reg·h_j``."""
+        users, pos, neg = (np.asarray(ids, dtype=np.int64) for ids in triples)
+        model = MatrixFactorization(6, 9, n_factors=8, seed=3, dtype=dtype)
+        user_table = model.user_factors.copy()
+        item_table = model.item_factors.copy()
+        w_u, h_i, h_j = user_table[users], item_table[pos], item_table[neg]
+        expected_info = informativeness(
+            kernels.pair_dot(w_u, h_i), kernels.pair_dot(w_u, h_j)
+        )
+        s = expected_info[:, None]
+        grad_u = -s * (h_i - h_j) + reg * w_u
+        grad_i = -s * w_u + reg * h_i
+        grad_j = s * w_u + reg * h_j
+        oracle = SGD(0.05)
+        oracle.update_rows("user_factors", user_table, *aggregate_rows(users, grad_u))
+        oracle.update_rows(
+            "item_factors",
+            item_table,
+            *aggregate_rows(
+                np.concatenate([pos, neg]), np.concatenate([grad_i, grad_j])
+            ),
+        )
+
+        info = model.train_step(users, pos, neg, SGD(0.05), reg=reg)
+        assert info.tobytes() == expected_info.tobytes()
+        assert model.user_factors.tobytes() == user_table.tobytes()
+        assert model.item_factors.tobytes() == item_table.tobytes()
 
     def test_parallel_array_validation(self, model):
         with pytest.raises(ValueError, match="parallel"):

@@ -149,3 +149,46 @@ class TestInformativeness:
     def test_broadcasting(self):
         out = informativeness(np.ones((3, 1)), np.zeros((3, 5)))
         assert out.shape == (3, 5)
+
+
+def sigmoid_informativeness(pos_scores, neg_scores):
+    """The body ``informativeness`` had before: the bitwise oracle."""
+    pos_scores = np.asarray(pos_scores, dtype=np.float64)
+    neg_scores = np.asarray(neg_scores, dtype=np.float64)
+    return 1.0 - sigmoid(pos_scores - neg_scores)
+
+
+class TestInformativenessMatchesSigmoidForm:
+    """The inlined Eq. 4 makes the same operations on the same values as
+    ``1 − sigmoid(pos − neg)``, so every output bit, NaN included, must
+    agree."""
+
+    EDGES = [
+        0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 709.8, -709.8,
+        36.8, -36.8, 5e-324, -5e-324, 1e-310, 0.5, -0.5,
+    ]
+
+    def test_edge_pairs_bitwise(self):
+        pos, neg = np.meshgrid(self.EDGES, self.EDGES)
+        with np.errstate(invalid="ignore"):
+            expected = sigmoid_informativeness(pos, neg)
+            actual = informativeness(pos, neg)
+        np.testing.assert_array_equal(_bits(actual), _bits(expected))
+
+    def test_float32_inputs_bitwise(self, rng):
+        pos = (rng.standard_normal(1000) * 20).astype(np.float32)
+        neg = (rng.standard_normal(1000) * 20).astype(np.float32)
+        pos[:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        neg[:5] = [-0.0, 0.0, 1.0, -np.inf, 2.0]
+        with np.errstate(invalid="ignore"):
+            expected = sigmoid_informativeness(pos, neg)
+            actual = informativeness(pos, neg)
+        assert actual.dtype == np.float64
+        np.testing.assert_array_equal(_bits(actual), _bits(expected))
+
+    def test_random_and_broadcast_values_bitwise(self, rng):
+        pos = rng.standard_normal((200, 1)) * 30
+        neg = rng.standard_normal((200, 5)) * 30
+        np.testing.assert_array_equal(
+            _bits(informativeness(pos, neg)), _bits(sigmoid_informativeness(pos, neg))
+        )

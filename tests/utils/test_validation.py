@@ -43,6 +43,33 @@ class TestCheckPositive:
             check_positive("2", "x")
 
 
+class TestRealNumberCheck:
+    """Every check first requires a finite real number (``_check_real``)."""
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(np.int64(3), 3.0), (np.float32(0.1), float(np.float32(0.1))), (2**62, 2.0**62)],
+    )
+    def test_numpy_and_python_numbers_become_floats(self, value, expected):
+        out = check_non_negative(value, "x")
+        assert type(out) is float and out == expected
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "1", None])
+    def test_non_numbers_raise_type_error(self, value):
+        with pytest.raises(TypeError, match="real number"):
+            check_non_negative(value, "x")
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float32("nan"), np.float64("inf"), float("-inf"), 10**400],
+        ids=["nan32", "inf", "minus_inf", "int_10_400"],
+    )
+    def test_non_finite_raise_value_error(self, value):
+        """``10**400`` has no float: it is as infinite as ``inf``."""
+        with pytest.raises(ValueError, match="x must be finite"):
+            check_non_negative(value, "x")
+
+
 class TestCheckNonNegative:
     def test_accepts_zero(self):
         assert check_non_negative(0, "x") == 0.0
