@@ -39,6 +39,13 @@ class AOBPRSampler(NegativeSampler):
         super().__init__()
         #: Scale of the rank distribution; smaller = greedier toward rank 0.
         self.rank_lambda = check_positive(rank_lambda, "rank_lambda")
+        # Past 2**53, q = exp(-1/λ) cannot get closer to 1 than 1 - 2**-53,
+        # and from about 2.2e16 it rounds to 1.0: log(q) is 0, every rank
+        # is NaN, and the clamp turns them all into rank 0.
+        if self.rank_lambda > 2.0**53:
+            raise ValueError(
+                f"rank_lambda must be <= 2**53 (about 9.0e15), got {rank_lambda!r}"
+            )
 
     def sample_for_user(
         self,

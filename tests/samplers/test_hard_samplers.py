@@ -68,6 +68,19 @@ class TestAOBPR:
         with pytest.raises(ValueError):
             AOBPRSampler(rank_lambda=0.0)
 
+    def test_lambda_past_float64_resolution_rejected(self):
+        """At 1e17, q = exp(−1/λ) rounds to 1.0: every rank would be NaN
+        and clamp to 0, the hardest negative every time."""
+        with pytest.raises(ValueError, match=r"rank_lambda must be <= 2\*\*53"):
+            AOBPRSampler(rank_lambda=1e17)
+
+    def test_largest_lambda_spreads_ranks(self, tiny_dataset, tiny_model):
+        sampler = AOBPRSampler(rank_lambda=2.0**53)
+        sampler.bind(tiny_dataset, tiny_model, seed=0)
+        with np.errstate(all="raise"):
+            ranks = sampler._sample_ranks(n_negatives=50, n_draws=2000)
+        assert np.unique(ranks).size == 50
+
     def test_requires_scores(self, bound):
         with pytest.raises(ValueError, match="score vector"):
             bound.sample_for_user(0, np.asarray([1]), None)
