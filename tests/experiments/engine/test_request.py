@@ -1,5 +1,8 @@
 """Tests for the run-key content address."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.config import RunSpec
@@ -85,3 +88,88 @@ class TestVersionInAddress:
         )
         monkeypatch.setattr(repro, "__version__", "999.0.0-test")
         assert run_key(EngineRequest(SPEC)) != base
+
+
+#: Three requests and the exact JSON their run key hashes, with
+#: ``VERSION`` standing for ``repro.__version__``.  Any change to the
+#: canonicalization that moves a key fails here, not only in a golden.
+PINNED_REQUESTS = {
+    "default_spec": (
+        EngineRequest(RunSpec()),
+        '{"dataset_seed": 0, "distribution_epochs": [], "evaluate": true, '
+        '"format_version": 4, "library_version": VERSION, '
+        '"record_sampling_quality": false, "spec": {"batch_size": 16, '
+        '"cdf": null, "dataset": "ml-100k-small", "dtype": "float64", '
+        '"epochs": 30, "ks": [5, 10, 20], "lr": 0.01, "model": "mf", '
+        '"n_factors": 32, "reg": 0.01, "sampler": "bns", '
+        '"sampler_kwargs": [], "seed": 0}}',
+    ),
+    "lightgcn_every_option": (
+        EngineRequest(
+            RunSpec(
+                dataset="tiny",
+                model="lightgcn",
+                sampler="bns",
+                sampler_kwargs=(("weight", 2.5), ("n_candidates", 8)),
+                epochs=4,
+                batch_size=128,
+                lr=0.005,
+                reg=0.001,
+                n_factors=16,
+                seed=3,
+                ks=(10, 20),
+                cdf="subsampled:64",
+                dtype="float32",
+            ),
+            dataset_seed=11,
+            record_sampling_quality=True,
+            distribution_epochs=(0, 3),
+        ),
+        '{"dataset_seed": 11, "distribution_epochs": [0, 3], "evaluate": true, '
+        '"format_version": 4, "library_version": VERSION, '
+        '"record_sampling_quality": true, "spec": {"batch_size": 128, '
+        '"cdf": "subsampled:64", "dataset": "tiny", "dtype": "float32", '
+        '"epochs": 4, "ks": [10, 20], "lr": 0.005, "model": "lightgcn", '
+        '"n_factors": 16, "reg": 0.001, "sampler": "bns", '
+        '"sampler_kwargs": [["n_candidates", 8], ["weight", 2.5]], "seed": 3}}',
+    ),
+    "training_only": (
+        EngineRequest(
+            RunSpec(dataset="ml-100k-small", sampler="dns", epochs=100, batch_size=1),
+            evaluate=False,
+        ),
+        '{"dataset_seed": 0, "distribution_epochs": [], "evaluate": false, '
+        '"format_version": 4, "library_version": VERSION, '
+        '"record_sampling_quality": false, "spec": {"batch_size": 1, '
+        '"cdf": null, "dataset": "ml-100k-small", "dtype": "float64", '
+        '"epochs": 100, "ks": [5, 10, 20], "lr": 0.01, "model": "mf", '
+        '"n_factors": 32, "reg": 0.01, "sampler": "dns", '
+        '"sampler_kwargs": [], "seed": 0}}',
+    ),
+}
+
+
+class TestPinnedRunKeys:
+    """Run keys by value: the canonical JSON byte for byte, and the key
+    as its sha256."""
+
+    @staticmethod
+    def _expected(name: str) -> str:
+        import repro
+
+        return PINNED_REQUESTS[name][1].replace(
+            "VERSION", json.dumps(repro.__version__)
+        )
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REQUESTS))
+    def test_canonical_json(self, name):
+        request = PINNED_REQUESTS[name][0]
+        canonical = json.dumps(
+            canonical_payload(request), sort_keys=True, allow_nan=False
+        )
+        assert canonical == self._expected(name)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REQUESTS))
+    def test_run_key_is_sha256_of_canonical_json(self, name):
+        expected = hashlib.sha256(self._expected(name).encode("utf-8")).hexdigest()
+        assert run_key(PINNED_REQUESTS[name][0]) == expected
