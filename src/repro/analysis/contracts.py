@@ -214,15 +214,24 @@ class RunKeyCoverageRule(Rule):
             )
             for node in ast.walk(serializer)
         )
-        if not calls_asdict:
+        # Iterating the manifest is as structural as asdict: the checks
+        # above pin KEYED_SPEC_FIELDS to RunSpec's fields.
+        reads_manifest = any(
+            isinstance(node, ast.comprehension)
+            and isinstance(node.iter, ast.Name)
+            and node.iter.id == "KEYED_SPEC_FIELDS"
+            for node in ast.walk(serializer)
+        )
+        if not (calls_asdict or reads_manifest):
             yield self.diagnostic(
                 request.path,
                 serializer,
-                "canonical_payload does not call dataclasses.asdict on the "
-                "spec — spec fields would need manual (and forgettable) "
-                "enumeration",
-                hint="serialize the spec via asdict(request.spec) so new "
-                "RunSpec fields flow into the key structurally",
+                "canonical_payload neither calls dataclasses.asdict on the "
+                "spec nor reads it through KEYED_SPEC_FIELDS — spec fields "
+                "would need manual (and forgettable) enumeration",
+                hint="serialize the spec via asdict(request.spec) or {name: "
+                "getattr(request.spec, name) for name in KEYED_SPEC_FIELDS} "
+                "so new RunSpec fields flow into the key structurally",
             )
         payload_keys: Set[str] = set()
         for node in ast.walk(serializer):

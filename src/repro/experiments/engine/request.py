@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from repro.experiments.config import RunSpec
@@ -142,7 +142,9 @@ def _check_key_coverage() -> None:
 def canonical_payload(request: EngineRequest) -> dict:
     """The exact dict that is hashed into the run key (stable ordering)."""
     _check_key_coverage()
-    spec_fields = asdict(request.spec)
+    # Read field by field from the manifest, which the coverage check
+    # pins to RunSpec's fields: asdict would deep-copy every value.
+    spec_fields = {name: getattr(request.spec, name) for name in KEYED_SPEC_FIELDS}
     spec_fields["sampler_kwargs"] = [
         [str(name), _jsonable_scalar(value, f"sampler_kwargs[{name!r}]")]
         for name, value in sorted(request.spec.sampler_kwargs)

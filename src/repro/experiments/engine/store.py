@@ -124,11 +124,10 @@ class ArtifactStore:
         *read* failure (transient I/O on a network mount) is only a miss:
         the entry — including any model checkpoint — is left in place.
         """
-        path = self.result_path(key)
-        if not path.is_file():
-            return None
         try:
-            text = path.read_text()
+            text = self.result_path(key).read_text()
+        except (FileNotFoundError, NotADirectoryError):  # repro: noqa[R006] -- no committed entry: the ordinary cache miss, not a fault
+            return None
         except UnicodeDecodeError as exc:  # binary garbage in the file
             _LOGGER.warning(
                 "evicting corrupted cache entry %s (%s)", key[:12], exc

@@ -108,6 +108,21 @@ class TestR003RunKeyCoverage:
         findings = r003({CONFIG_PATH: CLEAN_CONFIG, REQUEST_PATH: request})
         assert any("asdict" in d.message for d in findings)
 
+    def test_serializer_iterating_spec_manifest_passes(self):
+        request = CLEAN_REQUEST.replace(
+            '"spec": asdict(request.spec)',
+            '"spec": {name: getattr(request.spec, name) '
+            "for name in KEYED_SPEC_FIELDS}",
+        )
+        assert r003({CONFIG_PATH: CLEAN_CONFIG, REQUEST_PATH: request}) == []
+
+    def test_serializer_naming_manifest_without_iterating_flagged(self):
+        request = CLEAN_REQUEST.replace(
+            '"spec": asdict(request.spec)', '"spec": len(KEYED_SPEC_FIELDS)'
+        )
+        findings = r003({CONFIG_PATH: CLEAN_CONFIG, REQUEST_PATH: request})
+        assert any("asdict" in d.message for d in findings)
+
     def test_missing_manifest_flagged(self):
         request = CLEAN_REQUEST.replace(
             'KEYED_SPEC_FIELDS = ("dataset", "seed")\n', ""
