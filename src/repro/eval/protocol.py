@@ -28,7 +28,7 @@ loop over the scalar metric functions — the oracle in
 ``tests/property/test_property_eval_batch.py``.  The one caveat sits in
 the score source, as in the training pipeline: ``scores_batch`` is a BLAS
 gemm whose last-ulp rounding can differ from the per-user ``scores``
-gemv.  Models that lack ``scores_batch`` are scored per user and stacked.
+gemv.
 """
 
 from __future__ import annotations
@@ -73,10 +73,8 @@ class NonFiniteScoresError(FloatingPointError):
 def score_block(model, users: np.ndarray) -> np.ndarray:
     """A writable float ``(len(users), n_items)`` score block.
 
-    Uses the model's ``scores_batch`` when present (one matmul for real
-    models); otherwise stacks per-user ``scores`` calls so any object with
-    a ``scores(user)`` method — oracle stubs, third-party wrappers — works
-    too.  The result may be masked in place: per the
+    One ``scores_batch`` call on the model (one matmul for real models).
+    The result may be masked in place: per the
     :class:`~repro.models.base.ScoreModel` ownership contract,
     ``scores_batch`` returns a freshly allocated block on every call, so
     no copy is taken unless a dtype conversion (or a read-only return)
@@ -87,17 +85,11 @@ def score_block(model, users: np.ndarray) -> np.ndarray:
     not already a float array is upcast to float64 as before.
     """
     users = np.asarray(users, dtype=np.int64).ravel()
-    batch_fn = getattr(model, "scores_batch", None)
-    if batch_fn is not None:
-        block = np.asarray(batch_fn(users))
-        if block.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            block = block.astype(np.float64)
-        if not block.flags.writeable:
-            block = block.copy()
-    else:
-        block = np.stack(
-            [np.asarray(model.scores(int(u)), dtype=np.float64) for u in users]
-        )
+    block = np.asarray(model.scores_batch(users))
+    if block.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
+        block = block.astype(np.float64)
+    if not block.flags.writeable:
+        block = block.copy()
     if block.ndim != 2 or block.shape[0] != users.size:
         raise ValueError(
             f"score block must have one row per user, got shape {block.shape} "

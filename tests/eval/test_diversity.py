@@ -6,6 +6,7 @@ import pytest
 from repro.eval import NonFiniteScoresError
 from repro.eval.diversity import recommendation_footprint
 from repro.eval.topk import top_k_items
+from score_stubs import RowScored
 
 
 def footprint_metric(metric, model, dataset, k, **kwargs):
@@ -13,7 +14,7 @@ def footprint_metric(metric, model, dataset, k, **kwargs):
     return recommendation_footprint(model, dataset, k, **kwargs)[f"{metric}@{k}"]
 
 
-class ConstantModel:
+class ConstantModel(RowScored):
     """Recommends the same fixed ranking to every user."""
 
     def __init__(self, n_items):
@@ -23,7 +24,7 @@ class ConstantModel:
         return -np.arange(self.n_items, dtype=np.float64)  # item 0 best
 
 
-class PersonalModel:
+class PersonalModel(RowScored):
     """User u most prefers item u (distinct heads per user)."""
 
     def __init__(self, n_items):
@@ -91,11 +92,11 @@ class TestPopularityMetrics:
         that ranks against it."""
         popularity = micro_dataset.train.item_popularity.astype(float)
 
-        class PopularityModel:
+        class PopularityModel(RowScored):
             def scores(self, user):
                 return popularity
 
-        class AntiPopularityModel:
+        class AntiPopularityModel(RowScored):
             def scores(self, user):
                 return -popularity
 
@@ -111,7 +112,7 @@ class TestPopularityMetrics:
         model = ConstantModel(micro_dataset.n_items)
         calls = []
 
-        class CountingModel:
+        class CountingModel(RowScored):
             def scores(self, user):
                 calls.append(user)
                 return model.scores(user)
@@ -136,7 +137,7 @@ class TestFootprint:
         model = PersonalModel(micro_dataset.n_items)
         calls = []
 
-        class CountingModel:
+        class CountingModel(RowScored):
             def scores(self, user):
                 calls.append(user)
                 return model.scores(user)
@@ -159,7 +160,7 @@ class TestFootprint:
     def test_non_finite_scores_raise(self, micro_dataset):
         model = PersonalModel(micro_dataset.n_items)
 
-        class NanForUserOne:
+        class NanForUserOne(RowScored):
             def scores(self, user):
                 scores = model.scores(user)
                 if user == 1:

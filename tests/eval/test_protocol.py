@@ -7,9 +7,10 @@ from repro.eval import NonFiniteScoresError
 from repro.eval.diversity import recommendation_footprint
 from repro.eval.protocol import Evaluator
 from repro.models.mf import MatrixFactorization
+from score_stubs import RowScored
 
 
-class OracleModel:
+class OracleModel(RowScored):
     """Scores items by whether they are the user's test positives."""
 
     def __init__(self, dataset):
@@ -107,7 +108,7 @@ class TestEvaluator:
 
     def test_batched_and_scalar_paths_agree(self, micro_dataset, micro_model):
         """A real model's batched ``scores_batch`` block and its per-user
-        ``scores`` rows (a scores-only view, stacked by the evaluator)
+        ``scores`` rows (a scores-only view, stacked by ``RowScored``)
         produce the same averages.
 
         (Tolerance instead of exact equality only because MF's
@@ -117,7 +118,7 @@ class TestEvaluator:
         tests/property/test_property_eval_batch.py.)
         """
 
-        class PerUserScores:
+        class PerUserScores(RowScored):
             def scores(self, user):
                 return micro_model.scores(user)
 
@@ -148,7 +149,7 @@ class TestEvaluator:
     def test_train_positives_never_recommended(self, micro_dataset):
         """Even a model scoring train positives highest can't surface them."""
 
-        class TrainLover:
+        class TrainLover(RowScored):
             def __init__(self, dataset):
                 self.dataset = dataset
 

@@ -54,16 +54,6 @@ class TableModel:
         return self._table[np.asarray(users, dtype=np.int64)].copy()
 
 
-class ScoresOnlyModel:
-    """A model exposing only ``scores`` (third-party shape)."""
-
-    def __init__(self, table):
-        self._table = np.asarray(table, dtype=np.float64)
-
-    def scores(self, user):
-        return self._table[int(user)].copy()
-
-
 def make_dataset(rng, n_users=28, n_items=60):
     """Random disjoint train/test with adversarial row shapes.
 
@@ -211,16 +201,6 @@ def test_chunk_boundaries_do_not_matter(chunk_users):
     ).evaluate_per_user(model)
     for key, values in reference.items():
         assert np.array_equal(values, other[key]), key
-
-
-def test_scores_only_model_supported():
-    """Models without ``scores_batch`` are scored per user and stacked —
-    and then evaluator and oracle are bitwise equal even at the score
-    layer."""
-    rng = np.random.default_rng(3)
-    dataset = make_dataset(rng, n_users=16, n_items=32)
-    model = ScoresOnlyModel(make_table(rng, dataset, ties=True))
-    assert_matches_oracle(dataset, model, ks=(5, 10), extra_metrics=True, chunk_users=6)
 
 
 def test_empty_test_users_excluded():
