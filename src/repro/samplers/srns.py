@@ -91,13 +91,18 @@ class SRNSSampler(NegativeSampler):
         self._memory = np.zeros((n_users, self.memory_size), dtype=np.int64)
         self._score_history = np.zeros((n_users, self.memory_size, self.history))
         self._filled_epochs = 0
+        # Each slot's score std over the filled history.  The history moves
+        # only at epoch start, so the std is taken there, once per user,
+        # instead of once per draw.
+        self._std = np.zeros((n_users, self.memory_size))
         active = np.flatnonzero(train.user_activity)
         self._memory[active] = train.uniform_negatives_rows(
             active, self.memory_size, self.rng
         )
 
     def on_epoch_start(self, epoch: int) -> None:
-        """Refresh part of each memory and push current scores into history."""
+        """Refresh part of each memory, push current scores into history
+        and take the epoch's score std per slot."""
         train = self.dataset.train
         n_refresh = int(round(self.refresh_fraction * self.memory_size))
         for user in range(self.dataset.n_users):
@@ -114,6 +119,10 @@ class SRNSSampler(NegativeSampler):
             self._score_history[user] = np.roll(self._score_history[user], -1, axis=1)
             self._score_history[user, :, -1] = scores
         self._filled_epochs = min(self._filled_epochs + 1, self.history)
+        if self._filled_epochs >= 2:
+            window = self._score_history[:, :, -self._filled_epochs :]
+            for user in np.flatnonzero(train.user_activity).tolist():
+                self._std[user] = window[user].std(axis=1)
 
     # ------------------------------------------------------------------ #
 
@@ -165,9 +174,7 @@ class SRNSSampler(NegativeSampler):
             slot_ids[row_idx] = self.rng.integers(
                 self.memory_size, size=(row_idx.size, self.n_candidates)
             )
-        std_block = np.stack(
-            [self._variance_std(user) for user in groups.unique_users.tolist()]
-        )
+        std_block = self._std[groups.unique_users]
         row_arange = np.arange(users.size)
         candidate_items = self._memory[groups.unique_users[groups.rows][:, None], slot_ids]
         value = (
@@ -178,8 +185,6 @@ class SRNSSampler(NegativeSampler):
         return candidate_items[row_arange, best]
 
     def _variance_std(self, user: int) -> np.ndarray:
-        """Score std over the filled portion of the history window."""
-        if self._filled_epochs < 2:
-            return np.zeros(self.memory_size)
-        window = self._score_history[user, :, -self._filled_epochs :]
-        return window.std(axis=1)
+        """Score std over the filled portion of the history window (zero
+        until two epochs have filled it)."""
+        return self._std[user]

@@ -218,6 +218,27 @@ class TestSRNS:
         user = int(tiny_dataset.trainable_users()[0])
         assert sampler._variance_std(user).max() > 0
 
+    def test_std_equals_the_history_window_after_each_epoch_start(
+        self, tiny_dataset, tiny_model
+    ):
+        """The std is taken once per epoch; each draw reads the value the
+        filled history window gives at that point, bit for bit."""
+        from repro.train.optimizer import SGD
+
+        sampler = SRNSSampler(memory_size=6, history=3)
+        sampler.bind(tiny_dataset, tiny_model, seed=2)
+        users = tiny_dataset.trainable_users()
+        for epoch in range(5):
+            sampler.on_epoch_start(epoch)
+            filled = sampler._filled_epochs
+            for user in users.tolist():
+                window = sampler._score_history[user, :, -filled:]
+                expected = window.std(axis=1) if filled >= 2 else np.zeros(6)
+                assert sampler._variance_std(user).tobytes() == expected.tobytes()
+            pos = np.asarray([tiny_dataset.train.items_of(int(u))[0] for u in users])
+            neg = np.asarray([tiny_dataset.train.negative_items(int(u))[0] for u in users])
+            tiny_model.train_step(users, pos, neg, SGD(0.1), reg=0.0)
+
     def test_favors_high_value_candidates(self, bound, tiny_dataset, tiny_model):
         user = int(tiny_dataset.trainable_users()[0])
         scores = tiny_model.scores(user)
