@@ -37,15 +37,22 @@ class AOBPRSampler(NegativeSampler):
 
     def __init__(self, rank_lambda: float = 30.0) -> None:
         super().__init__()
-        #: Scale of the rank distribution; smaller = greedier toward rank 0.
-        self.rank_lambda = check_positive(rank_lambda, "rank_lambda")
+        self._rank_lambda = check_positive(rank_lambda, "rank_lambda")
         # Past 2**53, q = exp(-1/λ) cannot get closer to 1 than 1 - 2**-53,
         # and from about 2.2e16 it rounds to 1.0: log(q) is 0, every rank
         # is NaN, and the clamp turns them all into rank 0.
-        if self.rank_lambda > 2.0**53:
+        if self._rank_lambda > 2.0**53:
             raise ValueError(
                 f"rank_lambda must be <= 2**53 (about 9.0e15), got {rank_lambda!r}"
             )
+        # q and log q, which every rank draw reads, computed once.
+        self._q = np.exp(-1.0 / self._rank_lambda)
+        self._log_q = np.log(self._q)
+
+    @property
+    def rank_lambda(self) -> float:
+        """Scale of the rank distribution; smaller = greedier toward rank 0."""
+        return self._rank_lambda
 
     def sample_for_user(
         self,
@@ -116,8 +123,7 @@ class AOBPRSampler(NegativeSampler):
         With ``q = exp(−1/λ_rank)`` the inverse-CDF for the truncation to
         ``r < K`` is ``floor(log(1 − u(1 − q^K)) / log q)``.
         """
-        q = np.exp(-1.0 / self.rank_lambda)
         u = self.rng.random(n_draws)
-        truncation = 1.0 - q**n_negatives
-        ranks = np.floor(np.log1p(-u * truncation) / np.log(q)).astype(np.int64)
+        truncation = 1.0 - self._q**n_negatives
+        ranks = np.floor(np.log1p(-u * truncation) / self._log_q).astype(np.int64)
         return np.minimum(np.maximum(ranks, 0), n_negatives - 1)

@@ -46,6 +46,16 @@ class PopularityNegativeSampler(NegativeSampler):  # repro: noqa[R004] -- reject
         self._cumulative = np.cumsum(self._distribution)
         # Guard against floating drift on the last bin.
         self._cumulative[-1] = 1.0
+        # Which users the popularity distribution cannot reach (module
+        # docstring): their positives hold all but 1e-6 of its mass.  The
+        # mass is fixed after bind, so it is summed once per user here.
+        train = self.dataset.train
+        self._uniform_fallback = np.array(
+            [
+                1.0 - float(self._distribution[train.items_of(user)].sum()) <= 1e-6
+                for user in range(self.dataset.n_users)
+            ]
+        )
 
     def sample_for_user(
         self,
@@ -67,15 +77,13 @@ class PopularityNegativeSampler(NegativeSampler):  # repro: noqa[R004] -- reject
 
     def _draw_for_user(self, user: int, n: int) -> np.ndarray:
         """``n`` popularity-distributed negatives for one user."""
-        train = self.dataset.train
-        positives = train.items_of(user)
-        # Reachable probability mass outside the positive set.  Rejection
-        # sampling against the popularity CDF needs an expected ~1/mass
-        # draws per accepted negative, so negligible mass — not just
-        # exactly zero — means the loop would effectively hang; those
-        # users fall back to the uniform distribution (module docstring).
-        if 1.0 - float(self._distribution[positives].sum()) <= 1e-6:
+        # Rejection sampling against the popularity CDF needs an expected
+        # ~1/mass draws per accepted negative, so negligible reachable mass
+        # — not just exactly zero — means the loop would effectively hang;
+        # those users fall back to the uniform distribution.
+        if self._uniform_fallback[user]:
             return self.uniform_negatives(user, n)
+        positives = self.dataset.train.items_of(user)
         out = np.empty(n, dtype=np.int64)
         filled = 0
         while filled < n:

@@ -94,7 +94,10 @@ class SGD(Optimizer):
     def update_rows(
         self, name: str, param: np.ndarray, rows: np.ndarray, grads: np.ndarray
     ) -> None:
-        param[rows] -= self._lr * grads
+        # ``param[rows] -= step`` with the rows read by take, which costs a
+        # third of a fancy-index read; both round the float64 difference
+        # once into the table's dtype.
+        param[rows] = param.take(rows, axis=0) - self._lr * grads
 
     def update_dense(self, name: str, param: np.ndarray, grad: np.ndarray) -> None:
         param -= self._lr * grad

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.data.dataset import ImplicitDataset
 from repro.samplers.base import ScoreRequest
 from repro.samplers.pns import PopularityNegativeSampler
 from repro.samplers.rns import RandomNegativeSampler
+from repro.utils.rng import as_rng
+from matrix_builders import interactions_from_pairs
 
 
 class TestRNS:
@@ -82,6 +85,16 @@ class TestPNS:
 
     def test_empty_positives(self, bound):
         assert bound.sample_for_user(0, np.empty(0, dtype=np.int64), None).size == 0
+
+    def test_unreachable_user_draws_uniformly(self, micro_dataset, micro_model):
+        """User 0's positives are every interacted item, so the popularity
+        distribution cannot reach I⁻_0: its draws are exactly the uniform
+        draw core's, from the same generator state."""
+        train = interactions_from_pairs([(0, 0), (0, 1), (0, 2)], 4, 8)
+        sampler = PopularityNegativeSampler()
+        sampler.bind(ImplicitDataset(train, micro_dataset.test), micro_model, seed=5)
+        out = sampler.sample_for_user(0, np.zeros(40, dtype=np.int64), None)
+        assert np.array_equal(out, train.uniform_negatives(0, 40, as_rng(5)))
 
     def test_reproducible(self, tiny_dataset, tiny_model):
         a, b = PopularityNegativeSampler(), PopularityNegativeSampler()
